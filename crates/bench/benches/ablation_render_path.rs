@@ -11,29 +11,25 @@
 //! before anything is timed; `crates/camera/tests/golden.rs` pins the
 //! same property against hashes recorded from the old code itself.
 //!
-//! The effects matrix is reported per combination. Pixel noise used to
-//! be the one stage the refactor could not shrink: the per-channel
-//! Box–Muller stream (seeded RNG + libm `ln`/`cos`) *was* the output
-//! contract. PR 4's pluggable noise engine keeps that stream available
-//! (and bit-identical) as `LegacyBoxMuller`, while the new default
-//! `FastGaussian` realizes the same σ through counter-based
-//! inverse-CDF sampling; `bench_noise_models` quantifies the gap and
-//! asserts the ≥8× contract plus the fused-luma invariant (the fused
-//! path must never do more work than RGB + separate conversion).
+//! The effects matrix is reported per combination. Pixel noise is not
+//! part of it: the renderer realizes σ with the counter-based
+//! `FastGaussian` model, a different stream from the reconstruction's
+//! Box–Muller, so there is no bit-identical old path to compare.
+//! `bench_noise_models` instead asserts the fused-luma invariant on
+//! σ=2 frames (the fused path must never do more work than RGB +
+//! separate conversion), and `bench_lane_hash_noise` times the noise
+//! kernel against the per-sample table walk it replaced.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use euphrates_camera::noise::NoiseModelKind;
 use euphrates_camera::scene::{Scene, SceneBuilder, SceneEffects, SceneObject};
 use euphrates_camera::sprite::Shape;
 use euphrates_camera::texture::Texture;
 use euphrates_camera::trajectory::{Profile, Trajectory};
 use euphrates_common::geom::Vec2f;
 use euphrates_common::image::{LumaFrame, Resolution, Rgb, RgbFrame};
-use euphrates_common::rngx;
 use euphrates_core::frame_source;
 use euphrates_core::prelude::*;
 use euphrates_isp::motion::{BlockMatcher, MotionField};
-use rand::Rng;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -41,7 +37,8 @@ use std::time::Instant;
 // The pre-refactor renderer, reconstructed faithfully from the public
 // Scene API (commit 9277df7's `Renderer`): per-pixel background
 // rounds, hypot-extent raster bounds, full-frame f64 blur
-// accumulation, per-pixel illumination/noise closure.
+// accumulation, per-pixel illumination closure (noise-free scenes
+// only).
 // ---------------------------------------------------------------------------
 
 const BG_MARGIN: u32 = 32;
@@ -97,7 +94,7 @@ impl<'a> OldRenderer<'a> {
         } else {
             self.render_instant(t)
         };
-        self.apply_illumination_and_noise(rgb, index)
+        self.apply_illumination(rgb, index)
     }
 
     fn render_instant(&self, t: f64) -> RgbFrame {
@@ -172,37 +169,20 @@ impl<'a> OldRenderer<'a> {
         }
     }
 
-    fn apply_illumination_and_noise(&self, mut frame: RgbFrame, index: u32) -> RgbFrame {
+    fn apply_illumination(&self, mut frame: RgbFrame, index: u32) -> RgbFrame {
         let gain = self
             .scene
             .effects()
             .illumination
             .at(f64::from(index))
             .max(0.0);
-        let sigma = self.scene.effects().pixel_noise_sigma;
-        let needs_gain = (gain - 1.0).abs() > 1e-9;
-        if !needs_gain && sigma <= 0.0 {
+        if (gain - 1.0).abs() <= 1e-9 {
             return frame;
         }
-        let mut rng = rngx::derived_rng(self.scene.seed(), 0xF00D, u64::from(index));
+        let apply = |v: u8| (f64::from(v) * gain).round().clamp(0.0, 255.0) as u8;
         for px in frame.samples_mut() {
-            let apply = |v: u8, rng: &mut rand::rngs::StdRng| -> u8 {
-                let mut f = f64::from(v);
-                if needs_gain {
-                    f *= gain;
-                }
-                if sigma > 0.0 {
-                    f += rngx::gaussian(rng, 0.0, sigma);
-                }
-                f.round().clamp(0.0, 255.0) as u8
-            };
-            *px = Rgb::new(
-                apply(px.r, &mut rng),
-                apply(px.g, &mut rng),
-                apply(px.b, &mut rng),
-            );
+            *px = Rgb::new(apply(px.r), apply(px.g), apply(px.b));
         }
-        let _ = rng.gen::<u8>();
         frame
     }
 }
@@ -299,15 +279,6 @@ fn combos() -> Vec<(&'static str, SceneEffects)> {
                 ..base
             },
         ),
-        (
-            // The old reconstruction *is* the Box–Muller stream, so the
-            // bit-identity leg of this matrix pins the legacy model.
-            "noise",
-            SceneEffects {
-                noise_model: NoiseModelKind::LegacyBoxMuller,
-                ..SceneEffects::default()
-            },
-        ),
     ]
 }
 
@@ -345,8 +316,8 @@ fn bench_render_matrix(c: &mut Criterion) {
         "frame-production hot path (motivation for §5.2's 60 FPS budget)",
     );
 
-    let mut old_ms: Vec<(&str, f64)> = Vec::new();
-    let mut new_ms: Vec<(&str, f64)> = Vec::new();
+    let mut old_ms: Vec<f64> = Vec::new();
+    let mut new_ms: Vec<f64> = Vec::new();
 
     for (name, effects) in combos() {
         let scene = vga_scene(effects);
@@ -404,26 +375,12 @@ fn bench_render_matrix(c: &mut Criterion) {
             "frame preparation ({name:<10}): old {o:7.2} ms/frame  new {n:7.2} ms/frame  -> {:.1}x (bit-identical)",
             o / n
         );
-        if name == "noise" {
-            old_ms.push((name, o));
-            new_ms.push((name, n));
-        } else {
-            old_ms.insert(0, (name, o));
-            new_ms.insert(0, (name, n));
-        }
+        old_ms.push(o);
+        new_ms.push(n);
     }
 
-    // Aggregate over the deterministic matrix (noise excluded: its
-    // seeded per-channel RNG stream is pinned by bit-identity and is
-    // the same work in both paths — reported above as the floor).
-    let det = |v: &[(&str, f64)]| -> f64 {
-        v.iter()
-            .filter(|(n, _)| *n != "noise")
-            .map(|(_, ms)| ms)
-            .sum::<f64>()
-            / v.iter().filter(|(n, _)| *n != "noise").count() as f64
-    };
-    let (o, n) = (det(&old_ms), det(&new_ms));
+    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
+    let (o, n) = (mean(&old_ms), mean(&new_ms));
     println!(
         "VGA frame preparation, deterministic effects matrix: old {o:.2} ms/frame vs new {n:.2} ms/frame -> {:.1}x",
         o / n
@@ -443,8 +400,8 @@ fn bench_prepare_sequence(c: &mut Criterion) {
     suite.truncate(1);
     let mut seq = suite.pop().expect("non-empty suite");
     seq.frames = 10;
-    // The dataset default carries pixel noise, whose seeded RNG stream
-    // costs the same in both paths; time the deterministic rendering
+    // The dataset default carries pixel noise, which the old
+    // reconstruction does not model; time the deterministic rendering
     // path the refactor targets by rebuilding the scene without it.
     let mut effects = seq.scene.effects().clone();
     effects.pixel_noise_sigma = 0.0;
@@ -510,67 +467,33 @@ fn bench_prepare_sequence(c: &mut Criterion) {
     );
 }
 
-/// The pluggable noise engine: `FastGaussian` (counter-based
-/// inverse-CDF sampling, the new default) against `LegacyBoxMuller`
-/// (the golden-locked sequential stream) on σ=2 VGA frames, plus the
-/// fused-luma invariant for both models.
-///
-/// Asserted contracts:
-/// * `FastGaussian` fused-luma rendering is ≥8× faster than
-///   `LegacyBoxMuller` (the PR's headline; typically well above).
-/// * For each model, the fused render-to-luma path costs no more than
-///   rendering RGB and converting separately (10% timing tolerance for
-///   the shared container) — the fused path must never do more work
-///   than the unfused one.
+/// The fused-luma invariant on σ=2 VGA frames (the dataset default
+/// noise): the fused render-to-luma path costs no more than rendering
+/// RGB and converting separately (10% timing tolerance for the shared
+/// container) — the fused path must never do more work than the
+/// unfused one.
 fn bench_noise_models(c: &mut Criterion) {
     euphrates_bench::announce(
-        "ablation: counter-based FastGaussian vs legacy Box-Muller noise",
-        "sensor-noise engine on the frame-preparation hot path",
+        "ablation: fused vs unfused luma under FastGaussian noise",
+        "sensor-noise stage on the frame-preparation hot path",
     );
 
-    let scene_for = |kind: NoiseModelKind| {
-        vga_scene(SceneEffects {
-            noise_model: kind,
-            ..SceneEffects::default() // dataset default: sigma = 2
-        })
-    };
-    let fast_scene = scene_for(NoiseModelKind::FastGaussian);
-    let legacy_scene = scene_for(NoiseModelKind::LegacyBoxMuller);
-
-    // Sanity before timing: the fast model is deterministic and really
-    // is a different realization of the same scene (ground truth and
-    // clean compositing agree; only the noise bytes differ).
-    {
-        let mut a = fast_scene.renderer();
-        let mut b = fast_scene.renderer();
-        let f0 = a.render_pixels(3);
-        let f1 = b.render_pixels(3);
-        assert_eq!(f0, f1, "FastGaussian must be deterministic");
-        let mut l = legacy_scene.renderer();
-        assert_ne!(f0, l.render_pixels(3), "models must be distinct streams");
-    }
+    let scene = vga_scene(SceneEffects::default());
 
     let mut g = c.benchmark_group("noise_model_vga_sigma2");
     g.sample_size(3);
     let mut luma = LumaFrame::new(640, 480).expect("VGA");
-    let mut fast = fast_scene.renderer();
-    let mut legacy = legacy_scene.renderer();
+    let mut fast = scene.renderer();
     g.bench_function("fast_gaussian_luma", |b| {
         b.iter(|| {
             fast.render_luma_pixels_into(black_box(2), &mut luma);
             black_box(luma.at(0, 0))
         })
     });
-    g.bench_function("legacy_box_muller_luma", |b| {
-        b.iter(|| {
-            legacy.render_luma_pixels_into(black_box(2), &mut luma);
-            black_box(luma.at(0, 0))
-        })
-    });
     g.finish();
 
-    // Headline medians (ms/frame over FRAMES frames, median of 3
-    // passes — robust against scheduler hiccups on the 1-core box).
+    // Medians (ms/frame over FRAMES frames, median of 3 passes — robust
+    // against scheduler hiccups on the 1-core box).
     let median_ms = |mut pass: Box<dyn FnMut() + '_>| -> f64 {
         let mut samples: Vec<f64> = (0..3)
             .map(|_| {
@@ -583,48 +506,29 @@ fn bench_noise_models(c: &mut Criterion) {
         samples[1]
     };
 
-    let mut results: Vec<(&str, f64, f64)> = Vec::new(); // (model, fused, unfused)
-    for (name, scene) in [("fast", &fast_scene), ("legacy", &legacy_scene)] {
-        let mut r = scene.renderer();
-        let mut luma = LumaFrame::new(640, 480).expect("VGA");
-        let fused = median_ms(Box::new(|| {
-            for i in 0..FRAMES {
-                r.render_luma_pixels_into(i, &mut luma);
-                black_box(luma.at(0, 0));
-            }
-        }));
-        let mut r = scene.renderer();
-        let unfused = median_ms(Box::new(|| {
-            for i in 0..FRAMES {
-                let rgb = r.render_pixels(i);
-                let luma = euphrates_common::image::rgb_to_luma(&rgb);
-                black_box(luma.at(0, 0));
-                r.recycle(rgb);
-            }
-        }));
-        println!(
-            "noise sigma=2 VGA ({name:<6}): fused luma {fused:7.2} ms/frame, rgb+convert {unfused:7.2} ms/frame"
-        );
-        results.push((name, fused, unfused));
-    }
-
-    let fast_ms = results[0].1;
-    let legacy_ms = results[1].1;
+    let mut r = scene.renderer();
+    let fused = median_ms(Box::new(|| {
+        for i in 0..FRAMES {
+            r.render_luma_pixels_into(i, &mut luma);
+            black_box(luma.at(0, 0));
+        }
+    }));
+    let mut r = scene.renderer();
+    let unfused = median_ms(Box::new(|| {
+        for i in 0..FRAMES {
+            let rgb = r.render_pixels(i);
+            let luma = euphrates_common::image::rgb_to_luma(&rgb);
+            black_box(luma.at(0, 0));
+            r.recycle(rgb);
+        }
+    }));
     println!(
-        "noise engine: FastGaussian {fast_ms:.2} ms/frame vs LegacyBoxMuller {legacy_ms:.2} ms/frame -> {:.1}x",
-        legacy_ms / fast_ms
+        "noise sigma=2 VGA: fused luma {fused:7.2} ms/frame, rgb+convert {unfused:7.2} ms/frame"
     );
     assert!(
-        legacy_ms / fast_ms >= 8.0,
-        "FastGaussian must render sigma=2 VGA >=8x faster than the legacy stream (got {:.2}x)",
-        legacy_ms / fast_ms
+        fused <= unfused * 1.10,
+        "fused luma ({fused:.2} ms) must not exceed rgb+convert ({unfused:.2} ms)"
     );
-    for (name, fused, unfused) in results {
-        assert!(
-            fused <= unfused * 1.10,
-            "{name}: fused luma ({fused:.2} ms) must not exceed rgb+convert ({unfused:.2} ms)"
-        );
-    }
 }
 
 /// The PR-7 lane-hash batch against the PR-5/6 direct-table path it
@@ -640,7 +544,7 @@ fn bench_noise_models(c: &mut Criterion) {
 /// Asserted: bit-identical luma for the full frame, and the lane-hash
 /// path ≥1.5× the direct-table path (measured ~2×).
 fn bench_lane_hash_noise(_c: &mut Criterion) {
-    use euphrates_camera::noise::{FastGaussian, NoiseModel};
+    use euphrates_camera::noise::FastGaussian;
     use euphrates_common::rngx::QuantGauss;
 
     euphrates_bench::announce(
@@ -687,15 +591,14 @@ fn bench_lane_hash_noise(_c: &mut Criterion) {
     // PR-7 shape: the shipped model's fused luma row.
     let mut m = FastGaussian::new();
     m.begin_frame(base, stream, frame, 1.0, sigma);
-    let mut sc = Vec::new();
-    let mut new_pass = |m: &mut FastGaussian, out: &mut [u8]| {
+    let new_pass = |m: &FastGaussian, out: &mut [u8]| {
         for (y, (src, dst)) in rgb
             .samples()
             .chunks_exact(w)
             .zip(out.chunks_exact_mut(w))
             .enumerate()
         {
-            m.luma_row((y * w) as u64, src, &mut sc, dst);
+            m.luma_row((y * w) as u64, src, dst);
         }
     };
 
@@ -703,7 +606,7 @@ fn bench_lane_hash_noise(_c: &mut Criterion) {
     let mut old_out = vec![0u8; w * h];
     let mut new_out = vec![0u8; w * h];
     old_pass(&mut old_out);
-    new_pass(&mut m, &mut new_out);
+    new_pass(&m, &mut new_out);
     assert_eq!(
         old_out, new_out,
         "lane batch must replay the canonical stream"
@@ -728,7 +631,7 @@ fn bench_lane_hash_noise(_c: &mut Criterion) {
         black_box(old_out[0]);
     }));
     let n = median_ms(Box::new(|| {
-        new_pass(&mut m, &mut new_out);
+        new_pass(&m, &mut new_out);
         black_box(new_out[0]);
     }));
     println!(

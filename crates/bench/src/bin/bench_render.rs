@@ -1,9 +1,8 @@
 //! Perf-trajectory recorder for the frame-production hot paths.
 //!
 //! Times the scanline renderer (RGB and fused-luma paths across the
-//! effects matrix, with the σ=2 noise stage under both the default
-//! counter-based `FastGaussian` model and the golden-locked
-//! `LegacyBoxMuller` stream), renderer construction (cold and with the
+//! effects matrix, with the σ=2 noise stage under the counter-based
+//! `FastGaussian` model), renderer construction (cold and with the
 //! scene-shared canvas), the block-matching stage on real rendered
 //! frames (the pyramid-cached hierarchical default and the paper's
 //! TSS), streaming sequence preparation, and a small end-to-end
@@ -46,7 +45,6 @@
 //! `--quick` (or `EUPHRATES_BENCH_QUICK=1`) cuts samples for CI; the
 //! JSON notes which mode produced it.
 
-use euphrates_camera::noise::NoiseModelKind;
 use euphrates_camera::scene::{Scene, SceneBuilder, SceneEffects};
 use euphrates_common::image::{LumaFrame, Resolution};
 use euphrates_core::prelude::*;
@@ -149,9 +147,8 @@ fn main() {
         }),
     ));
 
-    // Per-frame rendering across the effects matrix (ns/frame). The
-    // noise stage is recorded under both models: `noise_fast` is the
-    // dataset default, `noise_legacy` the pre-engine Box–Muller floor.
+    // Per-frame rendering across the effects matrix (ns/frame);
+    // `noise_fast` is the dataset default σ=2 noise.
     let matrix = [
         ("plain", plain.clone()),
         (
@@ -163,13 +160,6 @@ fn main() {
             },
         ),
         ("noise_fast", SceneEffects::default()),
-        (
-            "noise_legacy",
-            SceneEffects {
-                noise_model: NoiseModelKind::LegacyBoxMuller,
-                ..SceneEffects::default()
-            },
-        ),
     ];
     for (name, effects) in &matrix {
         let scene = vga_scene(effects.clone());

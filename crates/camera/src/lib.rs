@@ -65,33 +65,20 @@
 //!   old expression either way.
 //! * **Illumination** — a 256-entry LUT of the old per-channel gain
 //!   expression when pixel noise is off; with noise on, gain folds into
-//!   the noise engine's row application.
-//! * **Pluggable noise engine** — pixel noise (and the sensor's read
-//!   noise) go through a [`noise::NoiseModel`] selected by the
-//!   [`noise::NoiseModelKind`] knob on [`scene::SceneEffects`] /
-//!   [`sensor::SensorConfig`] (and per evaluation via
-//!   `MotionConfig::noise_model` in `euphrates-core`):
-//!
-//!   * [`noise::LegacyBoxMuller`] replays the pre-engine sequential
-//!     Box–Muller stream **bit for bit** — its contract is the golden
-//!     hashes. One libm `ln`/`sqrt`/`cos` pair per two samples keeps
-//!     σ=2 VGA rendering at ~32 ms/frame.
-//!   * [`noise::FastGaussian`] (the default for fresh configs) is
-//!     counter-based: sample `i` of frame `k` is
-//!     `hash(seed, k, i)` indexing a σ-scaled table of *pre-rounded
-//!     integer offsets* (one i16 load per sample; the former
-//!     sub-quantum table interpolation was dropped as an intended
-//!     realization change), so application is an `i16` add + clamp per
-//!     channel — ~2.2 ms/frame for the σ=2 VGA fused-luma workload
-//!     (~15× over the legacy stream), order-independent and
-//!     row-parallel-ready. Its contract is **statistical**
-//!     (mean/σ/tails/independence pinned by `tests/noise_model.rs`)
-//!     plus its own recorded determinism digests — *not*
-//!     bit-compatibility with Box–Muller.
+//!   the noise model's row application.
+//! * **Sensor noise** — pixel noise and the sensor's read noise are
+//!   both realized by [`noise::FastGaussian`], a counter-based model:
+//!   sample `i` of frame `k` is `hash(seed, k, i)` indexing a σ-scaled
+//!   table of pre-rounded integer offsets, so application is an `i16`
+//!   add + clamp per channel (~1.0 ms/frame for the σ=2 VGA noise
+//!   stage). Rows are order-independent, so the renderer bands them
+//!   over worker threads with bit-identical output. The contract is
+//!   **statistical** (mean/σ/tails/independence pinned by
+//!   `tests/noise_model.rs`) plus recorded determinism digests.
 //! * **Fused luma** — [`scene::Renderer::render_luma_into`] composes
 //!   gain/noise and the RGB→luma conversion row by row (clean
 //!   background pixels blit from a precomputed canvas luma; noisy rows
-//!   pass through the engine into a one-row scratch), so the streaming
+//!   pass through the noise model into a stack tile), so the streaming
 //!   front-end never materializes an RGB frame it would immediately
 //!   discard — and never does more work than the unfused RGB + convert
 //!   path (asserted in `ablation_render_path`).
@@ -112,12 +99,12 @@
 //!   ground-truth occlusion pass).
 //!
 //! `tests/golden.rs` pins every effects combination (blur × noise ×
-//! shake, plus illumination drift) to FNV-1a digests: the legacy-model
-//! combos against digests recorded from the pre-scanline renderer, the
-//! fast-model noise combos against digests recorded at the engine's
-//! introduction. `euphrates-bench`'s `ablation_render_path` measures
-//! the speedups (≥5× on the deterministic VGA effects matrix, ≥8×
-//! FastGaussian vs LegacyBoxMuller at σ=2 — both asserted).
+//! shake, plus illumination drift) and the sensor's RAW capture to
+//! FNV-1a digests: the noise-free combos against digests recorded from
+//! the pre-scanline renderer, the noisy ones against digests recorded
+//! from the counter-based model. `euphrates-bench`'s
+//! `ablation_render_path` measures the speedup (≥5× on the
+//! deterministic VGA effects matrix, asserted).
 
 pub mod imu;
 pub mod noise;
@@ -128,6 +115,6 @@ pub mod texture;
 pub mod trajectory;
 
 pub use imu::{ImuConfig, ImuReading, ImuSensor};
-pub use noise::{FastGaussian, LegacyBoxMuller, NoiseModel, NoiseModelKind};
+pub use noise::{FastGaussian, NoiseModelKind};
 pub use scene::{FrameIter, GtObject, RenderedFrame, Renderer, Scene, SceneBuilder, SceneEffects};
 pub use sensor::{ImageSensor, SensorConfig};

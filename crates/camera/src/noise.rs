@@ -1,233 +1,33 @@
-//! Pluggable sensor-noise models.
+//! The sensor-noise model.
 //!
 //! Additive Gaussian noise appears twice in the frontend: as
 //! scene-level pixel noise applied by the [`Renderer`][crate::scene::Renderer]
 //! after composition (stream `0xF00D`), and as read noise on the
 //! [`ImageSensor`][crate::sensor::ImageSensor]'s RAW mosaic (stream
-//! `0x5E45`). Both used to be a frozen implementation detail — a seeded,
-//! strictly sequential per-channel Box–Muller stream whose exact bytes
-//! the golden tests lock. This module makes the *model* pluggable while
-//! keeping that stream available and bit-identical:
-//!
-//! * [`LegacyBoxMuller`] replays the pre-refactor stream byte for byte
-//!   (one `ln`/`sqrt`/`cos` libm call pair per two samples, sequential
-//!   state across the whole frame). `crates/camera/tests/golden.rs`
-//!   still validates it against every golden hash recorded from the
-//!   pre-refactor renderer.
-//! * [`FastGaussian`] — the default for fresh configs — is a
-//!   counter-based model: sample `i` of frame `k` is a pure function
-//!   `hash(seed, k, i)` fed through a σ-scaled fixed-point inverse-CDF
-//!   table ([`QuantGauss`]), quantized to the integer pixel domain so
-//!   application is an `i16` add + clamp per channel. No libm on the
-//!   hot path, no sequential state: noisy frames are order-independent
-//!   and row-parallel-ready. Its correctness contract is *statistical*
-//!   (moments, tails, independence — see
-//!   `crates/camera/tests/noise_model.rs`) plus its own determinism
-//!   golden hashes, not bit-compatibility with Box–Muller.
-//!
-//! Models are selected by the copyable [`NoiseModelKind`] carried on
-//! [`SceneEffects`][crate::scene::SceneEffects] /
-//! [`SensorConfig`][crate::sensor::SensorConfig] (and overridable per
-//! evaluation from `euphrates-core`'s `MotionConfig`), and instantiated
-//! as [`NoiseModel`] trait objects owned by the renderer/sensor.
+//! `0x5E45`). Both are realized by [`FastGaussian`], a counter-based
+//! model: sample `i` of frame `k` is a pure function `hash(seed, k, i)`
+//! fed through a σ-scaled fixed-point inverse-CDF table
+//! ([`QuantGauss`]), quantized to the integer pixel domain so
+//! application is an `i16` add + clamp per channel. There is no libm on
+//! the hot path and no sequential state, so noisy rows are
+//! order-independent and the renderer bands them over worker threads
+//! with bit-identical output. The model's contract is *statistical*
+//! (moments, tails, independence — see
+//! `crates/camera/tests/noise_model.rs`) plus determinism golden hashes
+//! (`crates/camera/tests/golden.rs`).
 
 use euphrates_common::image::Rgb;
 use euphrates_common::rngx::{self, QuantGauss};
-use rand::rngs::StdRng;
 
-/// Which noise model realizes a Gaussian sigma. Copyable config value,
-/// usable as a cache key (`Eq + Hash`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+/// The noise model that realizes a Gaussian sigma. It has one variant
+/// and selects nothing: it is kept only because the `perfbench/`
+/// benchmark names [`SensorConfig::noise_model`][crate::sensor::SensorConfig].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NoiseModelKind {
-    /// Counter-based inverse-CDF sampling (the default): randomly
-    /// addressable, libm-free on the hot path, statistically Gaussian.
+    /// Counter-based inverse-CDF sampling ([`FastGaussian`]).
     #[default]
     FastGaussian,
-    /// The pre-refactor sequential Box–Muller stream, bit-identical to
-    /// every golden hash recorded before the noise engine existed.
-    LegacyBoxMuller,
 }
-
-impl NoiseModelKind {
-    /// Stable display name (bench labels, diagnostics).
-    pub fn name(self) -> &'static str {
-        match self {
-            NoiseModelKind::FastGaussian => "fast_gaussian",
-            NoiseModelKind::LegacyBoxMuller => "legacy_box_muller",
-        }
-    }
-
-    /// Instantiates the model.
-    pub fn model(self) -> Box<dyn NoiseModel> {
-        match self {
-            NoiseModelKind::FastGaussian => Box::new(FastGaussian::new()),
-            NoiseModelKind::LegacyBoxMuller => Box::new(LegacyBoxMuller::new()),
-        }
-    }
-}
-
-/// A per-frame additive-Gaussian noise engine, applied row by row.
-///
-/// Call [`begin_frame`][NoiseModel::begin_frame] once per frame, then
-/// one row method per scanline. Rows are addressed by `row0`, the
-/// linear sample index of the row's first element (`y · width` for
-/// pixel rows), which is how the counter-based model stays
-/// order-independent. [`LegacyBoxMuller`] is the one sequential model:
-/// for it, callers must deliver the frame's rows exactly once, in
-/// order, top to bottom — which the renderer and sensor do.
-pub trait NoiseModel: std::fmt::Debug + Send {
-    /// Which kind this model is.
-    fn kind(&self) -> NoiseModelKind;
-
-    /// Starts a frame: noise is keyed on `(base, stream, frame)` and
-    /// applied with the given illumination `gain` (1.0 = none) and
-    /// Gaussian `sigma` (callers only invoke the row methods when
-    /// `sigma > 0`).
-    fn begin_frame(&mut self, base: u64, stream: u64, frame: u32, gain: f64, sigma: f64);
-
-    /// Applies gain + noise to one row of composed RGB pixels. The
-    /// fused-luma renderer path calls this into a reused scratch row
-    /// and lumas it in a second tight loop — row-granular, so the
-    /// noisy RGB never exists as a frame, and the luma loop stays
-    /// vectorizable.
-    fn rgb_row(&mut self, row0: u64, src: &[Rgb], dst: &mut [Rgb]);
-
-    /// Applies gain + noise to one composed RGB row and converts it to
-    /// luma in the same pass: `dst[i]` must equal
-    /// `rgb_row(src)[i].luma()` bit for bit. The default implementation
-    /// does exactly that through the caller-provided `scratch` row —
-    /// which measures *faster* than a per-pixel fused loop on the
-    /// 1-core container (the row-granular split keeps the sampling and
-    /// luma loops independently pipelined), so no built-in model
-    /// overrides it today; the hook exists so a model with a cheaper
-    /// fusion (or a SIMD backend) can take over the whole row.
-    fn luma_row(&mut self, row0: u64, src: &[Rgb], scratch: &mut Vec<Rgb>, dst: &mut [u8]) {
-        scratch.resize(src.len(), Rgb::gray(0));
-        self.rgb_row(row0, src, scratch);
-        for (d, s) in dst.iter_mut().zip(scratch.iter()) {
-            *d = s.luma();
-        }
-    }
-
-    /// Applies noise in place over one row of single-channel samples
-    /// (the sensor RAW path; `row0` is the linear sample index, gain
-    /// does not apply).
-    fn raw_row(&mut self, row0: u64, dst: &mut [u8]);
-
-    /// For order-independent models: a [`Sync`] view of this frame's
-    /// state whose rows can be applied concurrently (and redundantly)
-    /// in any order, bit-identical to the sequential row methods.
-    /// Sequential models — [`LegacyBoxMuller`], whose stream *is* its
-    /// row order — return `None`, and callers fall back to in-order
-    /// application. Only valid between
-    /// [`begin_frame`][NoiseModel::begin_frame] and the next one.
-    fn par_rows(&self) -> Option<&dyn ParNoiseRows> {
-        None
-    }
-}
-
-/// The row-parallel face of an order-independent [`NoiseModel`]: every
-/// method is `&self` and the trait is `Sync`, so a renderer can hand
-/// disjoint row bands of one frame to worker threads (see
-/// [`parallel_rows`][euphrates_common::par::parallel_rows]). Output
-/// must be bit-identical to the sequential `NoiseModel` row methods for
-/// the same `row0` — the goldens pin this for [`FastGaussian`].
-pub trait ParNoiseRows: Sync {
-    /// [`NoiseModel::rgb_row`], shared-state form.
-    fn rgb_row(&self, row0: u64, src: &[Rgb], dst: &mut [Rgb]);
-
-    /// Gain + noise + RGB→luma fused per pixel: `dst[i]` equals
-    /// `rgb_row(src)[i].luma()` bit for bit, with no scratch row (each
-    /// worker band would otherwise need its own).
-    fn luma_row(&self, row0: u64, src: &[Rgb], dst: &mut [u8]);
-}
-
-// ---------------------------------------------------------------------------
-// LegacyBoxMuller
-// ---------------------------------------------------------------------------
-
-/// The pre-refactor noise stream, verbatim: a [`StdRng`] derived from
-/// `(base, stream, frame)` advanced one Box–Muller Gaussian per channel
-/// in row-major order. Bit-identical to the golden hashes.
-#[derive(Debug)]
-pub struct LegacyBoxMuller {
-    rng: Option<StdRng>,
-    gain: f64,
-    needs_gain: bool,
-    sigma: f64,
-}
-
-impl LegacyBoxMuller {
-    /// Creates the model (idle until [`NoiseModel::begin_frame`]).
-    pub fn new() -> Self {
-        LegacyBoxMuller {
-            rng: None,
-            gain: 1.0,
-            needs_gain: false,
-            sigma: 0.0,
-        }
-    }
-
-    /// The old renderer's per-channel illumination/noise step,
-    /// expression tree unchanged.
-    #[inline]
-    fn apply(&self, v: u8, rng: &mut StdRng) -> u8 {
-        let mut f = f64::from(v);
-        if self.needs_gain {
-            f *= self.gain;
-        }
-        if self.sigma > 0.0 {
-            f += rngx::gaussian(rng, 0.0, self.sigma);
-        }
-        f.round().clamp(0.0, 255.0) as u8
-    }
-}
-
-impl Default for LegacyBoxMuller {
-    fn default() -> Self {
-        LegacyBoxMuller::new()
-    }
-}
-
-impl NoiseModel for LegacyBoxMuller {
-    fn kind(&self) -> NoiseModelKind {
-        NoiseModelKind::LegacyBoxMuller
-    }
-
-    fn begin_frame(&mut self, base: u64, stream: u64, frame: u32, gain: f64, sigma: f64) {
-        self.rng = Some(rngx::derived_rng(base, stream, u64::from(frame)));
-        self.gain = gain;
-        self.needs_gain = (gain - 1.0).abs() > 1e-9;
-        self.sigma = sigma;
-    }
-
-    fn rgb_row(&mut self, _row0: u64, src: &[Rgb], dst: &mut [Rgb]) {
-        let mut rng = self.rng.take().expect("begin_frame before rows");
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d = Rgb::new(
-                self.apply(s.r, &mut rng),
-                self.apply(s.g, &mut rng),
-                self.apply(s.b, &mut rng),
-            );
-        }
-        self.rng = Some(rng);
-    }
-
-    fn raw_row(&mut self, _row0: u64, dst: &mut [u8]) {
-        // The sensor's read-noise step, verbatim (no gain on RAW).
-        let mut rng = self.rng.take().expect("begin_frame before rows");
-        for d in dst.iter_mut() {
-            *d = (f64::from(*d) + rngx::gaussian(&mut rng, 0.0, self.sigma))
-                .round()
-                .clamp(0.0, 255.0) as u8;
-        }
-        self.rng = Some(rng);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// FastGaussian
-// ---------------------------------------------------------------------------
 
 /// Counter-based Gaussian noise addressed at *sample* granularity
 /// (sample index = 3 · pixel + channel for RGB rows, the raw linear
@@ -242,6 +42,13 @@ impl NoiseModel for LegacyBoxMuller {
 /// would pay 24 hashes. Illumination gain folds in through the same 256-entry
 /// LUT the noise-free path uses; the common gain = 1 frame skips the
 /// LUT entirely so the apply loop is pure add/clamp.
+///
+/// Call [`begin_frame`][FastGaussian::begin_frame] once per frame, then
+/// any row method per scanline. Rows are addressed by `row0`, the
+/// linear sample index of the row's first element (`y · width` for
+/// pixel rows). The row methods take `&self`, so disjoint rows of one
+/// frame can be applied concurrently, in any order (see
+/// [`parallel_rows`][euphrates_common::par::parallel_rows]).
 ///
 /// The σ-quantized table is cached across frames (σ is fixed per
 /// scene/sensor); `begin_frame` only refreshes the frame key and the
@@ -275,7 +82,7 @@ fn add_clamp(v: u8, n: i16) -> u8 {
 }
 
 impl FastGaussian {
-    /// Creates the model (idle until [`NoiseModel::begin_frame`]).
+    /// Creates the model (idle until [`begin_frame`][Self::begin_frame]).
     pub fn new() -> Self {
         FastGaussian {
             quant: None,
@@ -285,10 +92,34 @@ impl FastGaussian {
         }
     }
 
-    /// The shared-state row kernel behind both the `&mut`
-    /// [`NoiseModel::rgb_row`] and the [`ParNoiseRows`] view: all frame
-    /// state (`key`, σ-table, gain LUT) is read-only after
-    /// `begin_frame`, so rows can run concurrently.
+    /// Starts a frame: noise is keyed on `(base, stream, frame)` and
+    /// applied with the given illumination `gain` (1.0 = none) and
+    /// Gaussian `sigma` (callers only invoke the row methods when
+    /// `sigma > 0`).
+    pub fn begin_frame(&mut self, base: u64, stream: u64, frame: u32, gain: f64, sigma: f64) {
+        self.key = rngx::derive_seed(base, stream, u64::from(frame));
+        if self.quant.as_ref().is_none_or(|q| q.sigma() != sigma) {
+            self.quant = Some(QuantGauss::new(sigma));
+        }
+        self.unit_gain = (gain - 1.0).abs() <= 1e-9;
+        self.gain_lut = if self.unit_gain {
+            identity_lut()
+        } else {
+            crate::scene::gain_lut(gain)
+        };
+    }
+
+    /// Applies gain + noise to one row of composed RGB pixels.
+    #[inline]
+    pub fn rgb_row(&self, row0: u64, src: &[Rgb], dst: &mut [Rgb]) {
+        if self.unit_gain {
+            self.rgb_row_impl::<false>(row0, src, dst);
+        } else {
+            self.rgb_row_impl::<true>(row0, src, dst);
+        }
+    }
+
+    /// The row kernel behind [`rgb_row`][Self::rgb_row].
     ///
     /// Eight pixels at a time: deinterleave the chunk into a flat
     /// 24-byte array (gain-free frames skip the LUT load, `GAIN` is a
@@ -335,76 +166,33 @@ impl FastGaussian {
         }
     }
 
-    #[inline]
-    fn apply_rgb_row(&self, row0: u64, src: &[Rgb], dst: &mut [Rgb]) {
-        if self.unit_gain {
-            self.rgb_row_impl::<false>(row0, src, dst);
-        } else {
-            self.rgb_row_impl::<true>(row0, src, dst);
-        }
-    }
-
-    /// Gain + noise + BT.601 luma over one row, bit-identical to
-    /// `rgb_row + .luma()` by construction: the noisy RGB is produced
-    /// by the same chunk kernel as [`rgb_row_impl`][Self::rgb_row_impl]
-    /// into a 64-pixel stack tile, which
+    /// Gain + noise + BT.601 luma over one row: `dst[i]` equals
+    /// `rgb_row(src)[i].luma()` bit for bit, by construction — the
+    /// noisy RGB is produced by the same chunk kernel into a 64-pixel
+    /// stack tile, which
     /// [`rgb_to_luma_row`][euphrates_common::image::rgb_to_luma_row]
-    /// then collapses with its single-multiply exact ÷1000. Keeping the
-    /// two stages as separate loops over an L1-resident tile measures
-    /// *faster* than a per-pixel fused loop here: fused, LLVM folds the
-    /// scalar table loads into the pixel arithmetic and scalarizes the
+    /// then collapses with its single-multiply exact ÷1000. The noisy
+    /// RGB row never exists in full. Keeping the two stages as separate
+    /// loops over an L1-resident tile measures *faster* than a
+    /// per-pixel fused loop here: fused, LLVM folds the scalar table
+    /// loads into the pixel arithmetic and scalarizes the
     /// otherwise-packed add/clamp passes; split, each loop compiles to
     /// its best form (the apply pass to `paddw`/`packuswb`, the luma
     /// pass to a lean scalar magic-multiply walk).
     #[inline]
-    fn apply_luma_row(&self, row0: u64, src: &[Rgb], dst: &mut [u8]) {
+    pub fn luma_row(&self, row0: u64, src: &[Rgb], dst: &mut [u8]) {
         let mut tile = [Rgb::gray(0); 64];
         for (i, (sc, dc)) in src.chunks(64).zip(dst.chunks_mut(64)).enumerate() {
             let t = &mut tile[..sc.len()];
-            self.apply_rgb_row(row0 + (i * 64) as u64, sc, t);
+            self.rgb_row(row0 + (i * 64) as u64, sc, t);
             euphrates_common::image::rgb_to_luma_row(t, dc);
         }
     }
-}
 
-impl Default for FastGaussian {
-    fn default() -> Self {
-        FastGaussian::new()
-    }
-}
-
-impl NoiseModel for FastGaussian {
-    fn kind(&self) -> NoiseModelKind {
-        NoiseModelKind::FastGaussian
-    }
-
-    fn begin_frame(&mut self, base: u64, stream: u64, frame: u32, gain: f64, sigma: f64) {
-        self.key = rngx::derive_seed(base, stream, u64::from(frame));
-        if self.quant.as_ref().is_none_or(|q| q.sigma() != sigma) {
-            self.quant = Some(QuantGauss::new(sigma));
-        }
-        self.unit_gain = (gain - 1.0).abs() <= 1e-9;
-        self.gain_lut = if self.unit_gain {
-            identity_lut()
-        } else {
-            crate::scene::gain_lut(gain)
-        };
-    }
-
-    fn rgb_row(&mut self, row0: u64, src: &[Rgb], dst: &mut [Rgb]) {
-        self.apply_rgb_row(row0, src, dst);
-    }
-
-    fn luma_row(&mut self, row0: u64, src: &[Rgb], _scratch: &mut Vec<Rgb>, dst: &mut [u8]) {
-        // The tiled two-pass kernel beats the scratch-row default: the
-        // apply pass and the luma collapse each keep their packed form
-        // over a 64-pixel L1 tile instead of allocating a full scratch
-        // row; bit-identity with rgb_row + .luma() is pinned by tests
-        // either way.
-        self.apply_luma_row(row0, src, dst);
-    }
-
-    fn raw_row(&mut self, row0: u64, dst: &mut [u8]) {
+    /// Applies noise in place over one row of single-channel samples
+    /// (the sensor RAW path; `row0` is the linear sample index, gain
+    /// does not apply).
+    pub fn raw_row(&self, row0: u64, dst: &mut [u8]) {
         let q = self.quant.as_ref().expect("begin_frame before rows");
         let key = self.key;
         let mut it = dst.chunks_exact_mut(24);
@@ -421,19 +209,11 @@ impl NoiseModel for FastGaussian {
             base += 1;
         }
     }
-
-    fn par_rows(&self) -> Option<&dyn ParNoiseRows> {
-        Some(self)
-    }
 }
 
-impl ParNoiseRows for FastGaussian {
-    fn rgb_row(&self, row0: u64, src: &[Rgb], dst: &mut [Rgb]) {
-        self.apply_rgb_row(row0, src, dst);
-    }
-
-    fn luma_row(&self, row0: u64, src: &[Rgb], dst: &mut [u8]) {
-        self.apply_luma_row(row0, src, dst);
+impl Default for FastGaussian {
+    fn default() -> Self {
+        FastGaussian::new()
     }
 }
 
@@ -443,29 +223,6 @@ mod tests {
 
     fn row(vals: &[(u8, u8, u8)]) -> Vec<Rgb> {
         vals.iter().map(|&(r, g, b)| Rgb::new(r, g, b)).collect()
-    }
-
-    #[test]
-    fn legacy_rgb_row_replays_the_box_muller_stream() {
-        // One row of the model must equal driving the raw stream by
-        // hand — the bit contract the goldens rest on.
-        let src = row(&[(10, 200, 128), (0, 255, 77)]);
-        let mut dst = vec![Rgb::gray(0); 2];
-        let mut m = LegacyBoxMuller::new();
-        m.begin_frame(42, 0xF00D, 3, 1.0, 2.0);
-        m.rgb_row(0, &src, &mut dst);
-
-        let mut rng = rngx::derived_rng(42, 0xF00D, 3);
-        let mut expect = |v: u8| {
-            (f64::from(v) + rngx::gaussian(&mut rng, 0.0, 2.0))
-                .round()
-                .clamp(0.0, 255.0) as u8
-        };
-        for (d, s) in dst.iter().zip(&src) {
-            assert_eq!(d.r, expect(s.r));
-            assert_eq!(d.g, expect(s.g));
-            assert_eq!(d.b, expect(s.b));
-        }
     }
 
     #[test]
@@ -532,47 +289,19 @@ mod tests {
     }
 
     #[test]
-    fn par_view_matches_sequential_rows_bit_for_bit() {
-        // The &self view must replay the &mut row methods exactly —
-        // including the fused luma against scratch + .luma().
-        let src: Vec<Rgb> = (0..37)
+    fn luma_row_matches_rgb_row_then_luma() {
+        // The tiled luma kernel must equal rgb_row + .luma() bit for
+        // bit, across a tile boundary and a ragged chunk tail.
+        let src: Vec<Rgb> = (0..101)
             .map(|i| Rgb::new((i * 7) as u8, (i * 13 + 5) as u8, (255 - i * 3) as u8))
             .collect();
         let mut m = FastGaussian::new();
         m.begin_frame(21, 0xF00D, 4, 1.2, 2.5);
-        let mut seq_rgb = vec![Rgb::gray(0); src.len()];
-        let mut seq_luma = vec![0u8; src.len()];
-        let mut scratch = Vec::new();
-        NoiseModel::rgb_row(&mut m, 640, &src, &mut seq_rgb);
-        NoiseModel::luma_row(&mut m, 640, &src, &mut scratch, &mut seq_luma);
-        let par = m.par_rows().expect("FastGaussian is order-independent");
-        let mut par_rgb = vec![Rgb::gray(0); src.len()];
-        let mut par_luma = vec![0u8; src.len()];
-        par.rgb_row(640, &src, &mut par_rgb);
-        par.luma_row(640, &src, &mut par_luma);
-        assert_eq!(par_rgb, seq_rgb);
-        assert_eq!(par_luma, seq_luma);
-    }
-
-    #[test]
-    fn legacy_has_no_par_view() {
-        let mut m = LegacyBoxMuller::new();
-        m.begin_frame(1, 2, 3, 1.0, 1.0);
-        assert!(
-            m.par_rows().is_none(),
-            "sequential stream must stay in order"
-        );
-    }
-
-    #[test]
-    fn kinds_roundtrip_and_default_is_fast() {
-        assert_eq!(NoiseModelKind::default(), NoiseModelKind::FastGaussian);
-        for kind in [
-            NoiseModelKind::FastGaussian,
-            NoiseModelKind::LegacyBoxMuller,
-        ] {
-            assert_eq!(kind.model().kind(), kind);
-        }
-        assert_eq!(NoiseModelKind::FastGaussian.name(), "fast_gaussian");
+        let mut rgb = vec![Rgb::gray(0); src.len()];
+        let mut luma = vec![0u8; src.len()];
+        m.rgb_row(640, &src, &mut rgb);
+        m.luma_row(640, &src, &mut luma);
+        let expect: Vec<u8> = rgb.iter().map(|p| p.luma()).collect();
+        assert_eq!(luma, expect);
     }
 }

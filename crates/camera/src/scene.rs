@@ -13,7 +13,7 @@
 //! to emulate CNN behaviour; the ISP consumes the pixels to produce real
 //! motion vectors.
 
-use crate::noise::{NoiseModel, NoiseModelKind};
+use crate::noise::{FastGaussian, NoiseModelKind};
 use crate::sprite::{Part, Shape, Sprite};
 use crate::texture::Texture;
 use crate::trajectory::{Profile, Trajectory};
@@ -114,10 +114,9 @@ pub struct SceneEffects {
     pub exposure_blur: f64,
     /// Additive Gaussian pixel-noise sigma applied after rendering.
     pub pixel_noise_sigma: f64,
-    /// Which noise model realizes `pixel_noise_sigma`. Fresh configs
-    /// default to [`NoiseModelKind::FastGaussian`]; select
-    /// [`NoiseModelKind::LegacyBoxMuller`] to reproduce pre-engine
-    /// golden output bit for bit.
+    /// Selects nothing: [`FastGaussian`] always realizes
+    /// `pixel_noise_sigma`. Kept only because the `perfbench/`
+    /// benchmark reads it.
     pub noise_model: NoiseModelKind,
 }
 
@@ -322,18 +321,9 @@ impl Scene {
         self.seed
     }
 
-    /// Creates a renderer with a cached background canvas, using the
-    /// scene's own [`SceneEffects::noise_model`].
+    /// Creates a renderer with a cached background canvas.
     pub fn renderer(&self) -> Renderer<'_> {
-        Renderer::new(self, self.effects.noise_model)
-    }
-
-    /// Creates a renderer overriding the noise model — how an
-    /// evaluation config selects the model independently of the scene
-    /// (with `pixel_noise_sigma == 0` the model is never invoked and
-    /// the choice is output-neutral).
-    pub fn renderer_with_noise(&self, noise: NoiseModelKind) -> Renderer<'_> {
-        Renderer::new(self, noise)
+        Renderer::new(self)
     }
 
     /// This scene's [`CanvasKey`]: what the canvas pixels depend on.
@@ -593,13 +583,10 @@ pub struct Renderer<'a> {
     /// Background rendered once with a margin on all sides, shared
     /// with every other renderer of this scene.
     bg: Arc<RgbFrame>,
-    /// The pluggable pixel-noise engine (invoked only when
+    /// The pixel-noise model (invoked only when
     /// `pixel_noise_sigma > 0`).
-    noise: Box<dyn NoiseModel>,
-    /// One-row scratch for the fused noisy-luma path.
-    noise_row: Vec<Rgb>,
-    /// Worker threads for the noise finalize pass when the model is
-    /// order-independent (see
+    noise: FastGaussian,
+    /// Worker threads for the noise finalize pass (see
     /// [`set_noise_threads`][Renderer::set_noise_threads]).
     noise_threads: usize,
     /// Composed (pre-illumination, pre-noise) frame, reused across
@@ -629,13 +616,12 @@ pub struct Renderer<'a> {
 }
 
 impl<'a> Renderer<'a> {
-    fn new(scene: &'a Scene, noise: NoiseModelKind) -> Self {
+    fn new(scene: &'a Scene) -> Self {
         let res = scene.resolution;
         Renderer {
             scene,
             bg: scene.canvas_rgb(),
-            noise: noise.model(),
-            noise_row: Vec::new(),
+            noise: FastGaussian::new(),
             noise_threads: default_threads(),
             compose: RgbFrame::new(res.width, res.height).expect("positive resolution"),
             compose_offset: None,
@@ -710,9 +696,8 @@ impl<'a> Renderer<'a> {
     }
 
     /// Sets the worker-thread count for the noise finalize pass
-    /// (defaults to [`default_threads`]). Only models exposing a
-    /// [`ParNoiseRows`][crate::noise::ParNoiseRows] view parallelize;
-    /// output is bit-identical at every thread count — the goldens are
+    /// (defaults to [`default_threads`]). Output is bit-identical at
+    /// every thread count — the goldens are
     /// recorded sequentially and hold regardless. Benches pin this to
     /// compare 1- vs N-thread rendering without mutating the
     /// process environment.
@@ -1086,36 +1071,21 @@ impl<'a> Renderer<'a> {
                 );
             }
         } else {
-            // Noise on: hand the composed rows to the configured noise
-            // engine. The legacy model replays the sequential
-            // per-channel RNG stream exactly (rows arrive in order);
-            // the fast model addresses each pixel by counter, so its
-            // rows band out over `noise_threads` workers with
+            // Noise on: the model addresses each pixel by counter, so
+            // its rows band out over `noise_threads` workers with
             // bit-identical output.
-            let Renderer {
-                scene,
-                compose,
-                noise,
-                noise_threads,
-                ..
-            } = self;
-            noise.begin_frame(scene.seed, PIXEL_NOISE_STREAM, index, gain, sigma);
-            let w = compose.width() as usize;
-            match noise.par_rows() {
-                Some(par) if *noise_threads > 1 => parallel_rows(
-                    compose.samples(),
-                    out.samples_mut(),
-                    w,
-                    w,
-                    *noise_threads,
-                    |y, srow, drow| par.rgb_row(y as u64 * w as u64, srow, drow),
-                ),
-                _ => {
-                    for y in 0..compose.height() {
-                        noise.rgb_row(u64::from(y) * w as u64, compose.row(y), out.row_mut(y));
-                    }
-                }
-            }
+            self.noise
+                .begin_frame(self.scene.seed, PIXEL_NOISE_STREAM, index, gain, sigma);
+            let noise = &self.noise;
+            let w = self.compose.width() as usize;
+            parallel_rows(
+                self.compose.samples(),
+                out.samples_mut(),
+                w,
+                w,
+                self.noise_threads,
+                |y, srow, drow| noise.rgb_row((y * w) as u64, srow, drow),
+            );
         }
     }
 
@@ -1173,42 +1143,21 @@ impl<'a> Renderer<'a> {
                 .luma();
             }
         } else {
-            // Gain/noise + luma through the noise engine's `luma_row`
-            // (engine-into-scratch + a tight luma loop by default; a
-            // model may override with its own fusion) — by construction
-            // never more work than the RGB path plus a separate
-            // full-frame conversion, since the noisy RGB only ever
-            // exists one row at a time.
-            let Renderer {
-                scene,
-                compose,
-                noise,
-                noise_row,
-                noise_threads,
-                ..
-            } = self;
-            noise.begin_frame(scene.seed, PIXEL_NOISE_STREAM, index, gain, sigma);
-            let w = compose.width() as usize;
-            match noise.par_rows() {
-                Some(par) if *noise_threads > 1 => parallel_rows(
-                    compose.samples(),
-                    out.samples_mut(),
-                    w,
-                    w,
-                    *noise_threads,
-                    |y, srow, drow| par.luma_row(y as u64 * w as u64, srow, drow),
-                ),
-                _ => {
-                    for y in 0..compose.height() {
-                        noise.luma_row(
-                            y as u64 * w as u64,
-                            compose.row(y),
-                            noise_row,
-                            out.row_mut(y),
-                        );
-                    }
-                }
-            }
+            // Gain/noise + luma fused per row: the noisy RGB never
+            // exists as a frame, so this is never more work than the
+            // RGB path plus a separate full-frame conversion.
+            self.noise
+                .begin_frame(self.scene.seed, PIXEL_NOISE_STREAM, index, gain, sigma);
+            let noise = &self.noise;
+            let w = self.compose.width() as usize;
+            parallel_rows(
+                self.compose.samples(),
+                out.samples_mut(),
+                w,
+                w,
+                self.noise_threads,
+                |y, srow, drow| noise.luma_row((y * w) as u64, srow, drow),
+            );
         }
     }
 }

@@ -9,7 +9,7 @@
 //! point, with a small static floor, which also covers the 480p evaluation
 //! setting.
 
-use crate::noise::NoiseModelKind;
+use crate::noise::{FastGaussian, NoiseModelKind};
 use euphrates_common::error::Result;
 use euphrates_common::image::{rggb_color, BayerFrame, CfaColor, Resolution, RgbFrame};
 use euphrates_common::units::{Bytes, MilliWatts};
@@ -26,9 +26,9 @@ pub struct SensorConfig {
     pub fps: f64,
     /// Read-noise sigma on the 8-bit RAW samples.
     pub read_noise_sigma: f64,
-    /// Which noise model realizes `read_noise_sigma` (fresh configs
-    /// default to the counter-based
-    /// [`FastGaussian`][crate::noise::FastGaussian]).
+    /// Selects nothing: [`FastGaussian`] always realizes
+    /// `read_noise_sigma`. Kept only because the `perfbench/`
+    /// benchmark sets it.
     pub noise_model: NoiseModelKind,
     /// Bits per RAW sample on the CSI link (the AR1335 streams 10-bit; the
     /// functional model quantizes to 8).
@@ -112,8 +112,8 @@ impl ImageSensor {
             *out = BayerFrame::new(rgb.width(), rgb.height())?;
         }
         let sigma = self.config.read_noise_sigma;
-        let mut noise = (sigma > 0.0).then(|| {
-            let mut m = self.config.noise_model.model();
+        let noise = (sigma > 0.0).then(|| {
+            let mut m = FastGaussian::new();
             m.begin_frame(self.seed, READ_NOISE_STREAM, frame_index, 1.0, sigma);
             m
         });
@@ -130,7 +130,7 @@ impl ImageSensor {
                     CfaColor::Blue => px.b,
                 };
             }
-            if let Some(noise) = noise.as_mut() {
+            if let Some(noise) = &noise {
                 noise.raw_row(u64::from(y) * w, dst);
             }
         }

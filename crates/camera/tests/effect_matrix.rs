@@ -1,8 +1,8 @@
 //! Structure-aware property targets over the renderer's *effect
 //! matrix* (ROADMAP item 5 slice): instead of hand-picked golden
 //! combos, these sample the full cross product of scene effects —
-//! illumination ramps × shake × exposure blur × pixel noise (both
-//! models) × seeds × sprite archetypes — and pin the contracts every
+//! illumination ramps × shake × exposure blur × pixel noise × seeds ×
+//! sprite archetypes — and pin the contracts every
 //! hot-path rewrite in this area must preserve:
 //!
 //! 1. **Construction determinism** — two scenes built from the same
@@ -15,14 +15,11 @@
 //!    bit-match a fresh `renderer().render(i)` at its final frame for
 //!    arbitrary effect combos, not just the golden three.
 //! 3. **Fused-luma equivalence** — `render_luma_into` must equal
-//!    `rgb_to_luma(render(i).rgb)` under every sampled combo and both
-//!    noise models (the lane-hash fast path and the bit-frozen legacy
-//!    path).
+//!    `rgb_to_luma(render(i).rgb)` under every sampled combo.
 //!
 //! Cases are deliberately small (96×72, ≤6 frames) so the whole matrix
 //! sweep stays in test-suite budget.
 
-use euphrates_camera::noise::NoiseModelKind;
 use euphrates_camera::scene::{Scene, SceneBuilder, SceneEffects, SceneObject};
 use euphrates_camera::sprite::{Shape, Sprite};
 use euphrates_camera::texture::Texture;
@@ -43,7 +40,6 @@ struct MatrixPoint {
     shake_amplitude: f64,
     exposure_blur: f64,
     pixel_noise_sigma: f64,
-    legacy_noise: bool,
 }
 
 fn effects_of(p: MatrixPoint) -> SceneEffects {
@@ -56,11 +52,7 @@ fn effects_of(p: MatrixPoint) -> SceneEffects {
         shake_period: 24.0,
         exposure_blur: p.exposure_blur,
         pixel_noise_sigma: p.pixel_noise_sigma,
-        noise_model: if p.legacy_noise {
-            NoiseModelKind::LegacyBoxMuller
-        } else {
-            NoiseModelKind::FastGaussian
-        },
+        ..SceneEffects::default()
     }
 }
 
@@ -118,7 +110,6 @@ fn point(
     shake_amplitude: f64,
     blur_q: usize,
     sigma_q: usize,
-    legacy_noise: bool,
 ) -> MatrixPoint {
     MatrixPoint {
         seed,
@@ -129,7 +120,6 @@ fn point(
         // actually sampled (a continuous range almost never hits 0.0).
         exposure_blur: [0.0, 0.75, 1.5, 2.5][blur_q % 4],
         pixel_noise_sigma: [0.0, 1.0, 2.0, 5.0][sigma_q % 4],
-        legacy_noise,
     }
 }
 
@@ -146,10 +136,9 @@ proptest! {
         shake_amplitude in 0.0f64..3.0,
         blur_q in 0usize..4,
         sigma_q in 0usize..4,
-        legacy_noise in any::<bool>(),
         frame in 0u32..6,
     ) {
-        let p = point(seed, archetype, illum_slope, shake_amplitude, blur_q, sigma_q, legacy_noise);
+        let p = point(seed, archetype, illum_slope, shake_amplitude, blur_q, sigma_q);
         let (a, b) = (scene_of(p), scene_of(p));
         let fa = a.renderer().render(frame);
         let fb = b.renderer().render(frame);
@@ -168,10 +157,9 @@ proptest! {
         shake_amplitude in 0.0f64..3.0,
         blur_q in 0usize..4,
         sigma_q in 0usize..4,
-        legacy_noise in any::<bool>(),
         frames in 2u32..6,
     ) {
-        let p = point(seed, archetype, illum_slope, shake_amplitude, blur_q, sigma_q, legacy_noise);
+        let p = point(seed, archetype, illum_slope, shake_amplitude, blur_q, sigma_q);
         let scene = scene_of(p);
         let last = scene
             .frames(0..frames)
@@ -183,7 +171,7 @@ proptest! {
     }
 
     /// Property 3: the fused luma path equals RGB render + conversion
-    /// on every sampled effect combo and both noise models.
+    /// on every sampled effect combo.
     #[test]
     fn fused_luma_matches_rgb_conversion(
         seed in 0u64..1_000_000,
@@ -192,10 +180,9 @@ proptest! {
         shake_amplitude in 0.0f64..3.0,
         blur_q in 0usize..4,
         sigma_q in 0usize..4,
-        legacy_noise in any::<bool>(),
         frame in 0u32..6,
     ) {
-        let p = point(seed, archetype, illum_slope, shake_amplitude, blur_q, sigma_q, legacy_noise);
+        let p = point(seed, archetype, illum_slope, shake_amplitude, blur_q, sigma_q);
         let scene = scene_of(p);
         let mut luma = LumaFrame::new(RES.width, RES.height).unwrap();
         let truth = scene.renderer().render_luma_into(frame, &mut luma);

@@ -7,8 +7,10 @@
 //! 1. **Golden hashes** — FNV-1a digests of rendered pixels for three
 //!    structurally different scenes under every combination of the
 //!    global effects (motion blur on/off × pixel noise on/off × camera
-//!    shake on/off), *recorded from the pre-refactor per-pixel
-//!    renderer*. Any change to rendered output fails these tests.
+//!    shake on/off) — the noise-free combos *recorded from the
+//!    pre-refactor per-pixel renderer*, the noisy ones from the
+//!    counter-based noise model — plus the sensor's RAW capture under
+//!    read noise. Any change to rendered output fails these tests.
 //! 2. **Properties** — `Scene::frames(range)` must bit-match a fresh
 //!    `renderer().render(i)` at every index (the incremental compose
 //!    state must be invisible), `render_pixels` must agree with
@@ -16,10 +18,10 @@
 //!    `rgb_to_luma(render(i).rgb)` on every finalize path, and ground
 //!    truth must be unchanged.
 
-use euphrates_camera::noise::NoiseModelKind;
 use euphrates_camera::scene::{
     RenderedFrame, Scene, SceneBuilder, SceneEffects, SceneObject, OCCLUDER_LABEL,
 };
+use euphrates_camera::sensor::{ImageSensor, SensorConfig};
 use euphrates_camera::sprite::{Shape, Sprite};
 use euphrates_camera::texture::Texture;
 use euphrates_camera::trajectory::{Profile, Trajectory};
@@ -181,10 +183,7 @@ fn scenes(effects: SceneEffects) -> [Scene; 3] {
 }
 
 /// The 8 global-effects combinations: index bit 0 = blur, bit 1 =
-/// noise, bit 2 = shake. [`PIXEL_GOLDEN`] was recorded from the
-/// pre-refactor renderer, whose noise *is* the sequential Box–Muller
-/// stream — so these effects pin [`NoiseModelKind::LegacyBoxMuller`]
-/// explicitly ([`fast_combo_effects`] covers the new default model).
+/// noise, bit 2 = shake.
 fn combo_effects(combo: usize) -> SceneEffects {
     SceneEffects {
         illumination: Profile::one(),
@@ -192,16 +191,7 @@ fn combo_effects(combo: usize) -> SceneEffects {
         pixel_noise_sigma: if combo & 2 != 0 { 2.0 } else { 0.0 },
         shake_amplitude: if combo & 4 != 0 { 5.0 } else { 0.0 },
         shake_period: 13.0,
-        noise_model: NoiseModelKind::LegacyBoxMuller,
-    }
-}
-
-/// The same combinations under the counter-based
-/// [`NoiseModelKind::FastGaussian`] default.
-fn fast_combo_effects(combo: usize) -> SceneEffects {
-    SceneEffects {
-        noise_model: NoiseModelKind::FastGaussian,
-        ..combo_effects(combo)
+        ..SceneEffects::default()
     }
 }
 
@@ -257,15 +247,15 @@ fn scene_digest(scene: &Scene) -> (u64, u64) {
 // post-refactor renderer unless an output change is *intended*.
 // ---------------------------------------------------------------------------
 
-/// `PIXEL_GOLDEN[scene][combo]`, combos indexed as in [`combo_effects`].
+/// The combos without pixel noise (bit 1 clear).
+const DET_COMBOS: [usize; 4] = [0, 1, 4, 5];
+
+/// `PIXEL_GOLDEN[scene][i]` for [`DET_COMBOS`].
 #[rustfmt::skip]
-const PIXEL_GOLDEN: [[u64; 8]; 3] = [
-    [0x81E9BE4FBF8B2BA3, 0xFF4D3B545074D7F1, 0x25C617A8FBB1A1C2, 0x36B83926F3E8223E,
-     0x859BB69BB2EFD780, 0xC70FC6EB075D91CA, 0xA15DD7A098E082D9, 0x69C4EF802B1B5D0D],
-    [0xB65DA43BD156E191, 0xA6DFF188F665FE37, 0x364F32ACD382C294, 0xD08FDCC43D720CF4,
-     0x5790412E8E4F1690, 0x78838AAD29CEEEDD, 0x61FBD73F7FB41333, 0x821D865BE3B54562],
-    [0xE509932FCAABA7C6, 0xAB118EB6E2597AD5, 0xEFF1DDA1EE6D4949, 0x3BED0A1B4494E579,
-     0x25A4EBA7EF16BF4E, 0x1D2C3E2046BA733A, 0x0328C47D4A3BA19B, 0xA68BA3C93A7E5944],
+const PIXEL_GOLDEN: [[u64; 4]; 3] = [
+    [0x81E9BE4FBF8B2BA3, 0xFF4D3B545074D7F1, 0x859BB69BB2EFD780, 0xC70FC6EB075D91CA],
+    [0xB65DA43BD156E191, 0xA6DFF188F665FE37, 0x5790412E8E4F1690, 0x78838AAD29CEEEDD],
+    [0xE509932FCAABA7C6, 0xAB118EB6E2597AD5, 0x25A4EBA7EF16BF4E, 0x1D2C3E2046BA733A],
 ];
 
 /// `TRUTH_GOLDEN[scene][blur_on]` — truth depends on effects only
@@ -277,14 +267,12 @@ const TRUTH_GOLDEN: [[u64; 2]; 3] = [
     [0x604F03BD1C800C3D, 0xE0F59F4BCD7B3B30],
 ];
 
-/// The combos that exercise pixel noise (bit 1), where the model choice
-/// is visible in the output.
+/// The combos that exercise pixel noise (bit 1).
 const NOISE_COMBOS: [usize; 4] = [2, 3, 6, 7];
 
-/// `FAST_PIXEL_GOLDEN[scene][i]` for [`NOISE_COMBOS`] under
-/// [`NoiseModelKind::FastGaussian`] — the fast model's *determinism*
-/// contract (its distribution is pinned statistically in
-/// `tests/noise_model.rs`, not bitwise against Box–Muller). Re-recorded
+/// `FAST_PIXEL_GOLDEN[scene][i]` for [`NOISE_COMBOS`] — the noise
+/// model's *determinism* contract (its distribution is pinned
+/// statistically in `tests/noise_model.rs`). Re-recorded
 /// by `print_fast_golden` when the sampler moved from one SplitMix hash
 /// per three-sample group to the lane-parallel counter stream: sample
 /// `i` now draws lane `i & 3` of `counter_hash(key, i >> 2)`, four
@@ -306,16 +294,67 @@ const FAST_PIXEL_GOLDEN: [[u64; 4]; 3] = [
     [0x0457DC5CA54B8151, 0xC7E0B0D5F41F8110, 0x9DDC7183A149644E, 0x395595827A8045BE],
 ];
 
+/// Read-noise sigmas and frame indices of the sensor digest.
+const SENSOR_SIGMAS: [f64; 2] = [1.5, 2.0];
+const SENSOR_FRAMES: [u32; 2] = [0, 5];
+
+/// FNV-1a digest of the RAW mosaics `ImageSensor::capture` produces from
+/// scene A (noise-free render) under read noise, over [`SENSOR_SIGMAS`] ×
+/// [`SENSOR_FRAMES`]. Pins the sensor's noise stream bit for bit, where
+/// `tests/noise_model.rs` only checks its moments and determinism.
+fn sensor_digest() -> u64 {
+    let scene = scene_a(combo_effects(0));
+    let mut renderer = scene.renderer();
+    let mut h = Fnv1a::new();
+    for sigma in SENSOR_SIGMAS {
+        let sensor = ImageSensor::new(
+            SensorConfig {
+                resolution: RES,
+                read_noise_sigma: sigma,
+                ..SensorConfig::default()
+            },
+            42,
+        );
+        for frame in SENSOR_FRAMES {
+            let rgb = renderer.render_pixels(frame);
+            h.write(sensor.capture(&rgb, frame).unwrap().samples());
+        }
+    }
+    h.finish()
+}
+
+/// [`sensor_digest`] of the `FastGaussian` read-noise stream (print with
+/// `print_sensor_golden`). Only regenerate when a change to the stream
+/// is *intended*.
+const SENSOR_GOLDEN: u64 = 0x9351F1B7FF0A1A89;
+
+/// Capture helper for [`SENSOR_GOLDEN`]: run with
+/// `cargo test -p euphrates-camera --test golden --release -- --ignored --nocapture print_sensor_golden`.
+#[test]
+#[ignore]
+fn print_sensor_golden() {
+    println!("const SENSOR_GOLDEN: u64 = 0x{:016X};", sensor_digest());
+}
+
+#[test]
+fn sensor_read_noise_matches_recorded_hash() {
+    let got = sensor_digest();
+    assert_eq!(
+        got, SENSOR_GOLDEN,
+        "sensor RAW digest changed (got 0x{got:016X})"
+    );
+}
+
 /// One-time capture helper: run with
 /// `cargo test -p euphrates-camera --test golden --release -- --ignored --nocapture print_golden`
 /// and paste the output over the constants above.
 #[test]
 #[ignore]
 fn print_golden() {
-    println!("const PIXEL_GOLDEN: [[u64; 8]; 3] = [");
+    println!("const PIXEL_GOLDEN: [[u64; 4]; 3] = [");
     for scene_idx in 0..3 {
         print!("    [");
-        for combo in 0..8 {
+        for combo in DET_COMBOS {
             let scene = &scenes(combo_effects(combo))[scene_idx];
             let (px, _) = scene_digest(scene);
             print!("0x{px:016X}, ");
@@ -347,7 +386,7 @@ fn print_fast_golden() {
     for scene_idx in 0..3 {
         print!("    [");
         for combo in NOISE_COMBOS {
-            let scene = &scenes(fast_combo_effects(combo))[scene_idx];
+            let scene = &scenes(combo_effects(combo))[scene_idx];
             let (px, _) = scene_digest(scene);
             print!("0x{px:016X}, ");
         }
@@ -358,7 +397,8 @@ fn print_fast_golden() {
 
 #[test]
 fn pixel_output_matches_pre_refactor_golden_hashes() {
-    for (combo, expected) in (0..8).map(|c| (c, PIXEL_GOLDEN.map(|row| row[c]))) {
+    for (i, combo) in DET_COMBOS.into_iter().enumerate() {
+        let expected = PIXEL_GOLDEN.map(|row| row[i]);
         let scenes = scenes(combo_effects(combo));
         for (scene_idx, scene) in scenes.iter().enumerate() {
             let (px, _) = scene_digest(scene);
@@ -392,7 +432,7 @@ fn ground_truth_matches_pre_refactor_golden_hashes() {
 #[test]
 fn fast_noise_output_matches_recorded_hashes() {
     for (i, combo) in NOISE_COMBOS.into_iter().enumerate() {
-        let scenes = scenes(fast_combo_effects(combo));
+        let scenes = scenes(combo_effects(combo));
         for (scene_idx, scene) in scenes.iter().enumerate() {
             let (px, _) = scene_digest(scene);
             assert_eq!(
@@ -401,20 +441,6 @@ fn fast_noise_output_matches_recorded_hashes() {
                 "fast-noise digest changed: scene {scene_idx}, {} (got 0x{px:016X})",
                 combo_name(combo)
             );
-        }
-    }
-}
-
-/// With noise off the model is never invoked, so model selection must
-/// be output-neutral: the fast-model digests of the deterministic
-/// combos equal the legacy goldens.
-#[test]
-fn noise_model_choice_is_invisible_without_noise() {
-    for combo in [0, 1, 4, 5] {
-        let scenes = scenes(fast_combo_effects(combo));
-        for (scene_idx, scene) in scenes.iter().enumerate() {
-            let (px, _) = scene_digest(scene);
-            assert_eq!(px, PIXEL_GOLDEN[scene_idx][combo]);
         }
     }
 }
@@ -445,17 +471,10 @@ fn frame_iter_bit_matches_fresh_renders_under_all_effects() {
 /// independent of the compose state left by earlier frames.
 #[test]
 fn out_of_order_rendering_is_state_independent() {
-    let variants = [
-        combo_effects(0),
-        combo_effects(4),
-        combo_effects(5),
-        // The counter-based noise model must be order-independent too
-        // (it has no sequential state at all).
-        fast_combo_effects(6),
-        fast_combo_effects(3),
-    ];
-    for effects in variants {
-        let scene = scene_b(effects);
+    // Includes noisy combos: the counter-based noise model must be
+    // order-independent too (it has no sequential state at all).
+    for combo in [0, 4, 5, 6, 3] {
+        let scene = scene_b(combo_effects(combo));
         let mut r = scene.renderer();
         let indices = [7u32, 0, 7, 3, 3, 9, 0];
         for &i in &indices {
@@ -482,17 +501,11 @@ fn truth_matches_scene_ground_truth() {
 }
 
 /// The fused luma path must agree with converting the RGB render, on
-/// every finalize variant (plain, gain-only LUT, noise, gain+noise)
-/// under *both* noise models.
+/// every finalize variant (plain, gain-only LUT, noise, gain+noise).
 #[test]
 fn fused_luma_matches_rgb_conversion() {
-    for combo in 0..16 {
-        let effects = if combo < 8 {
-            combo_effects(combo)
-        } else {
-            fast_combo_effects(combo - 8)
-        };
-        for scene in &scenes(effects) {
+    for combo in 0..8 {
+        for scene in &scenes(combo_effects(combo)) {
             let mut rgb_renderer = scene.renderer();
             let mut luma_renderer = scene.renderer();
             let mut luma = euphrates_common::image::LumaFrame::new(RES.width, RES.height).unwrap();
@@ -502,9 +515,8 @@ fn fused_luma_matches_rgb_conversion() {
                 assert_eq!(
                     luma,
                     rgb_to_luma(&frame.rgb),
-                    "luma diverges at frame {i} ({}, {:?})",
-                    combo_name(combo % 8),
-                    scene.effects().noise_model
+                    "luma diverges at frame {i} ({})",
+                    combo_name(combo)
                 );
                 assert_eq!(truth, frame.truth);
             }

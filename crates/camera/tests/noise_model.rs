@@ -1,10 +1,5 @@
 //! The correctness contract of the counter-based `FastGaussian` noise
-//! model.
-//!
-//! The legacy Box–Muller stream is pinned *bitwise* by the golden
-//! hashes in `tests/golden.rs` (recorded from the pre-refactor
-//! renderer). The fast model is deliberately a different realization of
-//! the same Gaussian, so its contract is:
+//! model:
 //!
 //! * **statistical** — rendered noise has the configured mean/σ, sane
 //!   tails, and no correlation across channels, pixels, or frames
@@ -14,24 +9,22 @@
 //!   chunking (tests here and the recorded `FAST_PIXEL_GOLDEN` digests
 //!   in `tests/golden.rs`).
 
-use euphrates_camera::noise::{FastGaussian, NoiseModel, NoiseModelKind};
+use euphrates_camera::noise::FastGaussian;
 use euphrates_camera::scene::{SceneBuilder, SceneEffects};
 use euphrates_camera::sensor::{ImageSensor, SensorConfig};
 use euphrates_camera::texture::Texture;
 use euphrates_common::image::{LumaFrame, Resolution, Rgb, RgbFrame};
-use euphrates_common::rngx;
 
 const RES: Resolution = Resolution::new(160, 120);
 const MID: u8 = 128;
 
 /// A flat mid-gray scene: every deviation from 128 in a rendered frame
 /// *is* the noise.
-fn flat_scene(sigma: f64, kind: NoiseModelKind) -> euphrates_camera::scene::Scene {
+fn flat_scene(sigma: f64) -> euphrates_camera::scene::Scene {
     SceneBuilder::new(RES, 77)
         .background(Texture::flat_gray())
         .effects(SceneEffects {
             pixel_noise_sigma: sigma,
-            noise_model: kind,
             ..SceneEffects::default()
         })
         .build()
@@ -39,7 +32,7 @@ fn flat_scene(sigma: f64, kind: NoiseModelKind) -> euphrates_camera::scene::Scen
 
 /// Per-channel noise deltas of `frames` rendered frames.
 fn noise_deltas(sigma: f64, frames: u32) -> Vec<[f64; 3]> {
-    let scene = flat_scene(sigma, NoiseModelKind::FastGaussian);
+    let scene = flat_scene(sigma);
     let mut r = scene.renderer();
     let mut out = Vec::new();
     for i in 0..frames {
@@ -152,9 +145,9 @@ fn fast_rgb_rows_are_chunk_invariant() {
 #[test]
 fn fast_renders_are_independent_of_render_order() {
     // Renderer-level determinism: any visit order produces the frames a
-    // fresh renderer produces (the noise engine holds no cross-frame
+    // fresh renderer produces (the noise model holds no cross-frame
     // state). Complements the golden digests, which pin one order.
-    let scene = flat_scene(2.0, NoiseModelKind::FastGaussian);
+    let scene = flat_scene(2.0);
     let mut warm = scene.renderer();
     for &i in &[9u32, 2, 9, 0, 5, 2] {
         let a = warm.render_pixels(i);
@@ -170,7 +163,7 @@ fn noise_pass_is_bit_identical_at_any_thread_count() {
     // worker threads must change nothing: every output equals the
     // sequential threads=1 render, which is what the golden digests in
     // `tests/golden.rs` pin.
-    let scene = flat_scene(2.0, NoiseModelKind::FastGaussian);
+    let scene = flat_scene(2.0);
     for frame in [0u32, 3] {
         let mut r1 = scene.renderer();
         r1.set_noise_threads(1);
@@ -190,27 +183,12 @@ fn noise_pass_is_bit_identical_at_any_thread_count() {
 }
 
 #[test]
-fn legacy_renders_ignore_the_thread_knob() {
-    // The sequential model exposes no parallel view; raising the thread
-    // count must leave its in-order stream untouched.
-    let scene = flat_scene(2.0, NoiseModelKind::LegacyBoxMuller);
-    let mut r1 = scene.renderer();
-    r1.set_noise_threads(1);
-    let mut r4 = scene.renderer();
-    r4.set_noise_threads(4);
-    let a = r1.render_pixels(2);
-    let b = r4.render_pixels(2);
-    assert_eq!(a, b);
-}
-
-#[test]
-fn sensor_read_noise_models_share_the_contract() {
-    // Fast sensor noise: deterministic per frame, perturbs the mosaic,
-    // differs across frames.
+fn sensor_read_noise_meets_the_contract() {
+    // Sensor read noise: deterministic per frame, perturbs the mosaic,
+    // differs across frames, with the configured moments.
     let config = SensorConfig {
         resolution: RES,
         read_noise_sigma: 1.5,
-        noise_model: NoiseModelKind::FastGaussian,
         ..SensorConfig::default()
     };
     let sensor = ImageSensor::new(config, 9);
@@ -244,37 +222,4 @@ fn sensor_read_noise_models_share_the_contract() {
         (var / (1.5 * 1.5 + 1.0 / 12.0) - 1.0).abs() < 0.05,
         "sensor noise var {var}"
     );
-}
-
-#[test]
-fn legacy_sensor_capture_matches_pre_engine_loop() {
-    // `LegacyBoxMuller` on the sensor must reproduce the pre-engine
-    // capture byte for byte: mosaic value + one sequential Gaussian per
-    // sample in row-major order, on the 0x5E45 stream.
-    let config = SensorConfig {
-        resolution: RES,
-        read_noise_sigma: 2.0,
-        noise_model: NoiseModelKind::LegacyBoxMuller,
-        ..SensorConfig::default()
-    };
-    let sensor = ImageSensor::new(config, 42);
-    let scene = flat_scene(0.0, NoiseModelKind::FastGaussian);
-    let rgb = scene.renderer().render_pixels(1);
-    let raw = sensor.capture(&rgb, 5).unwrap();
-
-    let mut rng = rngx::derived_rng(42, 0x5E45, 5);
-    for y in 0..RES.height {
-        for x in 0..RES.width {
-            let px = rgb.at(x, y);
-            let v = match (x % 2 == 0, y % 2 == 0) {
-                (true, true) => px.r,
-                (false, false) => px.b,
-                _ => px.g,
-            };
-            let expected = (f64::from(v) + rngx::gaussian(&mut rng, 0.0, 2.0))
-                .round()
-                .clamp(0.0, 255.0) as u8;
-            assert_eq!(raw.at(x, y), expected, "at ({x},{y})");
-        }
-    }
 }

@@ -1,208 +1,11 @@
 //! Suite-level evaluation plumbing: the deterministic parallel map used
 //! by [`Scenario::evaluate`][crate::api::Scenario::evaluate] (re-exported
 //! from [`euphrates_common::par`], where it is shared with the ISP's
-//! intra-frame macroblock parallelism), plus the legacy closure-driven
-//! `evaluate_suite` entry point (deprecated in favor of the
-//! [`Scenario`][crate::api::Scenario] builder).
+//! intra-frame macroblock parallelism).
 //!
 //! Accuracy evaluation is offline (every frame of every sequence, §5.2),
 //! so (sequence × scheme) pairs are embarrassingly parallel. All oracle
 //! noise derives from `(seed, sequence index, frame)`, making results
 //! independent of thread count and execution order.
 
-use crate::backend::{BackendConfig, TaskOutcome};
-use crate::frontend::{prepare_sequence, MotionConfig, PreparedSequence};
-use euphrates_common::error::Result;
-use euphrates_common::metrics::IouAccumulator;
-use euphrates_datasets::Sequence;
-
 pub use euphrates_common::par::{default_threads, parallel_map};
-
-/// The result of evaluating one scheme over a suite (the legacy report
-/// shape returned by [`evaluate_suite`]; new code receives
-/// [`SchemeResult`][crate::api::SchemeResult] from
-/// [`Scenario::evaluate`][crate::api::Scenario::evaluate]).
-#[derive(Debug, Clone)]
-pub struct SuiteOutcome {
-    /// Scheme label (e.g. `"EW-4"`).
-    pub label: String,
-    /// Merged task statistics.
-    pub outcome: TaskOutcome,
-    /// Per-sequence outcomes (order matches the suite), for per-sequence
-    /// figures like Fig. 10c.
-    pub per_sequence: Vec<TaskOutcome>,
-}
-
-impl SuiteOutcome {
-    /// Accuracy accumulator over all scored predictions.
-    pub fn accuracy(&self) -> IouAccumulator {
-        self.outcome.ious.iter().copied().collect()
-    }
-
-    /// Success/precision at the conventional IoU 0.5.
-    pub fn rate_at_05(&self) -> f64 {
-        self.accuracy().rate_at(0.5)
-    }
-}
-
-/// Prepares sequences and runs one or more schemes over them, rendering
-/// each sequence only once. `run` receives
-/// `(prepared sequence, sequence index, scheme index)`.
-///
-/// Returns one [`SuiteOutcome`] per scheme.
-///
-/// # Errors
-///
-/// Propagates preparation or task errors (the first one encountered).
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `Scenario` (with `Scenario::builder`) and call `.evaluate()` instead"
-)]
-pub fn evaluate_suite<F>(
-    suite: &[Sequence],
-    motion: &MotionConfig,
-    schemes: &[(String, BackendConfig)],
-    run: F,
-) -> Result<Vec<SuiteOutcome>>
-where
-    F: Fn(&PreparedSequence, u64, &BackendConfig) -> Result<TaskOutcome> + Sync,
-{
-    let motion = *motion;
-    let per_sequence: Vec<Result<Vec<TaskOutcome>>> =
-        parallel_map(suite, default_threads(), |i, seq| {
-            let prep = prepare_sequence(seq, &motion)?;
-            schemes
-                .iter()
-                .map(|(_, cfg)| run(&prep, i as u64, cfg))
-                .collect()
-        });
-
-    let mut outcomes: Vec<Vec<TaskOutcome>> = Vec::with_capacity(suite.len());
-    for r in per_sequence {
-        outcomes.push(r?);
-    }
-
-    Ok(schemes
-        .iter()
-        .enumerate()
-        .map(|(si, (label, _))| {
-            let mut merged = TaskOutcome::default();
-            let mut per_seq = Vec::with_capacity(outcomes.len());
-            for seq_outcomes in &outcomes {
-                merged.merge(&seq_outcomes[si]);
-                per_seq.push(seq_outcomes[si].clone());
-            }
-            SuiteOutcome {
-                label: label.clone(),
-                outcome: merged,
-                per_sequence: per_seq,
-            }
-        })
-        .collect())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::api::{run_task, Scenario};
-    use crate::tracker::TrackerTask;
-    use euphrates_datasets::{otb100_like, DatasetScale};
-    use euphrates_mc::policy::EwPolicy;
-    use euphrates_nn::oracle::calib;
-
-    #[test]
-    #[allow(deprecated)]
-    fn evaluate_suite_matches_serial_execution() {
-        let mut suite = otb100_like(31, DatasetScale::fraction(0.05));
-        suite.truncate(3);
-        for s in &mut suite {
-            s.frames = 30;
-        }
-        let schemes = vec![
-            ("base".to_string(), BackendConfig::baseline()),
-            (
-                "EW-4".to_string(),
-                BackendConfig::new(EwPolicy::Constant(4)),
-            ),
-        ];
-        let motion = MotionConfig::default();
-        let results = evaluate_suite(&suite, &motion, &schemes, |prep, stream, cfg| {
-            run_task(TrackerTask::new(calib::mdnet()), prep, cfg, stream)
-        })
-        .unwrap();
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[0].per_sequence.len(), 3);
-
-        // Serial re-run gives identical numbers (determinism across the
-        // thread pool).
-        let serial: TaskOutcome = {
-            let mut merged = TaskOutcome::default();
-            for (i, seq) in suite.iter().enumerate() {
-                let prep = prepare_sequence(seq, &motion).unwrap();
-                merged.merge(
-                    &run_task(
-                        TrackerTask::new(calib::mdnet()),
-                        &prep,
-                        &schemes[1].1,
-                        i as u64,
-                    )
-                    .unwrap(),
-                );
-            }
-            merged
-        };
-        assert_eq!(results[1].outcome, serial);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn evaluate_suite_shim_matches_scenario() {
-        let mut suite = otb100_like(31, DatasetScale::fraction(0.05));
-        suite.truncate(2);
-        for s in &mut suite {
-            s.frames = 24;
-        }
-        let schemes = vec![
-            ("base".to_string(), BackendConfig::baseline()),
-            (
-                "EW-4".to_string(),
-                BackendConfig::new(EwPolicy::Constant(4)),
-            ),
-        ];
-        let legacy = evaluate_suite(
-            &suite,
-            &MotionConfig::default(),
-            &schemes,
-            |prep, stream, cfg| run_task(TrackerTask::new(calib::mdnet()), prep, cfg, stream),
-        )
-        .unwrap();
-        let report = Scenario::builder(TrackerTask::new(calib::mdnet()))
-            .suite(suite)
-            .scheme("base", BackendConfig::baseline())
-            .scheme("EW-4", BackendConfig::new(EwPolicy::Constant(4)))
-            .build()
-            .unwrap()
-            .evaluate()
-            .unwrap();
-        for (old, new) in legacy.iter().zip(report.iter()) {
-            assert_eq!(old.label, new.label());
-            assert_eq!(old.outcome, new.outcome);
-            assert_eq!(old.per_sequence, new.per_sequence);
-        }
-    }
-
-    #[test]
-    fn suite_outcome_accuracy_reflects_ious() {
-        let so = SuiteOutcome {
-            label: "x".into(),
-            outcome: TaskOutcome {
-                ious: vec![0.9, 0.9, 0.1],
-                frames: 3,
-                inferences: 3,
-                ..TaskOutcome::default()
-            },
-            per_sequence: vec![],
-        };
-        assert!((so.rate_at_05() - 2.0 / 3.0).abs() < 1e-12);
-    }
-}

@@ -22,7 +22,6 @@
 //!   motion field taken from the temporal-denoise stage exactly as in
 //!   Fig. 7.
 
-use euphrates_camera::noise::NoiseModelKind;
 use euphrates_camera::scene::{GtObject, Renderer};
 use euphrates_camera::sensor::{ImageSensor, SensorConfig};
 use euphrates_common::error::{Error, Result};
@@ -59,15 +58,6 @@ pub struct MotionConfig {
     pub strategy: SearchStrategy,
     /// Run the full sensor + ISP pipeline instead of the fast luma path.
     pub full_isp: bool,
-    /// Noise-model override for frame production: `None` (default)
-    /// renders with each scene's own
-    /// [`SceneEffects::noise_model`][euphrates_camera::scene::SceneEffects];
-    /// `Some(kind)` forces `kind` for both the renderer's pixel noise
-    /// and the sensor's read noise (full-ISP path). Part of this
-    /// config's identity, so a [`PreparedCache`] keyed on it is shared
-    /// only by schemes that agree on the realization — and *is* shared
-    /// by all of them.
-    pub noise_model: Option<NoiseModelKind>,
     /// Enables the matcher's SAD lower-bound prefilter
     /// ([`BlockMatcher::with_prefilter`]) on the fast luma path, with
     /// its [`RowPrefix`] tables double-buffered alongside the pyramid
@@ -87,7 +77,6 @@ impl Default for MotionConfig {
             search_range: 7,
             strategy: SearchStrategy::Hierarchical,
             full_isp: false,
-            noise_model: None,
             prefilter: false,
         }
     }
@@ -347,9 +336,6 @@ pub fn frame_source<'a>(seq: &'a Sequence, config: &MotionConfig) -> Result<Fram
         let sensor = ImageSensor::new(
             SensorConfig {
                 resolution: res,
-                noise_model: config
-                    .noise_model
-                    .unwrap_or(seq.scene.effects().noise_model),
                 ..SensorConfig::default()
             },
             seq.scene.seed(),
@@ -393,10 +379,7 @@ pub fn frame_source<'a>(seq: &'a Sequence, config: &MotionConfig) -> Result<Fram
         }
     };
     Ok(FrameSource {
-        renderer: match config.noise_model {
-            Some(kind) => seq.scene.renderer_with_noise(kind),
-            None => seq.scene.renderer(),
-        },
+        renderer: seq.scene.renderer(),
         next: 0,
         end: seq.frames,
         resolution: res,
@@ -700,37 +683,6 @@ mod tests {
                 (ma.x - mb.x).abs() < 1.5 && (ma.y - mb.y).abs() < 1.5,
                 "frame {i}: fast {ma} vs full {mb}"
             );
-        }
-    }
-
-    #[test]
-    fn noise_model_override_selects_the_realization() {
-        let seq = tiny_seq();
-        // Dataset scenes default to FastGaussian, so no override and an
-        // explicit FastGaussian must be bit-identical.
-        let by_default = prepare_sequence(&seq, &MotionConfig::default()).unwrap();
-        let fast_cfg = MotionConfig {
-            noise_model: Some(NoiseModelKind::FastGaussian),
-            ..MotionConfig::default()
-        };
-        let fast = prepare_sequence(&seq, &fast_cfg).unwrap();
-        for (a, b) in by_default.frames.iter().zip(&fast.frames) {
-            assert_eq!(a.motion, b.motion);
-            assert_eq!(a.truth, b.truth);
-        }
-        // The override is part of the config's identity: prepared-frame
-        // caches keyed on MotionConfig must not conflate realizations.
-        let legacy_cfg = MotionConfig {
-            noise_model: Some(NoiseModelKind::LegacyBoxMuller),
-            ..MotionConfig::default()
-        };
-        assert_ne!(fast_cfg, legacy_cfg);
-        assert_ne!(fast_cfg, MotionConfig::default());
-        // Both realizations stream fine (and ground truth, which noise
-        // cannot touch, agrees exactly).
-        let legacy = prepare_sequence(&seq, &legacy_cfg).unwrap();
-        for (a, b) in legacy.frames.iter().zip(&fast.frames) {
-            assert_eq!(a.truth, b.truth);
         }
     }
 

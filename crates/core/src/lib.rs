@@ -138,19 +138,13 @@ pub use api::{
     SchemeId, SchemeResult, SchemeSpec, Session, SessionCheckpoint, StepStats, VisionTask,
 };
 pub use backend::{BackendConfig, TaskOutcome};
-#[allow(deprecated)]
-pub use detector::run_detection;
 pub use detector::DetectorTask;
-#[allow(deprecated)]
-pub use eval::evaluate_suite;
-pub use eval::{parallel_map, SuiteOutcome};
+pub use eval::parallel_map;
 pub use frontend::{
     frame_source, prepare_sequence, FrameData, FrameSource, MotionConfig, PreparedCache,
     PreparedSequence,
 };
 pub use system::SystemModel;
-#[allow(deprecated)]
-pub use tracker::run_tracking;
 pub use tracker::TrackerTask;
 
 /// Convenience re-exports for pipeline users.
@@ -160,21 +154,13 @@ pub mod prelude {
         SchemeId, SchemeResult, SchemeSpec, Session, SessionCheckpoint, StepStats, VisionTask,
     };
     pub use crate::backend::{BackendConfig, TaskOutcome};
-    #[allow(deprecated)]
-    pub use crate::detector::run_detection;
     pub use crate::detector::DetectorTask;
-    #[allow(deprecated)]
-    pub use crate::eval::evaluate_suite;
-    pub use crate::eval::SuiteOutcome;
     pub use crate::frontend::{
         frame_source, prepare_sequence, FrameData, FrameSource, MotionConfig, PreparedCache,
         PreparedSequence,
     };
     pub use crate::system::SystemModel;
-    #[allow(deprecated)]
-    pub use crate::tracker::run_tracking;
     pub use crate::tracker::TrackerTask;
-    pub use euphrates_camera::noise::NoiseModelKind;
     pub use euphrates_datasets::{DatasetScale, Sequence, VisualAttribute};
     pub use euphrates_isp::motion::SearchStrategy;
     pub use euphrates_mc::policy::{AdaptiveConfig, EwPolicy, FrameKind};

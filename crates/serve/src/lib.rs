@@ -45,11 +45,8 @@
 //! * [`try_submit`][SessionServer::try_submit] — never waits; hands the
 //!   frame back as [`Submit::Busy`] (admission control).
 //! * [`submit_blocking`][SessionServer::submit_blocking] — sleeps on the
-//!   gate's condvar and is woken exactly when its lane drains a slot.
-//!   No spin-yield retry exists on this path: the
-//!   [`IngressReport::spin_retries`] counter instruments the
-//!   structurally unreachable fallback and the saturation tests assert
-//!   it stays zero while [`IngressReport::parked`] grows.
+//!   gate's condvar and is woken exactly when its lane drains a slot
+//!   (counted in [`IngressReport::parked`]).
 //! * [`submit_deadline`][SessionServer::submit_deadline] — parks for at
 //!   most a deadline, then hands the frame back.
 //!
@@ -98,7 +95,7 @@
 //! makes the entire degradation walk — rung timeline *and* per-session
 //! outcomes — a deterministic function of `(seed, config)` at any
 //! worker count. The chaos suite asserts exactly that, plus exact frame
-//! accounting and zero spin retries under fault storms.
+//! accounting under fault storms.
 //!
 //! On the producer side, [`feed_sequence_with`] hardens the feed loop:
 //! bounded deadline-submit retries with deterministic jittered backoff
@@ -206,7 +203,7 @@ use euphrates_nn::layer::NetworkDescriptor;
 use std::collections::{BTreeSet, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -574,10 +571,6 @@ pub struct IngressReport {
     pub woken: u64,
     /// Sends that found capacity immediately.
     pub immediate: u64,
-    /// Retries of the structurally unreachable permit-held-but-full
-    /// fallback. The saturation tests assert this stays **zero** — the
-    /// executable form of "no spin-yield submit path remains".
-    pub spin_retries: u64,
     /// Frames handed back by [`try_submit`][SessionServer::try_submit]
     /// or an expired [`submit_deadline`][SessionServer::submit_deadline].
     pub busy_rejections: u64,
@@ -782,7 +775,6 @@ pub struct SessionServer<T: VisionTask> {
     /// Pre-freeze statistics carried through [`thaw`][Self::thaw],
     /// merged into the final drain.
     carry: Option<Box<DrainReport>>,
-    spin_retries: AtomicU64,
     busy_rejections: AtomicU64,
     /// Admission sequence number (only advanced while the chaos
     /// rejection channel is armed — keeps the fault schedule a pure
@@ -981,7 +973,6 @@ where
             lanes,
             crew,
             carry,
-            spin_retries: AtomicU64::new(0),
             busy_rejections: AtomicU64::new(0),
             submit_seq: AtomicU64::new(0),
             chaos_rejections: AtomicU64::new(0),
@@ -1106,30 +1097,22 @@ where
 
     /// Completes a frame send under an already-held permit. A held
     /// permit guarantees a free channel slot (permits mirror the
-    /// bound), so the `Full` branch is structurally unreachable — it is
-    /// instrumented ([`IngressReport::spin_retries`]) rather than
-    /// trusted, and the saturation tests assert it never fires.
+    /// bound), so the send never blocks; a vanished worker hands the
+    /// frame back.
     fn send_frame_with_permit(&self, lane: usize, id: SessionId, frame: Arc<FrameData>) -> Submit {
-        let mut msg = Msg::Frame {
+        let msg = Msg::Frame {
             id,
             frame,
             at: Instant::now(),
         };
-        loop {
-            match self.lanes[lane].tx.try_send(msg) {
-                Ok(()) => return Submit::Enqueued,
-                Err(TrySendError::Full(back)) => {
-                    self.spin_retries.fetch_add(1, Ordering::Relaxed);
-                    msg = back;
-                    std::thread::yield_now();
-                }
-                Err(TrySendError::Disconnected(back)) => {
-                    self.lanes[lane].gate.release();
-                    let Msg::Frame { frame, .. } = back else {
-                        unreachable!("frame sends only carry frames")
-                    };
-                    return Submit::Busy(frame);
-                }
+        match self.lanes[lane].tx.send(msg) {
+            Ok(()) => Submit::Enqueued,
+            Err(back) => {
+                self.lanes[lane].gate.release();
+                let Msg::Frame { frame, .. } = back.0 else {
+                    unreachable!("frame sends only carry frames")
+                };
+                Submit::Busy(frame)
             }
         }
     }
@@ -1306,7 +1289,6 @@ where
             per_worker_frames: Vec::with_capacity(outputs.len()),
             per_worker: Vec::with_capacity(outputs.len()),
             ingress: IngressReport {
-                spin_retries: self.spin_retries.load(Ordering::Relaxed),
                 busy_rejections: self.busy_rejections.load(Ordering::Relaxed),
                 ..IngressReport::default()
             },
@@ -1399,7 +1381,6 @@ where
     /// happens.
     pub fn ingress_snapshot(&self) -> IngressReport {
         let mut report = IngressReport {
-            spin_retries: self.spin_retries.load(Ordering::Relaxed),
             busy_rejections: self.busy_rejections.load(Ordering::Relaxed),
             ..IngressReport::default()
         };
@@ -1416,21 +1397,10 @@ where
     /// a clean error instead of a panic (drain will surface it).
     fn send_parked(&self, lane: usize, msg: Msg) -> Result<()> {
         self.lanes[lane].gate.acquire();
-        let mut msg = msg;
-        loop {
-            match self.lanes[lane].tx.try_send(msg) {
-                Ok(()) => return Ok(()),
-                Err(TrySendError::Full(back)) => {
-                    self.spin_retries.fetch_add(1, Ordering::Relaxed);
-                    msg = back;
-                    std::thread::yield_now();
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    self.lanes[lane].gate.release();
-                    return Err(Error::config(format!("serve worker {lane} is gone")));
-                }
-            }
-        }
+        self.lanes[lane].tx.send(msg).map_err(|_| {
+            self.lanes[lane].gate.release();
+            Error::config(format!("serve worker {lane} is gone"))
+        })
     }
 }
 
@@ -2390,7 +2360,6 @@ fn merge_carry(report: &mut DrainReport, carry: DrainReport) {
     report.ingress.parked += carry.ingress.parked;
     report.ingress.woken += carry.ingress.woken;
     report.ingress.immediate += carry.ingress.immediate;
-    report.ingress.spin_retries += carry.ingress.spin_retries;
     report.ingress.busy_rejections += carry.ingress.busy_rejections;
     if let Some(nn) = carry.nn {
         match report.nn.as_mut() {

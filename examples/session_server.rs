@@ -124,11 +124,8 @@ fn main() -> euphrates::common::Result<()> {
         report.latency.quantile(0.99) as f64 / 1e6,
     );
     println!(
-        "ingress: {} immediate, {} parked, {} woken, {} spin retries",
-        report.ingress.immediate,
-        report.ingress.parked,
-        report.ingress.woken,
-        report.ingress.spin_retries,
+        "ingress: {} immediate, {} parked, {} woken",
+        report.ingress.immediate, report.ingress.parked, report.ingress.woken,
     );
     if let Some(nn) = &report.nn {
         println!(

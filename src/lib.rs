@@ -61,15 +61,12 @@
 //! renders and motion-estimates lazily, holding one frame at a time).
 //! Frame production is a scanline pipeline: the fast path renders
 //! straight to luma through fixed, reused buffers (O(1) allocations
-//! per frame). Sensor noise is a pluggable model — the default
-//! counter-based `FastGaussian` draws its samples through a windowed
-//! lane-parallel hash batch and renders the dataset-default σ=2 VGA
-//! fused-luma workload in ~1.25 ms/frame single-core (the noise stage
-//! itself ~1 ms; ~26× the golden-locked `LegacyBoxMuller` stream)
-//! under a *statistical* contract (moments/tails/independence), while
-//! the legacy stream's contract stays *bitwise*; pick per scene via
-//! `SceneEffects::noise_model` or per run via
-//! `MotionConfig::noise_model` (see the "Performance notes" in
+//! per frame). Sensor noise is one model: the counter-based
+//! `FastGaussian` draws its samples through a windowed lane-parallel
+//! hash batch and renders the dataset-default σ=2 VGA fused-luma
+//! workload in ~1.25 ms/frame single-core (the noise stage itself
+//! ~1 ms) under a *statistical* contract (moments/tails/independence)
+//! plus recorded determinism digests (see the "Performance notes" in
 //! [`camera`] for the renderer's guarantees and `BENCH_render.json`
 //! for the recorded per-frame timings).
 //! Motion estimation itself is pluggable: `MotionConfig::strategy`

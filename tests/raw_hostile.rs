@@ -8,7 +8,6 @@
 //! resolutions, extreme noise sigmas, and mismatched buffer shapes so
 //! the suite covers combinations no hand-written case enumerates.
 
-use euphrates::camera::noise::NoiseModelKind;
 use euphrates::camera::sensor::{ImageSensor, SensorConfig};
 use euphrates::common::image::{BayerFrame, Resolution, Rgb, RgbFrame};
 use euphrates::common::rngx;
@@ -32,11 +31,10 @@ fn must_not_panic<T>(label: &str, f: impl FnOnce() -> T) -> Option<T> {
     }
 }
 
-fn sensor_at(res: Resolution, sigma: f64, kind: NoiseModelKind, seed: u64) -> ImageSensor {
+fn sensor_at(res: Resolution, sigma: f64, seed: u64) -> ImageSensor {
     let config = SensorConfig {
         resolution: res,
         read_noise_sigma: sigma,
-        noise_model: kind,
         ..SensorConfig::default()
     };
     ImageSensor::new(config, seed)
@@ -70,7 +68,7 @@ fn degenerate_resolutions_error_or_process_cleanly() {
                 );
                 return;
             };
-            let sensor = sensor_at(res, 1.5, NoiseModelKind::FastGaussian, 7);
+            let sensor = sensor_at(res, 1.5, 7);
             let mut raw = BayerFrame::new(res.width.max(1), res.height.max(1)).unwrap();
             if sensor.capture_into(&rgb, 0, &mut raw).is_err() {
                 return;
@@ -93,7 +91,7 @@ fn degenerate_resolutions_error_or_process_cleanly() {
 #[test]
 fn mismatched_buffers_are_rejected_not_indexed() {
     let res = Resolution::new(32, 24);
-    let sensor = sensor_at(res, 1.0, NoiseModelKind::FastGaussian, 3);
+    let sensor = sensor_at(res, 1.0, 3);
 
     // RGB frame at a different shape than the sensor's configured
     // resolution: shape error, regardless of the output buffer.
@@ -152,31 +150,25 @@ fn malformed_raw_vectors_fail_construction() {
 fn extreme_noise_and_illumination_never_panic() {
     let res = Resolution::new(24, 16);
     let sigmas = [0.0, 1e-300, 1e-6, 255.0, 1e6, 1e300, f64::MAX];
-    let kinds = [
-        NoiseModelKind::FastGaussian,
-        NoiseModelKind::LegacyBoxMuller,
-    ];
     for &sigma in &sigmas {
-        for &kind in &kinds {
-            // Pixel extremes: all-black, all-white, and a checker of both.
-            for level in [0u8, 255] {
-                let label = format!("sigma {sigma:e} kind {} level {level}", kind.name());
-                must_not_panic(&label, || {
-                    let sensor = sensor_at(res, sigma, kind, 11);
-                    let rgb = flat_rgb(res, level).unwrap();
-                    let mut raw = BayerFrame::new(res.width, res.height).unwrap();
-                    sensor.capture_into(&rgb, 0, &mut raw).unwrap();
-                    // Output stays in range by type (u8) — assert the
-                    // zero-sigma path is exact instead.
-                    if sigma == 0.0 {
-                        assert!(raw.samples().iter().all(|&s| s == level));
-                    }
-                    let mut isp = IspPipeline::new(IspConfig::standard(res)).unwrap();
-                    isp.process(&raw).unwrap();
-                    sensor.capture_into(&rgb, 1, &mut raw).unwrap();
-                    isp.process(&raw).unwrap();
-                });
-            }
+        // Pixel extremes: all-black and all-white.
+        for level in [0u8, 255] {
+            let label = format!("sigma {sigma:e} level {level}");
+            must_not_panic(&label, || {
+                let sensor = sensor_at(res, sigma, 11);
+                let rgb = flat_rgb(res, level).unwrap();
+                let mut raw = BayerFrame::new(res.width, res.height).unwrap();
+                sensor.capture_into(&rgb, 0, &mut raw).unwrap();
+                // Output stays in range by type (u8) — assert the
+                // zero-sigma path is exact instead.
+                if sigma == 0.0 {
+                    assert!(raw.samples().iter().all(|&s| s == level));
+                }
+                let mut isp = IspPipeline::new(IspConfig::standard(res)).unwrap();
+                isp.process(&raw).unwrap();
+                sensor.capture_into(&rgb, 1, &mut raw).unwrap();
+                isp.process(&raw).unwrap();
+            });
         }
     }
 }
@@ -214,7 +206,7 @@ fn degenerate_isp_configs_error_or_run_cleanly() {
 #[test]
 fn seeded_hostile_sweep_is_panic_free() {
     // ~64 hash-derived configurations: degenerate resolutions, extreme
-    // sigmas, both noise models, mismatched capture shapes. Every case
+    // sigmas, mismatched capture shapes. Every case
     // must resolve to Ok or Err. The sweep is a pure function of SEED,
     // so a failure names a reproducible case.
     const SEED: u64 = 0x4A57_11E5;
@@ -226,11 +218,6 @@ fn seeded_hostile_sweep_is_panic_free() {
         let h2 = rngx::counter_hash(SEED ^ 0x9E37, case);
         let res = Resolution::new(widths[(h1 % 8) as usize], heights[((h1 >> 8) % 8) as usize]);
         let sigma = sigmas[(h2 % 5) as usize];
-        let kind = if h2 & 0x100 == 0 {
-            NoiseModelKind::FastGaussian
-        } else {
-            NoiseModelKind::LegacyBoxMuller
-        };
         // Half the cases feed a frame at a hash-perturbed shape — the
         // sensor must reject those without touching the output buffer's
         // payload assumptions.
@@ -245,7 +232,7 @@ fn seeded_hostile_sweep_is_panic_free() {
         let level = (h1 >> 24) as u8;
         let label = format!("sweep case {case}: res {res} feed {feed} sigma {sigma:e}");
         must_not_panic(&label, || {
-            let sensor = sensor_at(res, sigma, kind, h1);
+            let sensor = sensor_at(res, sigma, h1);
             let rgb = flat_rgb(feed, level).unwrap();
             let mut raw = BayerFrame::new(1, 1).unwrap();
             let captured = sensor.capture_into(&rgb, case as u32, &mut raw);
