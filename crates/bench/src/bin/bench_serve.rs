@@ -30,11 +30,12 @@
 //!
 //! Schema 4 adds the recovery section (PR-10 crash recovery): the same
 //! serving path under seeded worker-kill chaos with supervision, over a
-//! kill-rate × checkpoint-cadence grid. Reported per cell: kills
-//! landed, workers respawned, sessions resurrected vs drained
-//! `Unrecovered`, frames replayed from the write-ahead log, and the
-//! deterministic MTTR proxy (worst replay distance, in logical arrival
-//! ticks). The fixed replay budget deliberately under-covers the wide
+//! kill-rate × checkpoint-cadence grid. Each kill costs its worker the
+//! session table, which the worker rebuilds in place from checkpoint +
+//! replay. Reported per cell: kills landed, sessions resurrected vs
+//! drained `Unrecovered`, frames replayed from the write-ahead log, and
+//! the deterministic MTTR proxy (worst replay distance, in logical
+//! arrival ticks). The fixed replay budget deliberately under-covers the wide
 //! cadence, so the grid shows the cadence-vs-replay-memory trade-off:
 //! tight checkpoints recover everything with short replays, sparse
 //! checkpoints trade replay length for losses.
@@ -344,7 +345,6 @@ struct RecoveryStats {
     frames: u64,
     served: u64,
     kills: u64,
-    respawns: u64,
     resurrected: u64,
     replayed_frames: u64,
     unrecovered: u64,
@@ -364,10 +364,7 @@ fn run_recovery(
 ) -> RecoveryStats {
     let config = ServeConfig::sized(2, 64)
         .with_chaos(ChaosConfig::seeded(0x4EC0).with_worker_kills(kill_every))
-        .with_supervision(
-            SuperviseConfig::every(checkpoint_every, REPLAY_BUDGET)
-                .with_watchdog(Duration::from_millis(1), 4),
-        );
+        .with_supervision(SuperviseConfig::every(checkpoint_every, REPLAY_BUDGET));
     let server = SessionServer::new(
         TrackerTask::new(calib::mdnet()),
         vec![SchemeSpec::new(SCHEME, BackendConfig::new(EwPolicy::Constant(4))).expect("valid id")],
@@ -383,7 +380,7 @@ fn run_recovery(
     for j in 0..per_session {
         for id in 0..sessions {
             let frame = Arc::clone(&frames[(id % UNIQUE_SCENES) as usize][j]);
-            server.submit_blocking(id, frame).expect("worker respawns");
+            server.submit_blocking(id, frame).expect("worker alive");
         }
     }
     for id in 0..sessions {
@@ -395,7 +392,8 @@ fn run_recovery(
     assert_eq!(report.frames, sessions * per_session as u64);
     assert_eq!(report.frames, report.served + report.dropped + report.shed);
     let recovery = report.recovery.clone().expect("supervision armed");
-    assert_eq!(recovery.respawns as usize, recovery.detections());
+    let kills = report.chaos.expect("chaos armed").kills;
+    assert_eq!(kills as usize, recovery.detections());
     assert_eq!(
         report.failure_breakdown().unrecovered as u64,
         recovery.unrecovered,
@@ -412,13 +410,11 @@ fn run_recovery(
         "replay distance {} must stay under the cadence {checkpoint_every}",
         recovery.mttr_ticks()
     );
-    let kills = report.chaos.expect("chaos armed").kills;
     RecoveryStats {
         wall_ns,
         frames: report.frames,
         served: report.served,
         kills,
-        respawns: recovery.respawns,
         resurrected: recovery.resurrected,
         replayed_frames: recovery.replayed_frames,
         unrecovered: recovery.unrecovered,
@@ -560,10 +556,9 @@ fn main() {
             let wall_s = stats.wall_ns as f64 / 1e9;
             let frames_per_sec = stats.served as f64 / wall_s;
             println!(
-                "{key}: {frames_per_sec:.0} served frames/s, {} kills, {} respawns, \
+                "{key}: {frames_per_sec:.0} served frames/s, {} kills, \
                  {} resurrected, {} unrecovered, {} replayed, mttr {} ticks",
                 stats.kills,
-                stats.respawns,
                 stats.resurrected,
                 stats.unrecovered,
                 stats.replayed_frames,
@@ -577,7 +572,6 @@ fn main() {
             metrics.push((format!("{key}_frames"), stats.frames.to_string()));
             metrics.push((format!("{key}_served"), stats.served.to_string()));
             metrics.push((format!("{key}_kills"), stats.kills.to_string()));
-            metrics.push((format!("{key}_respawns"), stats.respawns.to_string()));
             metrics.push((format!("{key}_resurrected"), stats.resurrected.to_string()));
             metrics.push((
                 format!("{key}_replayed_frames"),

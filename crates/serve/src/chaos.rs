@@ -16,12 +16,13 @@
 //! * **forced queue saturation** — admissions are rejected as
 //!   [`Submit::Busy`][crate::Submit] as if the lane were full,
 //!   exercising producer retry/backoff and shedding;
-//! * **worker kills** — the worker thread exits mid-message (keyed on
-//!   `(id, arrival)` so the incident timeline is worker-count
-//!   invariant), exercising the supervisor's checkpoint/replay
-//!   resurrection path ([`crate::supervise`]);
-//! * **heartbeat wedges** — the worker hangs long enough for the
-//!   watchdog to miss its beats and depose it.
+//! * **worker kills** — the worker loses its whole session table
+//!   mid-message (keyed on `(id, arrival)` so the incident timeline is
+//!   worker-count invariant), exercising the supervisor's
+//!   checkpoint/replay resurrection path ([`crate::supervise`]);
+//! * **worker wedges** — a logical fault at a dequeue tick: the worker
+//!   gets stuck with the message in hand and loses its session table
+//!   the same way. Wedges take no wall-clock time.
 //!
 //! Every decision derives from [`rngx::counter_hash`] over *logical*
 //! counters — session id, per-session arrival index, per-worker dequeue
@@ -120,22 +121,19 @@ pub struct ChaosConfig {
     /// `Busy` (0 = off) — synthetic queue saturation.
     pub reject_every: u64,
     /// Kill the serving *worker* on ~1/n live-session frame pushes
-    /// (0 = off): the worker thread exits mid-message, stranding every
-    /// session sharded onto it, and the in-flight frame is handed to
-    /// the supervisor. Keyed on `(id, arrival)` like the panic channel,
-    /// so the kill incident timeline is identical at any worker count.
-    /// Requires supervision
+    /// (0 = off): the worker loses every session sharded onto it and
+    /// rebuilds them in place from the supervisor's ledger before it
+    /// pushes the frame. Keyed on `(id, arrival)` like the panic
+    /// channel, so the kill incident timeline is identical at any
+    /// worker count. Requires supervision
     /// ([`ServeConfig::with_supervision`][crate::ServeConfig::with_supervision]) —
     /// validated at server construction.
     pub kill_every: u64,
-    /// Wedge the worker (a heartbeat-length stall, `wedge` long) before
-    /// ~1/n dequeues (0 = off). Under supervision the watchdog detects
-    /// the missed beats, deposes the worker, and respawns it; without
-    /// supervision a wedge is just a long stall.
+    /// Wedge the worker before ~1/n dequeues (0 = off): a logical fault
+    /// at the dequeue tick that, like a kill, costs the worker its
+    /// session table, rebuilt in place before the dequeued message is
+    /// processed. Requires supervision, like `kill_every`.
     pub wedge_every: u64,
-    /// How long a wedged worker hangs. Must exceed the supervisor's
-    /// `beat_interval × missed_beats` for detection to trigger.
-    pub wedge: Duration,
     /// Synthetic pressure for the overload controller; requires an
     /// [`SloConfig`][crate::SloConfig] on the server.
     pub pressure: Option<PressurePlan>,
@@ -154,7 +152,6 @@ impl ChaosConfig {
             reject_every: 0,
             kill_every: 0,
             wedge_every: 0,
-            wedge: Duration::from_millis(20),
             pressure: None,
         }
     }
@@ -191,11 +188,10 @@ impl ChaosConfig {
         self
     }
 
-    /// Arms heartbeat-stall wedges: ~1/`every` dequeues hang for
-    /// `wedge` before processing.
-    pub fn with_wedges(mut self, every: u64, wedge: Duration) -> Self {
+    /// Arms worker wedges on ~1/`every` dequeues (needs supervision on
+    /// the server).
+    pub fn with_wedges(mut self, every: u64) -> Self {
         self.wedge_every = every;
-        self.wedge = wedge;
         self
     }
 
@@ -280,9 +276,9 @@ pub struct ChaosReport {
     pub corrupted: u64,
     /// Admissions forcibly rejected as `Busy`.
     pub rejections: u64,
-    /// Worker kills taken (each stranded a whole shard until respawn).
+    /// Worker kills taken (each cost a whole shard its session table).
     pub kills: u64,
-    /// Heartbeat-stall wedges taken.
+    /// Worker wedges taken (each cost a whole shard its session table).
     pub wedges: u64,
 }
 

@@ -114,16 +114,18 @@
 //! [`ServeConfig::with_supervision`] arms crash recovery (the
 //! [`supervise`] module): workers checkpoint every session on a fixed
 //! arrival cadence via [`Session::snapshot`] and keep the frames since
-//! in a bounded replay log; a watchdog thread watches logical
-//! heartbeats, declares workers dead on thread exit or frozen
-//! mid-message beats, **respawns** them, and resurrects their sessions
-//! from checkpoint + replay — bit-identical to a fault-free run, or
-//! drained as [`FailureKind::Unrecovered`] with the exact
-//! budget arithmetic when the log outgrew
-//! [`SuperviseConfig::replay_budget`]. The chaos plan gains two
-//! matching fault channels ([`ChaosConfig::with_worker_kills`],
-//! [`ChaosConfig::with_wedges`]), keyed on the same logical counters as
-//! every other fault, so the full incident timeline in
+//! in a bounded replay log. Two chaos fault channels take a worker's
+//! whole session table down: kills ([`ChaosConfig::with_worker_kills`],
+//! keyed on a session's arrival index) and wedges
+//! ([`ChaosConfig::with_wedges`], a logical fault at the worker's
+//! dequeue tick). The worker recovers **in place**, on its own thread:
+//! it resurrects every session on its lane from checkpoint + replay —
+//! bit-identical to a fault-free run, or drained as
+//! [`FailureKind::Unrecovered`] with the exact budget arithmetic when
+//! the log outgrew [`SuperviseConfig::replay_budget`] — then processes
+//! the faulting message. Supervised or not, a server runs exactly
+//! `workers` threads. Kill draws key on the same logical counters as
+//! every other fault, so the kill timeline in
 //! [`DrainReport::recovery`] is identical at any worker count.
 //!
 //! **Checkpoint cadence vs replay memory.** The ledger holds up to
@@ -185,7 +187,7 @@ pub use degrade::{
 };
 pub use supervise::{IncidentKind, RecoveryIncident, RecoveryReport, SuperviseConfig};
 
-use crate::supervise::{Ledger, LedgerStore, LiveLedger, Pulse, SlotCheckpoint};
+use crate::supervise::{Ledger, LiveLedger, SlotCheckpoint};
 use euphrates_common::error::{Error, Result};
 use euphrates_common::gate::CapacityGate;
 use euphrates_common::image::Resolution;
@@ -252,8 +254,9 @@ pub struct ServeConfig {
     /// chaos hooks cost one `Option` check per event.
     pub chaos: Option<ChaosConfig>,
     /// Crash recovery (see the crate docs' "Recovery & supervision"
-    /// section): `None` runs bare workers; `Some` checkpoints sessions,
-    /// watches worker heartbeats, and respawns dead workers.
+    /// section): `None` keeps no checkpoints; `Some` checkpoints
+    /// sessions so a worker recovers in place from chaos kills and
+    /// wedges.
     pub supervise: Option<SuperviseConfig>,
 }
 
@@ -298,8 +301,8 @@ impl ServeConfig {
         self
     }
 
-    /// Enables crash recovery: session checkpointing, worker
-    /// heartbeats, and supervised respawn.
+    /// Enables crash recovery: session checkpointing plus in-place
+    /// recovery from worker faults.
     pub fn with_supervision(mut self, supervise: SuperviseConfig) -> Self {
         self.supervise = Some(supervise);
         self
@@ -345,6 +348,18 @@ enum Msg {
     /// Tombstone session `id` with `error` (circuit breaker): late
     /// frames drop, the eventual close reports the typed reason.
     Fail { id: SessionId, error: Error },
+}
+
+impl Msg {
+    /// The session this message addresses.
+    fn session(&self) -> SessionId {
+        match self {
+            Msg::Open { id, .. }
+            | Msg::Frame { id, .. }
+            | Msg::Close { id }
+            | Msg::Fail { id, .. } => *id,
+        }
+    }
 }
 
 /// Pre-planned batched-inference costs shared by all workers: one
@@ -417,9 +432,10 @@ pub enum FailureKind {
     /// Protocol misuse: the session never opened cleanly or was closed
     /// without being known.
     Protocol,
-    /// A worker died with this session further from its last checkpoint
-    /// than the supervision replay budget allows; the error carries the
-    /// exact budget arithmetic. Only reachable with supervision armed.
+    /// A worker fault found this session further from its last
+    /// checkpoint than the supervision replay budget allows; the error
+    /// carries the exact budget arithmetic. Only reachable with
+    /// supervision armed.
     Unrecovered,
 }
 
@@ -576,9 +592,11 @@ pub struct IngressReport {
     pub busy_rejections: u64,
 }
 
-/// What one worker hands back at drain.
-struct WorkerOutput {
+/// What one worker hands back at drain (with frozen session checkpoints
+/// in place of outcomes when the server is freezing).
+struct WorkerOutput<T: VisionTask> {
     outcomes: Vec<(SessionId, Result<TaskOutcome>, Option<FailureKind>)>,
+    frozen: Vec<(SessionId, FrozenSlot<T>)>,
     latency: LatencyHistogram,
     queue_wait: LatencyHistogram,
     frames: u64,
@@ -591,6 +609,7 @@ struct WorkerOutput {
     reconfigs: u64,
     max_epochs: u64,
     chaos: ChaosReport,
+    recovery: RecoveryReport,
     nn: Option<NnServeReport>,
 }
 
@@ -616,9 +635,8 @@ pub struct DrainReport {
     pub dropped: u64,
     /// Frames shed by the degradation ladder (SLO servers only).
     pub shed: u64,
-    /// Frames received per worker, in worker order (shard balance).
-    pub per_worker_frames: Vec<u64>,
-    /// Full per-shard statistics, in worker order.
+    /// Per-shard statistics, in worker order (shard balance is
+    /// `per_worker[i].frames`).
     pub per_worker: Vec<WorkerStats>,
     /// Ingress counters summed over all lanes.
     pub ingress: IngressReport,
@@ -628,8 +646,8 @@ pub struct DrainReport {
     pub degradation: Option<DegradationReport>,
     /// Faults injected; `None` when chaos is unarmed.
     pub chaos: Option<ChaosReport>,
-    /// Worker deaths, respawns, and resurrection accounting; `None`
-    /// without supervision.
+    /// Worker faults and resurrection accounting; `None` without
+    /// supervision.
     pub recovery: Option<RecoveryReport>,
 }
 
@@ -689,33 +707,6 @@ struct Lane {
     gate: Arc<CapacityGate>,
 }
 
-/// How one worker incarnation ended.
-enum WorkerExit<T: VisionTask> {
-    /// Lanes closed; the worker flushed and is done (carries frozen
-    /// session checkpoints instead of outcomes when the server is
-    /// freezing).
-    Drained(Box<DrainedWorker<T>>),
-    /// The worker died mid-message (chaos kill) or was deposed wedged:
-    /// it hands its lane receiver, in-flight message, and dequeue
-    /// counter to the successor the watchdog will spawn.
-    Killed(Box<KilledWorker>),
-}
-
-struct DrainedWorker<T: VisionTask> {
-    output: WorkerOutput,
-    frozen: Vec<(SessionId, FrozenSlot<T>)>,
-}
-
-struct KilledWorker {
-    output: WorkerOutput,
-    rx: Receiver<Msg>,
-    pending: Option<Msg>,
-    dequeues: u64,
-    /// `Some((session, arrival))` for a chaos kill; `None` for a
-    /// deposed wedge.
-    trigger: Option<(SessionId, u64)>,
-}
-
 /// A frozen session slot inside a [`ServerImage`]: a live session's
 /// checkpoint, or the tombstone of one that had already died.
 // Live dominates any healthy image; boxing it would cost an
@@ -725,37 +716,6 @@ struct KilledWorker {
 enum FrozenSlot<T: VisionTask> {
     Live(SlotCheckpoint<T>),
     Dead { error: Error, kind: FailureKind },
-}
-
-/// The worker threads behind the lanes: bare handles, or one watchdog
-/// that owns (and respawns) them.
-enum Crew<T: VisionTask> {
-    Plain(Vec<JoinHandle<WorkerExit<T>>>),
-    Supervised(JoinHandle<WatchdogResult<T>>),
-}
-
-/// What the watchdog hands back once every seat has drained.
-struct WatchdogResult<T: VisionTask> {
-    /// Per-seat merged outputs (all incarnations), in worker order.
-    outputs: Vec<WorkerOutput>,
-    frozen: Vec<(SessionId, FrozenSlot<T>)>,
-    recovery: RecoveryReport,
-}
-
-/// Everything a worker incarnation owns. Built once per spawn; a
-/// successor inherits the dead worker's receiver, session table,
-/// in-flight message, and dequeue counter so no message and no logical
-/// tick is lost or double-counted.
-struct WorkerContext<T: VisionTask> {
-    shared: Arc<Shared<T>>,
-    rx: Receiver<Msg>,
-    gate: Arc<CapacityGate>,
-    windex: u64,
-    pulse: Option<Arc<Pulse>>,
-    ledgers: Option<LedgerStore<T>>,
-    sessions: HashMap<SessionId, Slot<T>>,
-    pending: Option<Msg>,
-    dequeues: u64,
 }
 
 /// A sharded, backpressured session server over `N` worker threads.
@@ -771,7 +731,8 @@ struct WorkerContext<T: VisionTask> {
 pub struct SessionServer<T: VisionTask> {
     shared: Arc<Shared<T>>,
     lanes: Vec<Lane>,
-    crew: Crew<T>,
+    /// One thread per lane, in lane order.
+    workers: Vec<JoinHandle<WorkerOutput<T>>>,
     /// Pre-freeze statistics carried through [`thaw`][Self::thaw],
     /// merged into the final drain.
     carry: Option<Box<DrainReport>>,
@@ -814,8 +775,7 @@ where
 
     /// The shared construction path behind [`new`][Self::new] and
     /// [`thaw`][Self::thaw]: validates, shards any thawed sessions onto
-    /// their lanes, and spawns the crew (bare workers, or workers plus
-    /// the supervising watchdog).
+    /// their lanes, and spawns one worker thread per lane.
     fn boot(
         task: T,
         schemes: Vec<SchemeSpec>,
@@ -905,73 +865,23 @@ where
             tables[lane].insert(id, slot);
         }
         let mut lanes = Vec::with_capacity(config.workers);
-        let crew = if let Some(sup) = config.supervise.clone() {
-            let mut seats = Vec::with_capacity(config.workers);
-            for (windex, table) in tables.into_iter().enumerate() {
-                let (tx, rx) = sync_channel(config.queue_depth);
-                let gate = Arc::new(CapacityGate::new(config.queue_depth));
-                let pulse = Arc::new(Pulse::default());
-                let store: LedgerStore<T> = Arc::new(Mutex::new(HashMap::new()));
-                lanes.push(Lane {
-                    tx,
-                    gate: Arc::clone(&gate),
-                });
-                let ctx = WorkerContext {
-                    shared: Arc::clone(&shared),
-                    rx,
-                    gate: Arc::clone(&gate),
-                    windex: windex as u64,
-                    pulse: Some(Arc::clone(&pulse)),
-                    ledgers: Some(Arc::clone(&store)),
-                    sessions: table,
-                    pending: None,
-                    dequeues: 0,
-                };
-                let handle = std::thread::spawn(move || worker_loop(ctx));
-                seats.push(Seat {
-                    handle: Some(handle),
-                    pulse,
-                    store,
-                    gate,
-                    windex: windex as u64,
-                    agg: None,
-                    frozen: Vec::new(),
-                    last_beats: 0,
-                    stale: 0,
-                });
-            }
+        let mut workers = Vec::with_capacity(config.workers);
+        for (windex, table) in tables.into_iter().enumerate() {
+            let (tx, rx) = sync_channel(config.queue_depth);
+            let gate = Arc::new(CapacityGate::new(config.queue_depth));
+            lanes.push(Lane {
+                tx,
+                gate: Arc::clone(&gate),
+            });
             let shared = Arc::clone(&shared);
-            Crew::Supervised(std::thread::spawn(move || {
-                watchdog_loop(shared, seats, sup)
-            }))
-        } else {
-            let mut workers = Vec::with_capacity(config.workers);
-            for (windex, table) in tables.into_iter().enumerate() {
-                let (tx, rx) = sync_channel(config.queue_depth);
-                let gate = Arc::new(CapacityGate::new(config.queue_depth));
-                lanes.push(Lane {
-                    tx,
-                    gate: Arc::clone(&gate),
-                });
-                let ctx = WorkerContext {
-                    shared: Arc::clone(&shared),
-                    rx,
-                    gate,
-                    windex: windex as u64,
-                    pulse: None,
-                    ledgers: None,
-                    sessions: table,
-                    pending: None,
-                    dequeues: 0,
-                };
-                workers.push(std::thread::spawn(move || worker_loop(ctx)));
-            }
-            Crew::Plain(workers)
-        };
+            workers.push(std::thread::spawn(move || {
+                worker_loop(shared, rx, gate, windex as u64, table)
+            }));
+        }
         Ok(SessionServer {
             shared,
             lanes,
-            crew,
+            workers,
             carry,
             busy_rejections: AtomicU64::new(0),
             submit_seq: AtomicU64::new(0),
@@ -1234,7 +1144,7 @@ where
     }
 
     /// The common teardown behind [`drain`][Self::drain] and
-    /// [`freeze`][Self::freeze]: close lanes, join the crew, merge.
+    /// [`freeze`][Self::freeze]: close lanes, join the workers, merge.
     fn shutdown(self) -> (DrainReport, Vec<(SessionId, FrozenSlot<T>)>) {
         let gates: Vec<Arc<CapacityGate>> = self
             .lanes
@@ -1242,33 +1152,6 @@ where
             .map(|lane| Arc::clone(&lane.gate))
             .collect();
         drop(self.lanes);
-        let (outputs, frozen, recovery) = match self.crew {
-            Crew::Plain(workers) => {
-                let mut outputs = Vec::with_capacity(workers.len());
-                let mut frozen = Vec::new();
-                for handle in workers {
-                    match handle
-                        .join()
-                        .expect("serve workers isolate session panics and never die")
-                    {
-                        WorkerExit::Drained(d) => {
-                            outputs.push(d.output);
-                            frozen.extend(d.frozen);
-                        }
-                        WorkerExit::Killed(_) => {
-                            unreachable!("kills and wedges are gated on supervision")
-                        }
-                    }
-                }
-                (outputs, frozen, None)
-            }
-            Crew::Supervised(watchdog) => {
-                let result = watchdog
-                    .join()
-                    .expect("the watchdog isolates nothing and touches no task code");
-                (result.outputs, result.frozen, Some(result.recovery))
-            }
-        };
         let ladder_len = self
             .shared
             .overload
@@ -1278,6 +1161,7 @@ where
         let mut reconfigs = 0u64;
         let mut max_epochs = 0u64;
         let mut chaos_total = ChaosReport::default();
+        let mut frozen = Vec::new();
         let mut report = DrainReport {
             outcomes: HashMap::new(),
             latency: LatencyHistogram::new(),
@@ -1286,8 +1170,7 @@ where
             served: 0,
             dropped: 0,
             shed: 0,
-            per_worker_frames: Vec::with_capacity(outputs.len()),
-            per_worker: Vec::with_capacity(outputs.len()),
+            per_worker: Vec::with_capacity(self.workers.len()),
             ingress: IngressReport {
                 busy_rejections: self.busy_rejections.load(Ordering::Relaxed),
                 ..IngressReport::default()
@@ -1299,9 +1182,16 @@ where
                 .map(|_| NnServeReport::default()),
             degradation: None,
             chaos: None,
-            recovery,
+            recovery: self
+                .shared
+                .supervise
+                .as_ref()
+                .map(|_| RecoveryReport::default()),
         };
-        for (out, gate) in outputs.into_iter().zip(gates) {
+        for (handle, gate) in self.workers.into_iter().zip(gates) {
+            let out = handle
+                .join()
+                .expect("serve workers isolate session panics and never die");
             let gs = gate.stats();
             report.ingress.parked += gs.parked;
             report.ingress.woken += gs.woken;
@@ -1318,7 +1208,10 @@ where
             reconfigs += out.reconfigs;
             max_epochs = max_epochs.max(out.max_epochs);
             chaos_total.merge(&out.chaos);
-            report.per_worker_frames.push(out.frames);
+            if let Some(total) = report.recovery.as_mut() {
+                total.merge(&out.recovery);
+            }
+            frozen.extend(out.frozen);
             report.per_worker.push(WorkerStats {
                 frames: out.frames,
                 served: out.served,
@@ -1457,21 +1350,24 @@ fn charge_batch(report: &mut NnServeReport, runtime: &BatchRuntime, jobs: usize)
     report.batch_sizes.record(jobs as u64);
 }
 
-/// One worker incarnation: owns its session table, histograms,
-/// counters, and batch collector; runs until every sender is dropped
-/// (→ [`WorkerExit::Drained`]) or a supervised fault takes it down
-/// (→ [`WorkerExit::Killed`], handing its lane to the successor).
+/// One worker: owns its session table, recovery ledger, histograms,
+/// counters, and batch collector; runs until every sender is dropped.
 /// Releases one gate permit per dequeued message — the other half of
-/// the parked-producer protocol; a message inherited from a dead
-/// predecessor released its permit (and consumed its dequeue tick)
-/// already.
-fn worker_loop<T>(mut ctx: WorkerContext<T>) -> WorkerExit<T>
+/// the parked-producer protocol. Under supervision, a chaos kill or
+/// wedge costs the worker its session table, which it rebuilds in
+/// place ([`recover`]) before processing the faulting message.
+fn worker_loop<T>(
+    shared: Arc<Shared<T>>,
+    rx: Receiver<Msg>,
+    gate: Arc<CapacityGate>,
+    windex: u64,
+    mut sessions: HashMap<SessionId, Slot<T>>,
+) -> WorkerOutput<T>
 where
     T: VisionTask + Clone,
     T::State: Clone,
 {
     let started = Instant::now();
-    let shared = Arc::clone(&ctx.shared);
     let mut collector = BatchCollector::new();
     let ladder_len = shared.overload.as_ref().map_or(0, |rt| rt.slo.ladder.len());
     // The chaos corruption channel's substitute: a tiny frame of the
@@ -1490,6 +1386,7 @@ where
         });
     let mut out = WorkerOutput {
         outcomes: Vec::new(),
+        frozen: Vec::new(),
         latency: LatencyHistogram::new(),
         queue_wait: LatencyHistogram::new(),
         frames: 0,
@@ -1502,31 +1399,19 @@ where
         reconfigs: 0,
         max_epochs: 0,
         chaos: ChaosReport::default(),
+        recovery: RecoveryReport::default(),
         nn: shared.batching.as_ref().map(|_| NnServeReport::default()),
     };
-    // Seed the recovery ledger for inherited sessions: a no-op on
-    // respawn (the ledger outlived the dead worker), the genesis
-    // checkpoint for a thawed generation-0 table.
-    if let Some(store) = ctx.ledgers.as_ref() {
-        let mut store = store.lock().unwrap_or_else(|p| p.into_inner());
-        for (id, slot) in &ctx.sessions {
-            store.entry(*id).or_insert_with(|| match slot {
-                Slot::Live(live) => Ledger::Live(LiveLedger {
-                    checkpoint: checkpoint_slot(live),
-                    replay: Vec::new(),
-                    lag: 0,
-                    lost: false,
-                    last_kill: None,
-                }),
-                Slot::Dead { error, kind } => Ledger::Dead {
-                    error: error.clone(),
-                    kind: *kind,
-                },
-            });
-        }
-    }
+    // The recovery ledger starts with the genesis checkpoint of every
+    // session this worker was born with (a thawed table).
+    let mut ledgers: Option<HashMap<SessionId, Ledger<T>>> = shared.supervise.as_ref().map(|_| {
+        sessions
+            .iter()
+            .map(|(id, slot)| (*id, ledger_entry(slot)))
+            .collect()
+    });
+    let mut dequeues = 0u64;
     loop {
-        let injected = ctx.pending.is_some();
         // While a batch window is open, wait only until its deadline
         // (shrunk by the current rung's shift — degraded servers trade
         // amortization for latency); otherwise block for the next
@@ -1542,68 +1427,45 @@ where
             };
             collector.deadline(max_wait)
         });
-        let msg = match ctx.pending.take() {
-            Some(msg) => Some(msg),
-            None => match deadline {
-                Some(deadline) => {
-                    let wait = deadline.saturating_duration_since(Instant::now());
-                    match ctx.rx.recv_timeout(wait) {
-                        Ok(msg) => Some(msg),
-                        Err(RecvTimeoutError::Timeout) => {
-                            if let (Some(rt), Some(nn), Some(jobs)) =
-                                (shared.batching.as_ref(), out.nn.as_mut(), collector.take())
-                            {
-                                charge_batch(nn, rt, jobs);
-                            }
-                            continue;
-                        }
-                        Err(RecvTimeoutError::Disconnected) => None,
+        let msg = match deadline {
+            Some(deadline) => {
+                let wait = deadline.saturating_duration_since(Instant::now());
+                match rx.recv_timeout(wait) {
+                    Ok(msg) => msg,
+                    Err(RecvTimeoutError::Timeout) => {
+                        flush_batch(&shared, &mut collector, &mut out);
+                        continue;
                     }
+                    Err(RecvTimeoutError::Disconnected) => break,
                 }
-                None => ctx.rx.recv().ok(),
+            }
+            None => match rx.recv() {
+                Ok(msg) => msg,
+                Err(_) => break,
             },
         };
-        let Some(msg) = msg else { break };
-        if let Some(pulse) = ctx.pulse.as_ref() {
-            pulse.start();
-        }
-        // A message inherited from a dead predecessor already released
-        // its permit and consumed its dequeue tick (and survived any
-        // stall/wedge draw at that tick) — only fresh dequeues advance
-        // the counters and the per-tick fault channels.
-        if !injected {
-            ctx.gate.release();
-            let tick = ctx.dequeues;
-            ctx.dequeues += 1;
-            if let Some(chaos) = shared.chaos.as_ref() {
-                if chaos.stall_at(ctx.windex, tick) {
-                    out.chaos.stalls += 1;
-                    std::thread::sleep(chaos.stall);
-                }
-                if chaos.wedge_at(ctx.windex, tick) {
-                    // Wedge: stop making progress mid-message — busy
-                    // stays true and the beat counter freezes, which is
-                    // exactly what the watchdog's stale detection
-                    // catches. The in-flight message travels to the
-                    // successor untouched.
-                    out.chaos.wedges += 1;
-                    let pulse = ctx
-                        .pulse
-                        .as_ref()
-                        .expect("wedges are gated on supervision at config validation");
-                    while !pulse.is_deposed() {
-                        std::thread::sleep(chaos.wedge);
-                    }
-                    flush_batch(&shared, &mut collector, &mut out);
-                    out.wall_ns = started.elapsed().as_nanos() as u64;
-                    return WorkerExit::Killed(Box::new(KilledWorker {
-                        output: out,
-                        rx: ctx.rx,
-                        pending: Some(msg),
-                        dequeues: ctx.dequeues,
-                        trigger: None,
-                    }));
-                }
+        gate.release();
+        let tick = dequeues;
+        dequeues += 1;
+        if let Some(chaos) = shared.chaos.as_ref() {
+            if chaos.stall_at(windex, tick) {
+                out.chaos.stalls += 1;
+                std::thread::sleep(chaos.stall);
+            }
+            if chaos.wedge_at(windex, tick) {
+                out.chaos.wedges += 1;
+                let ledgers = ledgers
+                    .as_mut()
+                    .expect("wedges are gated on supervision at config validation");
+                sessions = recover(
+                    &shared,
+                    &mut collector,
+                    &mut out,
+                    ledgers,
+                    IncidentKind::Wedge,
+                    msg.session(),
+                    tick,
+                );
             }
         }
         let busy_from = Instant::now();
@@ -1631,67 +1493,43 @@ where
                         kind: FailureKind::Protocol,
                     },
                 };
-                if let Some(store) = ctx.ledgers.as_ref() {
-                    let entry = match &slot {
-                        Slot::Live(live) => Ledger::Live(LiveLedger {
-                            checkpoint: checkpoint_slot(live),
-                            replay: Vec::new(),
-                            lag: 0,
-                            lost: false,
-                            last_kill: None,
-                        }),
-                        Slot::Dead { error, kind } => Ledger::Dead {
-                            error: error.clone(),
-                            kind: *kind,
-                        },
-                    };
-                    store
-                        .lock()
-                        .unwrap_or_else(|p| p.into_inner())
-                        .insert(id, entry);
+                if let Some(ledgers) = ledgers.as_mut() {
+                    ledgers.insert(id, ledger_entry(&slot));
                 }
-                if let Some(old) = ctx.sessions.insert(id, slot) {
+                if let Some(old) = sessions.insert(id, slot) {
                     let (outcome, kind) = finish_slot(old);
                     out.outcomes.push((id, outcome, kind));
                 }
             }
             Msg::Frame { id, frame, at } => {
                 // Chaos worker kill: keyed on the target session's next
-                // arrival index (worker-count invariant), checked
-                // *before* any counter so the redelivered frame is
-                // counted exactly once — by the successor. The ledger's
-                // `last_kill` fuse keeps the same draw from re-firing
-                // on redelivery.
-                if let (Some(chaos), Some(store)) = (shared.chaos.as_ref(), ctx.ledgers.as_ref()) {
-                    if chaos.kill_every != 0 {
-                        if let Some(Slot::Live(slot)) = ctx.sessions.get(&id) {
-                            let arrival = slot.arrivals;
-                            if chaos.kill_at(id, arrival) {
-                                let fire = {
-                                    let mut store = store.lock().unwrap_or_else(|p| p.into_inner());
-                                    match store.get_mut(&id) {
-                                        Some(Ledger::Live(l)) if l.last_kill != Some(arrival) => {
-                                            l.last_kill = Some(arrival);
-                                            true
-                                        }
-                                        _ => false,
-                                    }
-                                };
-                                if fire {
-                                    out.chaos.kills += 1;
-                                    flush_batch(&shared, &mut collector, &mut out);
-                                    out.wall_ns = started.elapsed().as_nanos() as u64;
-                                    return WorkerExit::Killed(Box::new(KilledWorker {
-                                        output: out,
-                                        rx: ctx.rx,
-                                        pending: Some(Msg::Frame { id, frame, at }),
-                                        dequeues: ctx.dequeues,
-                                        trigger: Some((id, arrival)),
-                                    }));
-                                }
-                            }
+                // arrival index (worker-count invariant), drawn *before*
+                // any counter so the frame is counted exactly once — by
+                // the rebuilt session table.
+                let kill = shared
+                    .chaos
+                    .as_ref()
+                    .filter(|c| c.kill_every != 0)
+                    .and_then(|chaos| match sessions.get(&id) {
+                        Some(Slot::Live(slot)) if chaos.kill_at(id, slot.arrivals) => {
+                            Some(slot.arrivals)
                         }
-                    }
+                        _ => None,
+                    });
+                if let Some(arrival) = kill {
+                    out.chaos.kills += 1;
+                    let ledgers = ledgers
+                        .as_mut()
+                        .expect("kills are gated on supervision at config validation");
+                    sessions = recover(
+                        &shared,
+                        &mut collector,
+                        &mut out,
+                        ledgers,
+                        IncidentKind::WorkerKill,
+                        id,
+                        arrival,
+                    );
                 }
                 out.frames += 1;
                 let wait_ns = at.elapsed().as_nanos() as u64;
@@ -1713,18 +1551,17 @@ where
                         }
                     }
                 }
-                match ctx.sessions.get_mut(&id) {
+                match sessions.get_mut(&id) {
                     Some(Slot::Live(slot)) => {
                         // Write-ahead: log the frame into the recovery
                         // ledger *before* processing — shed frames
                         // included, since they still advance the
                         // arrival counter and the planned walk and must
                         // be re-shed identically on replay.
-                        if let (Some(store), Some(sup)) =
-                            (ctx.ledgers.as_ref(), shared.supervise.as_ref())
+                        if let (Some(ledgers), Some(sup)) =
+                            (ledgers.as_mut(), shared.supervise.as_ref())
                         {
-                            let mut store = store.lock().unwrap_or_else(|p| p.into_inner());
-                            if let Some(Ledger::Live(l)) = store.get_mut(&id) {
+                            if let Some(Ledger::Live(l)) = ledgers.get_mut(&id) {
                                 l.lag += 1;
                                 if l.lag > sup.replay_budget {
                                     l.lost = true;
@@ -1784,8 +1621,8 @@ where
                                     } else {
                                         FailureKind::Poisoned
                                     };
-                                    bury(ctx.ledgers.as_ref(), id, &e, kind);
-                                    ctx.sessions.insert(id, Slot::Dead { error: e, kind });
+                                    bury(ledgers.as_mut(), id, &e, kind);
+                                    sessions.insert(id, Slot::Dead { error: e, kind });
                                 }
                                 Err(payload) => {
                                     out.dropped += 1;
@@ -1799,8 +1636,8 @@ where
                                         "session task panicked: {}",
                                         panic_text(payload)
                                     ));
-                                    bury(ctx.ledgers.as_ref(), id, &error, kind);
-                                    ctx.sessions.insert(id, Slot::Dead { error, kind });
+                                    bury(ledgers.as_mut(), id, &error, kind);
+                                    sessions.insert(id, Slot::Dead { error, kind });
                                 }
                             }
                         }
@@ -1810,13 +1647,12 @@ where
                         // a session's replay distance at any fault is
                         // `arrival % checkpoint_every` at every worker
                         // count.
-                        if let (Some(store), Some(sup)) =
-                            (ctx.ledgers.as_ref(), shared.supervise.as_ref())
+                        if let (Some(ledgers), Some(sup)) =
+                            (ledgers.as_mut(), shared.supervise.as_ref())
                         {
-                            if let Some(Slot::Live(slot)) = ctx.sessions.get(&id) {
+                            if let Some(Slot::Live(slot)) = sessions.get(&id) {
                                 if slot.arrivals % sup.checkpoint_every == 0 {
-                                    let mut store = store.lock().unwrap_or_else(|p| p.into_inner());
-                                    if let Some(Ledger::Live(l)) = store.get_mut(&id) {
+                                    if let Some(Ledger::Live(l)) = ledgers.get_mut(&id) {
                                         l.checkpoint = checkpoint_slot(slot);
                                         l.replay.clear();
                                         l.lag = 0;
@@ -1830,10 +1666,10 @@ where
                 }
             }
             Msg::Close { id } => {
-                if let Some(store) = ctx.ledgers.as_ref() {
-                    store.lock().unwrap_or_else(|p| p.into_inner()).remove(&id);
+                if let Some(ledgers) = ledgers.as_mut() {
+                    ledgers.remove(&id);
                 }
-                let (outcome, kind) = match ctx.sessions.remove(&id) {
+                let (outcome, kind) = match sessions.remove(&id) {
                     Some(slot) => finish_slot(slot),
                     None => (
                         Err(Error::config(format!("close of unknown session {id}"))),
@@ -1846,8 +1682,8 @@ where
                 // The tombstone replaces whatever was there; a live
                 // session's partial outcome is deliberately discarded —
                 // the breaker reason is the record.
-                bury(ctx.ledgers.as_ref(), id, &error, FailureKind::CircuitBroken);
-                ctx.sessions.insert(
+                bury(ledgers.as_mut(), id, &error, FailureKind::CircuitBroken);
+                sessions.insert(
                     id,
                     Slot::Dead {
                         error,
@@ -1857,9 +1693,6 @@ where
             }
         }
         out.busy_ns += busy_from.elapsed().as_nanos() as u64;
-        if let Some(pulse) = ctx.pulse.as_ref() {
-            pulse.finish();
-        }
     }
     // Lanes closed: flush the open batch, then everything still open —
     // as outcomes normally, as checkpoints when the server is freezing
@@ -1867,8 +1700,7 @@ where
     flush_batch(&shared, &mut collector, &mut out);
     out.wall_ns = started.elapsed().as_nanos() as u64;
     if shared.freeze.load(Ordering::Relaxed) {
-        let frozen = ctx
-            .sessions
+        out.frozen = sessions
             .drain()
             .map(|(id, slot)| {
                 let frozen = match slot {
@@ -1878,27 +1710,56 @@ where
                 (id, frozen)
             })
             .collect();
-        return WorkerExit::Drained(Box::new(DrainedWorker {
-            output: out,
-            frozen,
-        }));
+    } else {
+        for (id, slot) in sessions.drain() {
+            let (outcome, kind) = finish_slot(slot);
+            out.outcomes.push((id, outcome, kind));
+        }
     }
-    for (id, slot) in ctx.sessions.drain() {
-        let (outcome, kind) = finish_slot(slot);
-        out.outcomes.push((id, outcome, kind));
-    }
-    WorkerExit::Drained(Box::new(DrainedWorker {
-        output: out,
-        frozen: Vec::new(),
-    }))
+    out
 }
 
-/// Flushes the open batch window into the worker's NN report (used at
-/// every worker exit point and on drain).
+/// In-place recovery from a chaos kill or wedge. The fault costs the
+/// worker its session table, as a thread death would: this flushes the
+/// open batch window, records the incident, and returns the table
+/// rebuilt from the ledger ([`resurrect`]). The caller then processes
+/// the faulting message with no new fault drawn for the same tick.
+fn recover<T>(
+    shared: &Shared<T>,
+    collector: &mut BatchCollector,
+    out: &mut WorkerOutput<T>,
+    ledgers: &mut HashMap<SessionId, Ledger<T>>,
+    kind: IncidentKind,
+    session: SessionId,
+    tick: u64,
+) -> HashMap<SessionId, Slot<T>>
+where
+    T: VisionTask + Clone,
+    T::State: Clone,
+{
+    flush_batch(shared, collector, out);
+    // A kill strands the triggering session's replay log; a wedge
+    // strikes between messages, so it charges no replay distance.
+    let (replay_lag, recovered) = match (kind, ledgers.get(&session)) {
+        (IncidentKind::WorkerKill, Some(Ledger::Live(l))) => (l.lag, !l.lost),
+        _ => (0, true),
+    };
+    out.recovery.incidents.push(RecoveryIncident {
+        kind,
+        session,
+        tick,
+        replay_lag,
+        recovered,
+    });
+    resurrect(shared, ledgers, &mut out.recovery)
+}
+
+/// Flushes the open batch window into the worker's NN report (on a
+/// window timeout, a recovery, and drain).
 fn flush_batch<T: VisionTask>(
     shared: &Shared<T>,
     collector: &mut BatchCollector,
-    out: &mut WorkerOutput,
+    out: &mut WorkerOutput<T>,
 ) {
     if let Some(rt) = shared.batching.as_ref() {
         if let (Some(nn), Some(jobs)) = (out.nn.as_mut(), collector.take()) {
@@ -1907,17 +1768,38 @@ fn flush_batch<T: VisionTask>(
     }
 }
 
+/// A fresh ledger entry mirroring `slot`: a live session's genesis
+/// checkpoint, or the tombstone of a dead one.
+fn ledger_entry<T>(slot: &Slot<T>) -> Ledger<T>
+where
+    T: VisionTask + Clone,
+    T::State: Clone,
+{
+    match slot {
+        Slot::Live(live) => Ledger::Live(LiveLedger {
+            checkpoint: checkpoint_slot(live),
+            replay: Vec::new(),
+            lag: 0,
+            lost: false,
+        }),
+        Slot::Dead { error, kind } => Ledger::Dead {
+            error: error.clone(),
+            kind: *kind,
+        },
+    }
+}
+
 /// Mirrors a session death into the recovery ledger so a resurrection
 /// reproduces the tombstone (late frames must still count as dropped
-/// after a respawn).
+/// after a recovery).
 fn bury<T: VisionTask>(
-    ledgers: Option<&LedgerStore<T>>,
+    ledgers: Option<&mut HashMap<SessionId, Ledger<T>>>,
     id: SessionId,
     error: &Error,
     kind: FailureKind,
 ) {
-    if let Some(store) = ledgers {
-        store.lock().unwrap_or_else(|p| p.into_inner()).insert(
+    if let Some(ledgers) = ledgers {
+        ledgers.insert(
             id,
             Ledger::Dead {
                 error: error.clone(),
@@ -1937,17 +1819,17 @@ fn bury<T: VisionTask>(
 /// passes `None` for both `wait_ns` and `out` — replay rebuilds session
 /// *state* (walk, policy, arrivals) without touching any counter,
 /// histogram, or the global rung, because every replayed frame was
-/// already counted by the incarnation that first processed it. Under a
-/// planned pressure plan the shed decision is a pure function of the
-/// arrival index, so replay re-sheds exactly the frames the dead worker
-/// shed; in measured mode replay never sheds (documented best-effort —
+/// already counted when it was first processed. Under a planned
+/// pressure plan the shed decision is a pure function of the arrival
+/// index, so replay re-sheds exactly the frames the live path shed; in
+/// measured mode replay never sheds (documented best-effort —
 /// measured rungs are wall-clock-driven and not replayable).
 fn schedule_arrival<T>(
     shared: &Shared<T>,
     slot: &mut LiveSlot<T>,
     arrival: u64,
     wait_ns: Option<u64>,
-    mut out: Option<&mut WorkerOutput>,
+    mut out: Option<&mut WorkerOutput<T>>,
 ) -> bool
 where
     T: VisionTask + Clone,
@@ -2027,7 +1909,7 @@ where
     }
 }
 
-/// Rebuilds a dead worker's session table from its lane ledger:
+/// Rebuilds a faulted worker's session table from its ledger:
 /// tombstones are copied, live sessions are restored from their last
 /// checkpoint and the write-ahead log is replayed through the same
 /// scheduling logic the live path uses (counter-free — see
@@ -2040,7 +1922,7 @@ where
 /// ones.
 fn resurrect<T>(
     shared: &Shared<T>,
-    store: &LedgerStore<T>,
+    ledgers: &mut HashMap<SessionId, Ledger<T>>,
     recovery: &mut RecoveryReport,
 ) -> HashMap<SessionId, Slot<T>>
 where
@@ -2049,8 +1931,7 @@ where
 {
     let budget = shared.supervise.as_ref().map_or(0, |s| s.replay_budget);
     let mut sessions = HashMap::new();
-    let mut store = store.lock().unwrap_or_else(|p| p.into_inner());
-    for (id, ledger) in store.iter_mut() {
+    for (id, ledger) in ledgers.iter_mut() {
         match ledger {
             Ledger::Dead { error, kind } => {
                 sessions.insert(
@@ -2134,181 +2015,6 @@ where
     sessions
 }
 
-/// One supervised worker seat: the thread handle of its current
-/// incarnation plus everything the watchdog needs to detect a death,
-/// resurrect the lane, and spawn a successor.
-struct Seat<T: VisionTask> {
-    handle: Option<JoinHandle<WorkerExit<T>>>,
-    pulse: Arc<Pulse>,
-    store: LedgerStore<T>,
-    gate: Arc<CapacityGate>,
-    windex: u64,
-    /// Merged outputs of all finished incarnations on this seat.
-    agg: Option<WorkerOutput>,
-    frozen: Vec<(SessionId, FrozenSlot<T>)>,
-    last_beats: u64,
-    stale: u32,
-}
-
-fn merge_seat<T: VisionTask>(seat: &mut Seat<T>, out: WorkerOutput) {
-    match seat.agg.as_mut() {
-        Some(agg) => merge_output(agg, out),
-        None => seat.agg = Some(out),
-    }
-}
-
-fn merge_output(agg: &mut WorkerOutput, out: WorkerOutput) {
-    agg.outcomes.extend(out.outcomes);
-    agg.latency.merge(&out.latency);
-    agg.queue_wait.merge(&out.queue_wait);
-    agg.frames += out.frames;
-    agg.served += out.served;
-    agg.dropped += out.dropped;
-    agg.shed += out.shed;
-    agg.busy_ns += out.busy_ns;
-    agg.wall_ns += out.wall_ns;
-    for (rung, n) in out.frames_per_rung.iter().enumerate() {
-        agg.frames_per_rung[rung] += n;
-    }
-    agg.reconfigs += out.reconfigs;
-    agg.max_epochs = agg.max_epochs.max(out.max_epochs);
-    agg.chaos.merge(&out.chaos);
-    if let (Some(total), Some(nn)) = (agg.nn.as_mut(), out.nn.as_ref()) {
-        total.merge(nn);
-    }
-}
-
-/// The supervisor: polls every seat's heartbeat, joins finished
-/// incarnations, and — when one died instead of draining — resurrects
-/// its lane's sessions from the ledger and spawns a successor that
-/// inherits the lane receiver, the in-flight message, and the dequeue
-/// counter. Mid-message workers whose beat counter freezes for
-/// `missed_beats` consecutive polls are deposed (the wedge channel).
-/// Runs until every seat has drained.
-fn watchdog_loop<T>(
-    shared: Arc<Shared<T>>,
-    mut seats: Vec<Seat<T>>,
-    cfg: SuperviseConfig,
-) -> WatchdogResult<T>
-where
-    T: VisionTask + Clone + Send + Sync + 'static,
-    T::State: Send + Clone,
-{
-    let mut recovery = RecoveryReport::default();
-    loop {
-        let mut live = false;
-        for seat in &mut seats {
-            let Some(handle) = seat.handle.as_ref() else {
-                continue;
-            };
-            if !handle.is_finished() {
-                live = true;
-                let (beats, busy) = seat.pulse.sample();
-                if busy && beats == seat.last_beats {
-                    seat.stale += 1;
-                    if seat.stale >= cfg.missed_beats {
-                        seat.pulse.depose();
-                    }
-                } else {
-                    seat.stale = 0;
-                }
-                seat.last_beats = beats;
-                continue;
-            }
-            let exit = seat
-                .handle
-                .take()
-                .expect("checked above")
-                .join()
-                .expect("serve workers isolate session panics and never die");
-            match exit {
-                WorkerExit::Drained(d) => {
-                    merge_seat(seat, d.output);
-                    seat.frozen = d.frozen;
-                }
-                WorkerExit::Killed(k) => {
-                    live = true;
-                    let k = *k;
-                    let incident = match k.trigger {
-                        Some((session, arrival)) => {
-                            let (replay_lag, recovered) = {
-                                let store = seat.store.lock().unwrap_or_else(|p| p.into_inner());
-                                match store.get(&session) {
-                                    Some(Ledger::Live(l)) => (l.lag, !l.lost),
-                                    _ => (0, true),
-                                }
-                            };
-                            RecoveryIncident {
-                                kind: IncidentKind::WorkerKill,
-                                session,
-                                tick: arrival,
-                                replay_lag,
-                                recovered,
-                            }
-                        }
-                        None => {
-                            let session = match &k.pending {
-                                Some(
-                                    Msg::Frame { id, .. }
-                                    | Msg::Open { id, .. }
-                                    | Msg::Close { id }
-                                    | Msg::Fail { id, .. },
-                                ) => *id,
-                                None => SessionId::MAX,
-                            };
-                            RecoveryIncident {
-                                kind: IncidentKind::Wedge,
-                                session,
-                                tick: k.dequeues.saturating_sub(1),
-                                replay_lag: 0,
-                                recovered: true,
-                            }
-                        }
-                    };
-                    recovery.incidents.push(incident);
-                    recovery.respawns += 1;
-                    merge_seat(seat, k.output);
-                    let sessions = resurrect(shared.as_ref(), &seat.store, &mut recovery);
-                    seat.pulse.reinstate();
-                    seat.last_beats = 0;
-                    seat.stale = 0;
-                    let ctx = WorkerContext {
-                        shared: Arc::clone(&shared),
-                        rx: k.rx,
-                        gate: Arc::clone(&seat.gate),
-                        windex: seat.windex,
-                        pulse: Some(Arc::clone(&seat.pulse)),
-                        ledgers: Some(Arc::clone(&seat.store)),
-                        sessions,
-                        pending: k.pending,
-                        dequeues: k.dequeues,
-                    };
-                    seat.handle = Some(std::thread::spawn(move || worker_loop(ctx)));
-                }
-            }
-        }
-        if !live {
-            break;
-        }
-        std::thread::sleep(cfg.beat_interval);
-    }
-    recovery.incidents.sort_by_key(|i| (i.tick, i.session));
-    let mut outputs = Vec::with_capacity(seats.len());
-    let mut frozen = Vec::new();
-    for seat in seats {
-        outputs.push(
-            seat.agg
-                .expect("every seat drained before the watchdog exits"),
-        );
-        frozen.extend(seat.frozen);
-    }
-    WatchdogResult {
-        outputs,
-        frozen,
-        recovery,
-    }
-}
-
 /// A frozen server: the task, the scheme registry, every session's
 /// checkpoint (or tombstone) in id order, and the statistics
 /// accumulated before the freeze. Produced by
@@ -2347,9 +2053,8 @@ impl<T: VisionTask> ServerImage<T> {
 /// into the final one: histograms merge, counters add, outcome maps
 /// union (the post-thaw run wins on conflict — it saw the session
 /// last), and the degradation walk keeps the current incarnation's
-/// unless it had none. `per_worker`/`per_worker_frames` stay
-/// per-incarnation (the worker count may have changed across the
-/// restart).
+/// unless it had none. `per_worker` stays per-incarnation (the worker
+/// count may have changed across the restart).
 fn merge_carry(report: &mut DrainReport, carry: DrainReport) {
     report.latency.merge(&carry.latency);
     report.queue_wait.merge(&carry.queue_wait);

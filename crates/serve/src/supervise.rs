@@ -1,5 +1,5 @@
 //! Crash recovery: session checkpoints, the per-lane recovery ledger,
-//! worker heartbeats, and the supervisor's report types.
+//! and the recovery report types.
 //!
 //! A dead or wedged *worker* is the one fault the per-session isolation
 //! of [`SessionServer`][crate::SessionServer] cannot absorb: every
@@ -8,60 +8,52 @@
 //! the server runs a write-ahead recovery scheme on top of
 //! [`Session::snapshot`][euphrates_core::api::Session::snapshot]:
 //!
-//! * **Checkpoints.** Each worker keeps, per session, a
-//!   [`SessionCheckpoint`]-based ledger entry in a lane-shared store:
-//!   a full checkpoint refreshed every
+//! * **Checkpoints.** Each worker owns, per session, a
+//!   [`SessionCheckpoint`]-based ledger entry: a full checkpoint
+//!   refreshed every
 //!   [`checkpoint_every`][SuperviseConfig::checkpoint_every] arrivals,
 //!   plus the ordered **replay log** of every frame processed since.
 //!   Checkpoints land at deterministic arrival counts (multiples of the
 //!   cadence), so a session's replay distance at any fault point is a
 //!   pure function of its arrival index — worker-count independent.
-//! * **Heartbeats.** Workers pulse a logical beat counter around every
-//!   message (`Pulse`); the watchdog declares a worker dead either on
-//!   thread exit (a chaos kill, keyed on the same `counter_hash`
-//!   counters as every other fault) or on
-//!   [`missed_beats`][SuperviseConfig::missed_beats] consecutive polls
-//!   that find the worker *mid-message* with a frozen beat count — an
-//!   idle worker (even beat count, parked on its empty lane) is never
-//!   deposed.
-//! * **Resurrection.** The watchdog restores each ledgered session from
-//!   its checkpoint and replays the logged frames through the same
+//! * **Faults.** Worker kills and wedges are logical faults from the
+//!   seeded chaos plan: a kill fires on a session's arrival index, a
+//!   wedge on the worker's dequeue index. Either one costs the worker
+//!   its whole session table, exactly as a dead thread would.
+//! * **Resurrection.** The worker recovers in place, on its own thread:
+//!   it flushes its open batch window, records the
+//!   [`RecoveryIncident`], restores each ledgered session from its
+//!   checkpoint and replays the logged frames through the same
 //!   scheduling logic (rung walk included) to rebuild the exact
-//!   pre-fault state, then hands the rebuilt session table — plus the
-//!   dead worker's lane receiver and in-flight message — to a freshly
-//!   spawned successor. Replayed frames touch **no** counters: every
-//!   frame is counted once, by whichever worker incarnation completes
-//!   it. A session whose replay log outgrew
+//!   pre-fault state, then processes the faulting message. Replayed
+//!   frames touch **no** counters: every frame is counted once. A
+//!   session whose replay log outgrew
 //!   [`replay_budget`][SuperviseConfig::replay_budget] drains as
-//!   [`FailureKind::Unrecovered`][crate::FailureKind] with
-//!   the exact budget arithmetic in its error — it never silently
-//!   vanishes.
+//!   [`FailureKind::Unrecovered`][crate::FailureKind] with the exact
+//!   budget arithmetic in its error — it never silently vanishes.
 //!
 //! Everything the drained [`RecoveryReport`] states — the incident
 //! timeline, per-incident replay distance, and the MTTR — is in
-//! *logical ticks* (arrival indices), never wall-clock, so the chaos
-//! suite asserts bit-equal recovery timelines at 1 and 4 workers.
+//! *logical ticks* (arrival or dequeue indices), never wall-clock, so
+//! the chaos suite asserts bit-equal recovery timelines at 1 and 4
+//! workers.
 
 use crate::degrade::OverloadController;
 use crate::{FailureKind, SessionId};
 use euphrates_common::error::{Error, Result};
 use euphrates_core::api::{SessionCheckpoint, VisionTask};
 use euphrates_core::frontend::FrameData;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::Arc;
 
-/// Supervisor sizing: checkpoint cadence, replay budget, and watchdog
-/// timing.
+/// Supervisor sizing: checkpoint cadence and replay budget.
 ///
-/// The cadence/budget pair is a memory-vs-recoverability dial: the
-/// ledger holds up to `checkpoint_every + replay_budget` frames per
-/// session (`Arc`-shared with the producer, so "holds" costs one
-/// refcount, not a copy), and a session is recoverable whenever its
-/// replay log is within budget. A tight cadence shrinks both the log
-/// and the replay work per resurrection; a loose cadence amortizes the
-/// snapshot cost over more frames.
+/// The pair is a memory-vs-recoverability dial: the ledger holds up to
+/// `checkpoint_every + replay_budget` frames per session (`Arc`-shared
+/// with the producer, so "holds" costs one refcount, not a copy), and a
+/// session is recoverable whenever its replay log is within budget. A
+/// tight cadence shrinks both the log and the replay work per
+/// resurrection; a loose cadence amortizes the snapshot cost over more
+/// frames.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SuperviseConfig {
     /// Refresh a session's checkpoint every n-th arrival (the replay
@@ -70,7 +62,7 @@ pub struct SuperviseConfig {
     /// worker-count invariant.
     pub checkpoint_every: u64,
     /// Maximum post-checkpoint frames the ledger will replay. A worker
-    /// death that finds a session further than this from its checkpoint
+    /// fault that finds a session further than this from its checkpoint
     /// drains it as [`FailureKind::Unrecovered`][crate::FailureKind]
     /// (with the exact budget arithmetic in the error) instead of
     /// resurrecting from a log it refused to keep. A budget of at least
@@ -79,115 +71,37 @@ pub struct SuperviseConfig {
     /// unrecoverable band (`lag ∈ budget+1..checkpoint_every`) — the
     /// knob the recovery bench sweeps.
     pub replay_budget: u64,
-    /// How often the watchdog polls worker pulses (wall-clock by
-    /// nature; detection *latency* varies with the scheduler, but which
-    /// sessions recover — and every number in the
-    /// [`RecoveryReport`] — is logical).
-    pub beat_interval: Duration,
-    /// Consecutive stale mid-message polls before a worker is deposed.
-    pub missed_beats: u32,
 }
 
 impl Default for SuperviseConfig {
     fn default() -> Self {
-        SuperviseConfig {
-            checkpoint_every: 8,
-            replay_budget: 16,
-            beat_interval: Duration::from_millis(1),
-            missed_beats: 4,
-        }
+        SuperviseConfig::every(8, 16)
     }
 }
 
 impl SuperviseConfig {
-    /// A config with the given checkpoint cadence and replay budget,
-    /// default watchdog timing.
+    /// A config with the given checkpoint cadence and replay budget.
     pub fn every(checkpoint_every: u64, replay_budget: u64) -> Self {
         SuperviseConfig {
             checkpoint_every,
             replay_budget,
-            ..SuperviseConfig::default()
         }
-    }
-
-    /// Sets the watchdog poll interval and the stale-poll threshold.
-    pub fn with_watchdog(mut self, beat_interval: Duration, missed_beats: u32) -> Self {
-        self.beat_interval = beat_interval;
-        self.missed_beats = missed_beats;
-        self
     }
 
     /// Checks the configuration.
     ///
     /// # Errors
     ///
-    /// Rejects a zero checkpoint cadence and a zero watchdog interval
-    /// or beat threshold. An under-covering replay budget
-    /// (`< checkpoint_every - 1`) is *allowed*: it deterministically
-    /// makes some fault points unrecoverable, which is a legitimate
-    /// memory ceiling (and the reachable path to
+    /// Rejects a zero checkpoint cadence. An under-covering replay
+    /// budget (`< checkpoint_every - 1`) is *allowed*: it
+    /// deterministically makes some fault points unrecoverable, which
+    /// is a legitimate memory ceiling (and the reachable path to
     /// [`FailureKind::Unrecovered`][crate::FailureKind]).
     pub fn validate(&self) -> Result<()> {
         if self.checkpoint_every == 0 {
             return Err(Error::config("supervision checkpoint cadence must be >= 1"));
         }
-        if self.beat_interval.is_zero() {
-            return Err(Error::config("watchdog beat interval must be positive"));
-        }
-        if self.missed_beats == 0 {
-            return Err(Error::config("watchdog missed-beat threshold must be >= 1"));
-        }
         Ok(())
-    }
-}
-
-/// A worker's heartbeat: a monotonic logical beat counter bumped at
-/// message start and end, a busy flag marking the mid-message half, and
-/// the watchdog's deposal order.
-#[derive(Debug, Default)]
-pub(crate) struct Pulse {
-    beats: AtomicU64,
-    busy: AtomicBool,
-    deposed: AtomicBool,
-}
-
-impl Pulse {
-    /// Worker side: entering a message.
-    pub(crate) fn start(&self) {
-        self.busy.store(true, Ordering::Relaxed);
-        self.beats.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Worker side: finished a message.
-    pub(crate) fn finish(&self) {
-        self.busy.store(false, Ordering::Relaxed);
-        self.beats.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Watchdog side: one stale-detection sample.
-    pub(crate) fn sample(&self) -> (u64, bool) {
-        (
-            self.beats.load(Ordering::Relaxed),
-            self.busy.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Watchdog side: order the worker to step down at its next
-    /// progress point.
-    pub(crate) fn depose(&self) {
-        self.deposed.store(true, Ordering::Relaxed);
-    }
-
-    /// Worker side: has the watchdog given up on us?
-    pub(crate) fn is_deposed(&self) -> bool {
-        self.deposed.load(Ordering::Relaxed)
-    }
-
-    /// Watchdog side: clear the deposal before spawning a successor on
-    /// this seat.
-    pub(crate) fn reinstate(&self) {
-        self.busy.store(false, Ordering::Relaxed);
-        self.deposed.store(false, Ordering::Relaxed);
     }
 }
 
@@ -223,8 +137,8 @@ where
 /// One session's recovery ledger entry: its last checkpoint plus the
 /// write-ahead replay log, or the tombstone of an already-dead session
 /// (kept so a resurrection reproduces dead slots too — a late frame for
-/// a poisoned session must still count as dropped after a respawn).
-// Live dominates the store in any healthy run; boxing it would put an
+/// a poisoned session must still count as dropped after a recovery).
+// Live dominates the ledger in any healthy run; boxing it would put an
 // indirection on every checkpoint refresh and WAL append.
 #[allow(clippy::large_enum_variant)]
 pub(crate) enum Ledger<T: VisionTask> {
@@ -241,38 +155,30 @@ pub(crate) struct LiveLedger<T: VisionTask> {
     /// Arrivals since the checkpoint — kept separately so the budget
     /// arithmetic survives dropping an over-budget log.
     pub(crate) lag: u64,
-    /// The replay log outgrew the budget: a crash now drains this
+    /// The replay log outgrew the budget: a fault now drains this
     /// session as `Unrecovered` (the next checkpoint refresh clears the
     /// flag).
     pub(crate) lost: bool,
-    /// The arrival index of the last chaos kill this session triggered
-    /// — the fuse that stops the redelivered frame from re-firing the
-    /// same kill forever.
-    pub(crate) last_kill: Option<u64>,
 }
 
-/// The lane-shared ledger store: written by the lane's worker on every
-/// supervised message, read by the watchdog only after that worker is
-/// gone (so the mutex is effectively uncontended).
-pub(crate) type LedgerStore<T> = Arc<Mutex<HashMap<SessionId, Ledger<T>>>>;
-
-/// What killed a worker.
+/// What cost a worker its session table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IncidentKind {
-    /// The worker thread died mid-message (chaos `kill_every`, keyed on
-    /// the session's arrival index — worker-count invariant).
+    /// The worker died mid-message (chaos `kill_every`, keyed on the
+    /// session's arrival index — worker-count invariant).
     WorkerKill,
-    /// The watchdog deposed a wedged worker on missed heartbeats.
+    /// The worker wedged at a dequeue (chaos `wedge_every`, keyed on
+    /// the worker's dequeue index).
     Wedge,
 }
 
-/// One detected worker death and the resurrection that followed.
+/// One worker fault and the resurrection that followed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryIncident {
-    /// How the worker died.
+    /// How the worker failed.
     pub kind: IncidentKind,
     /// The session whose frame triggered the fault (for a wedge: the
-    /// session whose message was in flight, if any).
+    /// session whose message was dequeued).
     pub session: SessionId,
     /// The incident's logical tick: for a kill, the triggering
     /// session's arrival index (worker-count invariant); for a wedge,
@@ -288,46 +194,46 @@ pub struct RecoveryIncident {
 
 /// The recovery outcome of one server lifetime, part of
 /// [`DrainReport`][crate::DrainReport] whenever supervision is
-/// configured. Every number is logical — detections, respawns, replay
-/// distances — never wall-clock.
+/// configured. Every number is logical — detections, replay distances —
+/// never wall-clock.
 ///
-/// Two invariance classes: the *timeline* (`incidents`, `respawns`,
+/// Two invariance classes: the kill *timeline* (`incidents`,
 /// [`mttr_ticks`][Self::mttr_ticks]) is a pure function of the seeded
 /// chaos plan — identical at any worker count, because kill draws key
 /// on `(session, arrival)`. The *collateral* counters (`resurrected`,
 /// `replayed_frames`, `unrecovered`) additionally depend on session
-/// *placement*: a worker death rebuilds every session sharded onto that
+/// *placement*: a worker fault rebuilds every session sharded onto that
 /// worker, so one kill resurrects 8 co-resident sessions at 1 worker
 /// but only 2 at 4 workers, and an innocent co-resident session caught
 /// over its replay budget mid-checkpoint-window is collateral damage
-/// only where it actually shares the dying worker.
+/// only where it actually shares the faulting worker. Wedges key on
+/// per-worker dequeue indices, so a wedge timeline is placement-
+/// dependent too.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Every worker death, in `(tick, session)` order.
+    /// Every worker fault, in `(tick, session)` order.
     pub incidents: Vec<RecoveryIncident>,
-    /// Successor workers spawned (== incidents, unless drain raced).
-    pub respawns: u64,
     /// Sessions rebuilt live from checkpoint + replay (placement-
-    /// dependent: every session co-resident with a death is rebuilt).
+    /// dependent: every session co-resident with a fault is rebuilt).
     pub resurrected: u64,
     /// Frames replayed across all resurrections (counted here and only
     /// here — never in the frame/served counters).
     pub replayed_frames: u64,
     /// Sessions drained as
     /// [`FailureKind::Unrecovered`][crate::FailureKind] because their
-    /// replay log was over budget when their worker died.
+    /// replay log was over budget when their worker failed.
     pub unrecovered: u64,
 }
 
 impl RecoveryReport {
-    /// Worker deaths detected (thread exits plus deposals).
+    /// Worker faults recovered from (kills plus wedges).
     pub fn detections(&self) -> usize {
         self.incidents.len()
     }
 
     /// The deterministic mean-time-to-repair proxy: the worst
     /// per-incident replay distance, in logical ticks (frames replayed
-    /// to rebuild the triggering session). Zero when nothing died.
+    /// to rebuild the triggering session). Zero when nothing failed.
     pub fn mttr_ticks(&self) -> u64 {
         self.incidents
             .iter()
@@ -339,7 +245,6 @@ impl RecoveryReport {
     pub(crate) fn merge(&mut self, other: &RecoveryReport) {
         self.incidents.extend(other.incidents.iter().cloned());
         self.incidents.sort_by_key(|i| (i.tick, i.session));
-        self.respawns += other.respawns;
         self.resurrected += other.resurrected;
         self.replayed_frames += other.replayed_frames;
         self.unrecovered += other.unrecovered;
@@ -359,27 +264,6 @@ mod tests {
             "an under-covering budget is a memory ceiling, not an error"
         );
         assert!(SuperviseConfig::every(0, 4).validate().is_err());
-        let bad = SuperviseConfig::default().with_watchdog(Duration::ZERO, 4);
-        assert!(bad.validate().is_err());
-        let bad = SuperviseConfig::default().with_watchdog(Duration::from_millis(1), 0);
-        assert!(bad.validate().is_err());
-    }
-
-    #[test]
-    fn pulse_distinguishes_idle_from_wedged() {
-        let p = Pulse::default();
-        let (b0, busy0) = p.sample();
-        assert!(!busy0, "fresh pulse reads idle");
-        p.start();
-        let (b1, busy1) = p.sample();
-        assert!(busy1 && b1 == b0 + 1, "mid-message reads busy");
-        p.finish();
-        let (b2, busy2) = p.sample();
-        assert!(!busy2 && b2 == b0 + 2, "finished reads idle again");
-        p.depose();
-        assert!(p.is_deposed());
-        p.reinstate();
-        assert!(!p.is_deposed());
     }
 
     #[test]

@@ -207,11 +207,10 @@ fn serves_256_sessions_bit_identical_to_offline_evaluate() {
         assert_eq!(report.served, SESSIONS * 5);
         assert_eq!(report.latency.count(), report.served);
         assert_eq!(report.queue_wait.count(), report.frames);
-        // Every shard carried some of the load, and says so twice.
-        assert!(report.per_worker_frames.iter().all(|&f| f > 0));
+        // Every shard carried some of the load.
         assert_eq!(report.per_worker.len(), 4);
-        for (w, stats) in report.per_worker.iter().enumerate() {
-            assert_eq!(stats.frames, report.per_worker_frames[w]);
+        for stats in &report.per_worker {
+            assert!(stats.frames > 0);
             assert!(stats.occupancy() <= 1.0);
         }
         let mut inferences = 0u64;

@@ -2,7 +2,7 @@
 //! injection. The invariants:
 //!
 //! * worker kills are survivable — every killed worker is detected,
-//!   respawned, and its sessions resurrect from checkpoint + replay to
+//!   recovers in place, and its sessions resurrect from checkpoint + replay to
 //!   the *bit-identical* outcome a fault-free run produces;
 //! * the replay budget is a hard, typed boundary — a session whose
 //!   write-ahead log outgrew it drains as
@@ -10,8 +10,10 @@
 //!   error, never as a silently-wrong outcome;
 //! * recovery timelines are logical — incidents carry arrival ticks and
 //!   replay distances, identical at 1 and 4 workers, never wall-clock;
-//! * wedged workers (heartbeat frozen mid-message) are deposed and
-//!   respawned without losing a single frame;
+//! * wedged workers (a logical fault at a dequeue tick) recover in
+//!   place without losing a single frame;
+//! * every kill and wedge point of a small script recovers
+//!   bit-identically at 1, 2 and 4 workers;
 //! * freeze/thaw round-trips hundreds of concurrent sessions
 //!   bit-identically, including across a worker-count change.
 
@@ -27,7 +29,6 @@ use euphrates_serve::{
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 const RES: Resolution = Resolution::new(80, 60);
 
@@ -83,6 +84,11 @@ const FRAMES: u64 = 24;
 /// so every kill draw is a pure function of `(id, arrival)` and the
 /// recovery timeline must be identical at any worker count.
 fn calm_run(workers: usize, config: ServeConfig) -> DrainReport {
+    script_run(workers, config, SESSIONS, FRAMES)
+}
+
+/// [`calm_run`] over `sessions` sessions of `frames` frames each.
+fn script_run(workers: usize, config: ServeConfig, sessions: u64, frames: u64) -> DrainReport {
     let server = SessionServer::new(
         CalmTask,
         vec![SchemeSpec::new("ew4", BackendConfig::new(EwPolicy::Constant(4))).unwrap()],
@@ -90,15 +96,15 @@ fn calm_run(workers: usize, config: ServeConfig) -> DrainReport {
     )
     .unwrap();
     assert_eq!(config.workers, workers);
-    for id in 0..SESSIONS {
+    for id in 0..sessions {
         server.open(id, "ew4", RES).unwrap();
     }
-    for _ in 0..FRAMES {
-        for id in 0..SESSIONS {
+    for _ in 0..frames {
+        for id in 0..sessions {
             server.submit_blocking(id, frame_at(RES)).unwrap();
         }
     }
-    for id in 0..SESSIONS {
+    for id in 0..sessions {
         server.close(id).unwrap();
     }
     server.drain()
@@ -110,6 +116,40 @@ fn outcome_map(report: &DrainReport) -> BTreeMap<u64, String> {
         .map(|(id, outcome)| (*id, format!("{outcome:?}")))
         .collect()
 }
+
+/// A recovery timeline as `(tick, session, replay_lag)` triples, for
+/// pinning whole (each test asserts `kind` and `recovered` on its own).
+fn timeline(r: &RecoveryReport) -> Vec<(u64, u64, u64)> {
+    r.incidents
+        .iter()
+        .map(|i| (i.tick, i.session, i.replay_lag))
+        .collect()
+}
+
+/// `(frames, served, dropped, shed)` of a drain.
+fn counts(r: &DrainReport) -> (u64, u64, u64, u64) {
+    (r.frames, r.served, r.dropped, r.shed)
+}
+
+/// `(kills, wedges)` the chaos plan landed.
+fn faults(r: &DrainReport) -> (u64, u64) {
+    let c = r.chaos.as_ref().expect("chaos armed");
+    (c.kills, c.wedges)
+}
+
+/// Seed 21's kill timeline at rate 1/5 over [`calm_run`]'s script. The
+/// pinned figures in this suite were recorded when recovery still ran
+/// on a separate watchdog thread, so they show in-place recovery is
+/// bit-equal to it.
+#[rustfmt::skip]
+const KILL_TIMELINE: [(u64, u64, u64); 45] = [
+    (0, 0, 0), (0, 3, 0), (0, 5, 0), (1, 2, 1), (1, 4, 1), (1, 6, 1), (2, 1, 2), (2, 2, 2),
+    (3, 3, 3), (4, 1, 0), (5, 2, 1), (5, 6, 1), (6, 0, 2), (8, 5, 0), (8, 6, 0), (9, 0, 1),
+    (9, 1, 1), (9, 4, 1), (9, 7, 1), (11, 1, 3), (11, 3, 3), (12, 0, 0), (13, 4, 1), (14, 2, 2),
+    (14, 3, 2), (14, 4, 2), (14, 5, 2), (15, 2, 3), (16, 1, 0), (17, 0, 1), (17, 7, 1), (18, 1, 2),
+    (18, 2, 2), (18, 5, 2), (18, 6, 2), (19, 3, 3), (19, 6, 3), (20, 2, 0), (20, 4, 0), (20, 5, 0),
+    (21, 2, 1), (21, 3, 1), (22, 3, 2), (22, 4, 2), (23, 7, 3),
+];
 
 fn assert_exact_accounting(report: &DrainReport) {
     assert_eq!(
@@ -130,7 +170,7 @@ fn killed_config(workers: usize) -> ServeConfig {
         .with_supervision(
             // Budget 16 >= checkpoint cadence 4: every kill is within
             // replay distance, nothing may drain Unrecovered.
-            SuperviseConfig::every(4, 16).with_watchdog(Duration::from_millis(1), 4),
+            SuperviseConfig::every(4, 16),
         )
 }
 
@@ -168,10 +208,12 @@ fn worker_kills_recover_bit_identically_across_worker_counts() {
         "recovery timelines diverged across worker counts (logical ticks must not \
          depend on thread scheduling)"
     );
-    assert_eq!((r1.respawns, r1.unrecovered), (r4.respawns, r4.unrecovered));
+    assert_eq!(
+        (r1.detections(), r1.unrecovered),
+        (r4.detections(), r4.unrecovered)
+    );
     assert_eq!(r1.mttr_ticks(), r4.mttr_ticks());
     assert!(r1.detections() > 0, "seed 21 must land kills: {r1:?}");
-    assert_eq!(r1.respawns as usize, r1.detections());
     assert_eq!(r1.unrecovered, 0, "budget 16 covers cadence 4: {r1:?}");
     // Collateral-rebuild counters are placement-dependent: a 1-worker
     // death rebuilds all 8 sessions, a 4-worker death only its shard.
@@ -194,6 +236,20 @@ fn worker_kills_recover_bit_identically_across_worker_counts() {
     let kills = one.chaos.as_ref().expect("chaos armed").kills;
     assert_eq!(kills as usize, r1.detections());
     assert_eq!(four.chaos.as_ref().expect("chaos armed").kills, kills);
+
+    // Pinned bit-for-bit: the whole report at both worker counts.
+    assert_eq!(timeline(&r1), KILL_TIMELINE);
+    assert_eq!((faults(&one), faults(&four)), ((45, 0), (45, 0)));
+    assert_eq!(counts(&one), (192, 192, 0, 0));
+    assert_eq!(counts(&four), (192, 192, 0, 0));
+    assert_eq!(
+        (r1.resurrected, r1.replayed_frames, r1.unrecovered),
+        (360, 531, 0)
+    );
+    assert_eq!(
+        (r4.resurrected, r4.replayed_frames, r4.unrecovered),
+        (127, 185, 0)
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -207,7 +263,7 @@ fn starved_config(workers: usize) -> ServeConfig {
         .with_supervision(
             // Budget 2 under-covers cadence 8: kills at lag 3..=7 are
             // deliberately unrecoverable.
-            SuperviseConfig::every(8, 2).with_watchdog(Duration::from_millis(1), 4),
+            SuperviseConfig::every(8, 2),
         )
 }
 
@@ -275,19 +331,43 @@ fn over_budget_kills_drain_unrecovered_with_exact_reason() {
     for incident in &r1.incidents {
         assert_eq!(incident.recovered, incident.replay_lag <= 2, "{incident:?}");
     }
+
+    // Pinned bit-for-bit: the whole report at both worker counts.
+    assert!(r4
+        .incidents
+        .iter()
+        .all(|i| i.kind == IncidentKind::WorkerKill));
+    assert_eq!(timeline(&r1), KILL_TIMELINE[..9]);
+    #[rustfmt::skip]
+    let starved4 = [
+        (0, 0, 0), (0, 3, 0), (0, 5, 0), (1, 2, 1), (1, 4, 1), (1, 6, 1), (2, 1, 2), (2, 2, 2),
+        (3, 3, 3), (5, 2, 5), (8, 5, 0), (9, 4, 1), (13, 4, 5), (14, 5, 6),
+    ];
+    assert_eq!(timeline(&r4), starved4);
+    assert_eq!((faults(&one), faults(&four)), ((9, 0), (14, 0)));
+    assert_eq!(counts(&one), (192, 25, 167, 0));
+    assert_eq!(counts(&four), (192, 49, 143, 0));
+    assert_eq!(
+        (r1.resurrected, r1.replayed_frames, r1.unrecovered),
+        (61, 70, 8)
+    );
+    assert_eq!(
+        (r4.resurrected, r4.replayed_frames, r4.unrecovered),
+        (23, 25, 8)
+    );
 }
 
 // ---------------------------------------------------------------------------
-// Wedge: a worker whose heartbeat freezes mid-message is deposed and
-// respawned; the in-flight frame is redelivered, so nothing is lost.
+// Wedge: a worker stuck at a dequeue loses its session table, rebuilds
+// it in place, then processes the dequeued message, so nothing is lost.
 // ---------------------------------------------------------------------------
 
 #[test]
 fn wedged_worker_is_deposed_and_respawned_without_frame_loss() {
     let baseline = calm_run(1, ServeConfig::sized(1, 64));
     let config = ServeConfig::sized(1, 64)
-        .with_chaos(ChaosConfig::seeded(9).with_wedges(40, Duration::from_millis(20)))
-        .with_supervision(SuperviseConfig::every(4, 16).with_watchdog(Duration::from_millis(1), 3));
+        .with_chaos(ChaosConfig::seeded(9).with_wedges(40))
+        .with_supervision(SuperviseConfig::every(4, 16));
     let report = calm_run(1, config);
     assert_eq!(report.frames, SESSIONS * FRAMES);
     assert_exact_accounting(&report);
@@ -309,6 +389,60 @@ fn wedged_worker_is_deposed_and_respawned_without_frame_loss() {
         .all(|i| i.kind == IncidentKind::Wedge && i.recovered));
     let wedges = report.chaos.as_ref().expect("chaos armed").wedges;
     assert_eq!(wedges as usize, recovery.detections());
+
+    // Pinned bit-for-bit: the whole report.
+    assert_eq!(
+        timeline(recovery),
+        [(84, 4, 0), (128, 0, 0), (154, 2, 0), (197, 5, 0)]
+    );
+    assert_eq!(faults(&report), (0, 4));
+    assert_eq!(counts(&report), (192, 192, 0, 0));
+    assert_eq!((recovery.resurrected, recovery.replayed_frames), (32, 63));
+}
+
+// ---------------------------------------------------------------------------
+// Exhaustive fault points: a kill at every arrival and a wedge at every
+// dequeue of a 3-session × 4-frame script, at 1, 2 and 4 workers.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn every_kill_and_wedge_point_recovers_bit_identically() {
+    const SCRIPT_SESSIONS: u64 = 3;
+    const SCRIPT_FRAMES: u64 = 4;
+    // Opens, frames and closes: every message is one dequeue.
+    const DEQUEUES: u64 = SCRIPT_SESSIONS * (SCRIPT_FRAMES + 2);
+    let baseline = script_run(1, ServeConfig::sized(1, 64), SCRIPT_SESSIONS, SCRIPT_FRAMES);
+    let mut kill_timeline = None;
+    for workers in [1usize, 2, 4] {
+        let config = ServeConfig::sized(workers, 64)
+            .with_chaos(ChaosConfig::seeded(3).with_worker_kills(1).with_wedges(1))
+            // Budget 3 >= cadence 4 - 1: every fault point is covered.
+            .with_supervision(SuperviseConfig::every(4, 3));
+        let report = script_run(workers, config, SCRIPT_SESSIONS, SCRIPT_FRAMES);
+        assert_eq!(
+            outcome_map(&report),
+            outcome_map(&baseline),
+            "{workers} workers: a fault point changed an outcome"
+        );
+        assert_exact_accounting(&report);
+        assert_eq!(report.frames, SCRIPT_SESSIONS * SCRIPT_FRAMES);
+        assert_eq!(faults(&report), (SCRIPT_SESSIONS * SCRIPT_FRAMES, DEQUEUES));
+
+        let recovery = report.recovery.as_ref().expect("supervised run reports");
+        assert_eq!(recovery.unrecovered, 0, "{workers} workers: {recovery:?}");
+        assert!(recovery.incidents.iter().all(|i| i.recovered));
+        let (kills, wedges): (Vec<_>, Vec<_>) = recovery
+            .incidents
+            .iter()
+            .partition(|i| i.kind == IncidentKind::WorkerKill);
+        assert_eq!(kills.len() as u64, SCRIPT_SESSIONS * SCRIPT_FRAMES);
+        assert_eq!(wedges.len() as u64, DEQUEUES);
+        let kills: Vec<_> = kills.into_iter().cloned().collect();
+        match &kill_timeline {
+            None => kill_timeline = Some(kills),
+            Some(want) => assert_eq!(&kills, want, "{workers} workers: kill timeline moved"),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -340,7 +474,7 @@ fn supervision_without_faults_is_inert() {
 fn chaos_kills_without_supervision_are_rejected() {
     for chaos in [
         ChaosConfig::seeded(1).with_worker_kills(8),
-        ChaosConfig::seeded(1).with_wedges(8, Duration::from_millis(1)),
+        ChaosConfig::seeded(1).with_wedges(8),
     ] {
         let err = SessionServer::new(
             CalmTask,

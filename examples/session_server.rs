@@ -10,11 +10,11 @@
 //! *what* it computes.
 //!
 //! Act two replays the same streams under seeded worker-kill chaos with
-//! supervision armed: dead workers are detected by heartbeat, respawned,
-//! and their sessions resurrected from the last checkpoint plus a
-//! bounded replay log — the drained outcomes *still* bit-match the
-//! offline runs, and the `RecoveryReport` shows the incident timeline
-//! in logical ticks.
+//! supervision armed: each kill costs its worker the whole session
+//! table, and the worker rebuilds it in place from the last checkpoints
+//! plus a bounded replay log — the drained outcomes *still* bit-match
+//! the offline runs, and the `RecoveryReport` shows the incident
+//! timeline in logical ticks.
 //!
 //! ```text
 //! cargo run --release --example session_server
@@ -161,13 +161,13 @@ fn main() -> euphrates::common::Result<()> {
 
     // Act two: the same streams, but workers are killed out from under
     // them (seeded chaos, ~1 kill per 8 arrivals per session) with
-    // supervision armed: checkpoint every 4 arrivals, replay budget 16,
-    // 1 ms heartbeat watchdog. The supervisor respawns dead workers and
-    // resurrects their sessions from checkpoint + replay.
+    // supervision armed: checkpoint every 4 arrivals, replay budget 16.
+    // A killed worker resurrects its sessions in place from checkpoint
+    // + replay, then carries on with the frame it was killed on.
     println!("\n-- crash recovery under worker-kill chaos --");
     let config = ServeConfig::sized(2, 16)
         .with_chaos(ChaosConfig::seeded(13).with_worker_kills(8))
-        .with_supervision(SuperviseConfig::every(4, 16).with_watchdog(Duration::from_millis(1), 4));
+        .with_supervision(SuperviseConfig::every(4, 16));
     let server = SessionServer::new(
         TrackerTask::new(calib::mdnet()),
         vec![
@@ -186,10 +186,9 @@ fn main() -> euphrates::common::Result<()> {
     let report = server.drain();
     let recovery = report.recovery.as_ref().expect("supervision armed");
     println!(
-        "{} worker deaths detected, {} respawned, {} sessions resurrected, \
+        "{} worker kills recovered, {} sessions resurrected, \
          {} frames replayed, {} unrecovered, MTTR {} logical ticks",
         recovery.detections(),
-        recovery.respawns,
         recovery.resurrected,
         recovery.replayed_frames,
         recovery.unrecovered,

@@ -156,9 +156,9 @@
 //! session ([`Session::snapshot`][core::api::Session::snapshot] /
 //! [`restore`][core::api::Session::restore], property-tested
 //! bit-identical at any cut in `crates/core/tests/checkpoint.rs`) on a
-//! fixed arrival cadence and keeps a bounded replay log; a heartbeat
-//! watchdog detects dead or wedged workers, respawns them, and
-//! resurrects their sessions from checkpoint + replay — drained
+//! fixed arrival cadence and keeps a bounded replay log; a worker hit
+//! by a chaos kill or wedge loses its session table and rebuilds it in
+//! place, on its own thread, from checkpoint + replay — drained
 //! outcomes stay bit-identical to the offline run, and sessions past
 //! the replay budget drain as
 //! [`FailureKind::Unrecovered`][serve::FailureKind] with the exact lag
