@@ -2,8 +2,7 @@
 //! performance claims of the motion-engine refactor:
 //!
 //! 1. the optimized SAD kernel (row slices, early exit, u32-chunked
-//!    accumulation) and the intra-frame macroblock parallelism of
-//!    `BlockMatcher::estimate_parallel`;
+//!    accumulation);
 //! 2. the grid-flattened `Scenario::evaluate` — *(sequence × scheme)*
 //!    work units over a shared `PreparedCache` — against the old
 //!    per-sequence path (prepare, then run every scheme serially),
@@ -226,12 +225,6 @@ fn bench_sad_kernel(c: &mut Criterion) {
             b.iter(|| black_box(m.estimate(&cur, &prev).unwrap()))
         });
     }
-    let tss = BlockMatcher::new(16, 7, SearchStrategy::ThreeStep).unwrap();
-    let threads = euphrates_core::eval::default_threads();
-    g.bench_function("three-step-parallel", |b| {
-        b.iter(|| black_box(tss.estimate_parallel(&cur, &prev, threads).unwrap()))
-    });
-
     // Headline 1: the SWAR kernel vs the pre-SWAR scalar kernel, same
     // exhaustive search. Bit-identity is asserted outright; the speedup
     // contract (≥1.5× at VGA) is asserted on the median of 5 paired
@@ -327,7 +320,7 @@ fn bench_sad_prefilter(_c: &mut Criterion) {
     );
 
     // Two consecutive σ=2 noisy VGA frames from the dataset generator —
-    // the same content `bench_render` records.
+    // the kind of content the `otb_sweep` benchmark workload searches.
     let mut suite = euphrates_datasets::otb100_like(42, DatasetScale::fraction(0.05));
     let seq = suite.remove(0);
     let mut renderer = seq.scene.renderer();

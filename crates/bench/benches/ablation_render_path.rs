@@ -310,7 +310,7 @@ fn new_prepare_frames(
     sum
 }
 
-fn bench_render_matrix(c: &mut Criterion) {
+fn bench_scanline_matrix(c: &mut Criterion) {
     euphrates_bench::announce(
         "ablation: scanline renderer vs pre-refactor per-pixel path",
         "frame-production hot path (motivation for §5.2's 60 FPS budget)",
@@ -647,7 +647,7 @@ fn bench_lane_hash_noise(_c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_render_matrix,
+    bench_scanline_matrix,
     bench_noise_models,
     bench_lane_hash_noise,
     bench_prepare_sequence

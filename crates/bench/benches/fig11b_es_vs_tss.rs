@@ -1,7 +1,7 @@
 //! Fig. 11b — search-strategy sweep. The paper compares exhaustive
 //! search against the three-step search (success rates nearly identical,
-//! 9× less arithmetic); the pluggable `MotionSearch` engine extends the
-//! comparison to diamond and two-level hierarchical search, reporting
+//! 9× less arithmetic); this sweep extends the comparison to the other
+//! two built-in walks, diamond and two-level hierarchical search, reporting
 //! accuracy, *measured* probes (not just the cost model), and wall-clock
 //! per estimated frame for each strategy.
 //!

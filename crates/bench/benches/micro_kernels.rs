@@ -27,11 +27,6 @@ fn bench_block_matching(c: &mut Criterion) {
             b.iter(|| black_box(m.estimate(&cur, &prev).unwrap()))
         });
     }
-    let tss = BlockMatcher::new(16, 7, SearchStrategy::ThreeStep).unwrap();
-    let threads = euphrates_core::eval::default_threads();
-    g.bench_function("three-step-parallel", |b| {
-        b.iter(|| black_box(tss.estimate_parallel(&cur, &prev, threads).unwrap()))
-    });
     g.finish();
 }
 

@@ -1,13 +1,13 @@
 //! # euphrates-bench
 //!
 //! The experiment harness: one bench target per table/figure of the
-//! Euphrates paper, plus the ablations called out in `DESIGN.md`.
+//! Euphrates paper, plus ablations of the reproduction's design choices.
 //!
 //! Run everything with `cargo bench`, or a single experiment with
 //! `cargo bench -p euphrates-bench --bench fig09a_detection_precision`.
 //!
 //! Every experiment prints paper-reference values next to the measured
-//! ones; `EXPERIMENTS.md` archives a full run.
+//! ones.
 //!
 //! The dataset scale is controlled by `EUPHRATES_SCALE` (0–1). The
 //! default, [`DEFAULT_SCALE`], keeps the full `cargo bench` suite around

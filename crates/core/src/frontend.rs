@@ -50,11 +50,8 @@ pub struct MotionConfig {
     /// search, which the Fig. 11b sweep pins within 0.008 success rate
     /// of exhaustive search at a fraction of the probes (the paper's
     /// modelled ISP stage, TSS, remains selectable as
-    /// [`SearchStrategy::ThreeStep`]). Any
-    /// [`MotionSearch`][euphrates_isp::motion::MotionSearch] engine
-    /// registered via
-    /// [`register_search`][euphrates_isp::motion::register_search] can be
-    /// named here with [`SearchStrategy::Custom`].
+    /// [`SearchStrategy::ThreeStep`]), as do exhaustive and diamond
+    /// search.
     pub strategy: SearchStrategy,
     /// Run the full sensor + ISP pipeline instead of the fast luma path.
     pub full_isp: bool,
@@ -64,9 +61,9 @@ pub struct MotionConfig {
     /// (each frame's table is built exactly once and travels through
     /// the swap). Motion fields are bit-identical either way; the
     /// prefilter trades bound arithmetic for candidate evaluations, so
-    /// it pays when evaluation is expensive (custom engines, hardware
-    /// models) and stays off by default on the SWAR host kernel — see
-    /// the `euphrates-isp` module docs for the measured trade.
+    /// it pays when evaluation is expensive (hardware models) and stays
+    /// off by default on the SWAR host kernel — see the `euphrates-isp`
+    /// module docs for the measured trade.
     pub prefilter: bool,
 }
 

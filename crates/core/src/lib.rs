@@ -11,11 +11,9 @@
 //!   memory), eagerly by [`prepare_sequence`], and shared across an
 //!   evaluation grid by
 //!   [`PreparedCache`]. Which search explores the block-matching window
-//!   is pluggable: [`MotionConfig::strategy`] names any
-//!   [`MotionSearch`][euphrates_isp::motion::MotionSearch] engine —
-//!   exhaustive, three-step, diamond, two-level hierarchical, or one
-//!   registered at runtime via
-//!   [`register_search`][euphrates_isp::motion::register_search].
+//!   is a knob: [`MotionConfig::strategy`] names one of the four
+//!   built-in walks — exhaustive, three-step, diamond, or two-level
+//!   hierarchical.
 //! * [`backend`] — shared backend machinery: EW scheduling, the ROI
 //!   extrapolation step (reference or fixed-point datapath), MC cycle
 //!   accounting.
@@ -67,7 +65,7 @@
 //! frames as they arrive. The frames themselves stream too —
 //! [`frame_source`] renders and motion-estimates lazily, so nothing
 //! materializes a whole sequence, and per-frame results bit-match the
-//! offline path above. Pick any search engine through
+//! offline path above. Pick the search walk through
 //! [`MotionConfig::strategy`].
 //!
 //! ```
@@ -78,7 +76,7 @@
 //! suite.truncate(1);
 //! suite[0].frames = 12;
 //! let motion = MotionConfig {
-//!     strategy: SearchStrategy::Diamond, // or Hierarchical, or Custom(...)
+//!     strategy: SearchStrategy::Diamond, // or Exhaustive, ThreeStep, Hierarchical
 //!     ..MotionConfig::default()
 //! };
 //!

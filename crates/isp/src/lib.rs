@@ -10,10 +10,9 @@
 //! * **Functional** — [`pipeline::IspPipeline`] turns RAW Bayer frames into
 //!   RGB frames and, per frame, a [`motion::MotionField`]: one motion
 //!   vector, SAD, and confidence (Equ. 2) per macroblock, computed by a
-//!   real [`motion::BlockMatcher`] driving a pluggable
-//!   [`motion::MotionSearch`] engine (exhaustive, three-step, diamond,
-//!   two-level hierarchical, or anything installed via
-//!   [`motion::register_search`]).
+//!   real [`motion::BlockMatcher`] driving one of four
+//!   [`motion::SearchStrategy`] walks (exhaustive, three-step, diamond,
+//!   or two-level hierarchical).
 //! * **Architectural** — [`linebuffer::TdSramModel`] models the
 //!   temporal-denoise SRAM with single vs. double buffering (the §4.2
 //!   design choice that keeps MV write-back off the ISP critical path),
@@ -41,7 +40,7 @@
 //!   abandons losing candidates after a row or two (~40 % fewer
 //!   absolute-difference ops at VGA, identical fields).
 //! * **Pyramid caching** — strategies that want the 2×-downsampled
-//!   level ([`motion::MotionSearch::wants_pyramid`]) can be fed
+//!   level ([`motion::BlockMatcher::wants_pyramid`]) can be fed
 //!   caller-cached planes via
 //!   [`motion::BlockMatcher::estimate_with_pyramid`]; the streaming
 //!   frontend in `euphrates-core` builds each frame's coarse plane
@@ -83,8 +82,7 @@ pub mod raw_motion;
 pub mod stages;
 
 pub use motion::{
-    register_search, BlockMatcher, CachedPlanes, MotionField, MotionSearch, MotionVector,
-    RowPrefix, SearchCtx, SearchStats, SearchStrategy,
+    BlockMatcher, CachedPlanes, MotionField, MotionVector, RowPrefix, SearchStats, SearchStrategy,
 };
 pub use pipeline::{IspOutput, IspPipeline};
 pub use predictive::PredictiveBlockMatcher;

@@ -12,8 +12,8 @@
 //! * [`engine`] — the NNX IP wrapper: job interface, busy/idle state, and
 //!   the calibrated 651 mW / 1.77 TOPS/W power model.
 //! * [`oracle`] — functional accuracy models substituting for trained
-//!   weights (see `DESIGN.md` §2 for why this preserves the paper's
-//!   experiments); calibrated per network in [`oracle::calib`].
+//!   weights (the [`oracle`] module docs say why this preserves the
+//!   paper's experiments); calibrated per network in [`oracle::calib`].
 //! * [`classic`] — Haar/HOG sliding-window cost models for Fig. 1.
 //!
 //! ## Example

@@ -519,7 +519,7 @@ mod tests {
         assert!(ty > 1.5 * yv2, "tiny {ty} vs yolo {yv2}");
         // The paper's Fig. 9b shows Tiny YOLO just below real time; our
         // model puts it marginally above (62–67 FPS) — within modeling
-        // error of the 60 FPS boundary, recorded in EXPERIMENTS.md.
+        // error of the 60 FPS boundary.
         assert!(ty < 70.0, "tiny yolo fps {ty}");
     }
 

@@ -3,7 +3,7 @@
 //!
 //! Input resolutions are chosen so that each network's per-frame cost
 //! matches the paper's Table 2 GOPS-at-60-FPS figures (within a few
-//! percent); the deviations are recorded in `EXPERIMENTS.md`.
+//! percent); the `*_matches_table2_gops` tests pin each within ±10 %.
 //!
 //! * [`yolov2`] — Darknet-19 backbone + passthrough + detection head at
 //!   576×576 (≈ 3.39 TOPS at 60 FPS vs. the paper's 3.423).

@@ -134,8 +134,10 @@
 //! ticks) but frequent snapshot work; a loose cadence amortizes
 //! snapshots but lengthens replays — and a `replay_budget` below
 //! `checkpoint_every - 1` deliberately caps the memory by making the
-//! tail of each checkpoint interval unrecoverable. `bench_serve`
-//! sweeps exactly this grid.
+//! tail of each checkpoint interval unrecoverable. The supervise suite
+//! (`tests/supervise.rs`) pins both sides: budget 16 over cadence 4
+//! recovers every kill, budget 2 under cadence 8 strands sessions as
+//! typed `Unrecovered` drains.
 //!
 //! The whole server also restarts warm: [`SessionServer::freeze`]
 //! flushes every live session to a checkpoint inside a

@@ -67,28 +67,25 @@
 //! workload in ~1.25 ms/frame single-core (the noise stage itself
 //! ~1 ms) under a *statistical* contract (moments/tails/independence)
 //! plus recorded determinism digests (see the "Performance notes" in
-//! [`camera`] for the renderer's guarantees and `BENCH_render.json`
-//! for the recorded per-frame timings).
-//! Motion estimation itself is pluggable: `MotionConfig::strategy`
-//! selects exhaustive, three-step, diamond, or two-level hierarchical
-//! search — or any custom
-//! [`MotionSearch`][isp::motion::MotionSearch] engine installed with
-//! [`register_search`][isp::motion::register_search]. The evaluated
-//! default is the pyramid-cached hierarchical search (within 0.008
-//! success rate of exhaustive at ~27 probes/block, asserted by the
-//! Fig. 11b sweep), the SAD kernel is a SWAR micro-kernel the
-//! compiler lowers to hardware SAD instructions, and the streaming
-//! front-end caches each frame's pyramid level alongside the frame.
-//! An opt-in SAD lower-bound prefilter (`MotionConfig::prefilter` /
-//! `BlockMatcher::with_prefilter`) eliminates most candidates before
-//! any pixel loads with bit-identical fields — its value is the
-//! operation-count cut (~4.8× fewer SAD ops for exhaustive search on
-//! noisy frames, ~1.55× hierarchical), the quantity that models a
-//! hardware ISP. Current floors on the 1-core container: streaming
-//! preparation ~2.6 ms/frame, the 12-frame tracking evaluate ~31 ms,
-//! cold renderer construction ~6.7 ms (re-opening a known background
-//! is a ~0.04 ms memo hit) — all in `BENCH_render.json`, schema 5;
-//! full-suite OTB-scale sweeps are recorded in `BENCH_scaleout.json`:
+//! [`camera`] for the renderer's guarantees).
+//! Motion estimation is a knob: `MotionConfig::strategy` selects
+//! exhaustive, three-step, diamond, or two-level hierarchical search.
+//! The evaluated default is the pyramid-cached hierarchical search
+//! (within 0.008 success rate of exhaustive at ~27 probes/block,
+//! asserted by the Fig. 11b sweep), the SAD kernel is a SWAR
+//! micro-kernel the compiler lowers to hardware SAD instructions, and
+//! the streaming front-end caches each frame's pyramid level alongside
+//! the frame. An opt-in SAD lower-bound prefilter
+//! (`MotionConfig::prefilter` / `BlockMatcher::with_prefilter`)
+//! eliminates most candidates before any pixel loads with bit-identical
+//! fields — its value is the operation-count cut (~4.8× fewer SAD ops
+//! for exhaustive search on noisy frames, ~1.55× hierarchical), the
+//! quantity that models a hardware ISP. The `perfbench/` benchmark
+//! measures the whole frame pipeline end to end — host time per frame,
+//! SoC energy per frame and accuracy at 0.5 IoU — with a per-layer
+//! ledger under `--trace 1`; on a 2-vCPU x86-64 host its `otb_sweep`
+//! workload (the tracking sweep over the OTB-like suite) runs
+//! ~3–4 ms/frame. A session consumes the same frames one at a time:
 //!
 //! ```no_run
 //! use euphrates::core::prelude::*;
@@ -125,11 +122,9 @@
 //! submit→completion and queue-wait histograms (p50/p95/p99 via
 //! [`LatencyHistogram`][common::stats::LatencyHistogram]), per-worker
 //! occupancy, ingress park/wake counters, and the realized batch
-//! amortization ratio. The recorded serving trajectory lives in
-//! `BENCH_serve.json` (schema 4: 1- and 4-worker rows, batched and
-//! unbatched, nominal-vs-degraded overload rows, plus a crash-recovery
-//! grid sweeping kill cadence × checkpoint cadence);
-//! `examples/session_server.rs` is the runnable tour.
+//! amortization ratio. The `serve_open_loop` workload of the
+//! `perfbench/` benchmark measures serving capacity and open-loop
+//! latency; `examples/session_server.rs` is the runnable tour.
 //!
 //! Under overload the server degrades gracefully instead of queueing
 //! without bound: an [`SloConfig`][serve::SloConfig] arms an

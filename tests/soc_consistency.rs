@@ -109,7 +109,7 @@ fn paper_headline_detection_results_hold() {
 #[test]
 fn tracking_headline_results_hold() {
     // §6.2: 21% SoC energy saving at EW-2 without dropping 60 FPS (we
-    // land within a few points; see EXPERIMENTS.md).
+    // land within a few points; the band below pins how many).
     let system = SystemModel::table1();
     let base = system
         .evaluate(&zoo::mdnet(), 1.0, ExtrapolationExecutor::MotionController)
