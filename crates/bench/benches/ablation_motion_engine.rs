@@ -1,299 +1,27 @@
-//! Ablation — the refactored frame front-end. Quantifies the two
-//! performance claims of the motion-engine refactor:
+//! Ablation — the motion-search front-end's shipped cost knobs.
 //!
-//! 1. the optimized SAD kernel (row slices, early exit, u32-chunked
-//!    accumulation);
-//! 2. the grid-flattened `Scenario::evaluate` — *(sequence × scheme)*
-//!    work units over a shared `PreparedCache` — against the old
-//!    per-sequence path (prepare, then run every scheme serially),
-//!    reconstructed here from the same public APIs.
+//! 1. `bench_sad_prefilter`: the opt-in SAD lower-bound prefilter on
+//!    noisy rendered frames, asserted on deterministic operation counts
+//!    with wall-clock printed for context — the host evidence behind
+//!    the prefilter's default-off setting in `euphrates_isp::motion`.
+//! 2. `bench_streaming_source`: eager `prepare_sequence` + `run_task`
+//!    against the streaming `frame_source` + `run_stream` path.
 //!
-//! Both comparisons run under compat-criterion so `cargo bench -p
-//! euphrates-bench --bench ablation_motion_engine` reports min/mean/max
-//! wall-clock; the driver then prints the measured speedup of the new
-//! evaluation path on a multi-scheme scenario.
+//! Kernel and walk correctness are pinned by tests, not here:
+//! `crates/isp/tests/search_properties.rs` checks the SWAR SAD kernel
+//! against a scalar per-pixel reference
+//! (`swar_sad_kernel_bit_matches_scalar_reference`) and pyramid caching
+//! against per-call pyramids; `crates/core/tests/api.rs` checks that the
+//! grid evaluation and the streaming path bit-match the offline ones.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use euphrates_bench::textured_luma;
-use euphrates_common::geom::Vec2i;
-use euphrates_common::image::{downsample2, LumaFrame};
+use euphrates_common::image::LumaFrame;
 use euphrates_core::prelude::*;
-use euphrates_core::{frame_source, parallel_map, run_stream};
-use euphrates_isp::motion::{BlockMatcher, MotionField, MotionVector};
+use euphrates_core::{frame_source, run_stream};
+use euphrates_isp::motion::BlockMatcher;
 use euphrates_nn::oracle::calib;
 use std::hint::black_box;
 use std::time::Instant;
-
-/// The pre-refactor SAD search, reconstructed faithfully as a reference:
-/// full SAD for every candidate (no early exit, no u32-chunked
-/// accumulation), with the old code's row-slice fast path for in-bounds
-/// references, per-pixel clamped fallback, and the old tie-break (lower
-/// SAD, then shorter vector) — exactly the shape of the old
-/// `BlockMatcher::search_exhaustive` + `sad_block`, so its motion fields
-/// are bit-identical to the new engine's.
-fn naive_estimate(cur: &LumaFrame, prev: &LumaFrame, d: i32, mb: u32) -> MotionField {
-    let naive_sad = |x0: u32, y0: u32, bw: u32, bh: u32, vx: i32, vy: i32| -> u32 {
-        let rx = i64::from(x0) - i64::from(vx);
-        let ry = i64::from(y0) - i64::from(vy);
-        let in_bounds = rx >= 0
-            && ry >= 0
-            && rx + i64::from(bw) <= i64::from(prev.width())
-            && ry + i64::from(bh) <= i64::from(prev.height());
-        let mut sad = 0u32;
-        if in_bounds {
-            let (rx, ry) = (rx as u32, ry as u32);
-            for row in 0..bh {
-                let a = &cur.row(y0 + row)[x0 as usize..(x0 + bw) as usize];
-                let b = &prev.row(ry + row)[rx as usize..(rx + bw) as usize];
-                for (pa, pb) in a.iter().zip(b) {
-                    sad += u32::from(pa.abs_diff(*pb));
-                }
-            }
-        } else {
-            for row in 0..bh {
-                for col in 0..bw {
-                    let a = cur.at(x0 + col, y0 + row);
-                    let b = prev.at_clamped(rx + i64::from(col), ry + i64::from(row));
-                    sad += u32::from(a.abs_diff(b));
-                }
-            }
-        }
-        sad
-    };
-    let res = euphrates_common::image::Resolution::new(cur.width(), cur.height());
-    let mut field = MotionField::zeroed(res, mb, d as u32).unwrap();
-    for by in 0..field.blocks_y() {
-        for bx in 0..field.blocks_x() {
-            let x0 = bx * mb;
-            let y0 = by * mb;
-            let bw = (cur.width() - x0).min(mb);
-            let bh = (cur.height() - y0).min(mb);
-            let mut best = MotionVector {
-                v: Vec2i::ZERO,
-                sad: naive_sad(x0, y0, bw, bh, 0, 0),
-            };
-            for vy in -d..=d {
-                for vx in -d..=d {
-                    if vx == 0 && vy == 0 {
-                        continue;
-                    }
-                    let sad = naive_sad(x0, y0, bw, bh, vx, vy);
-                    let v = Vec2i::new(vx as i16, vy as i16);
-                    if sad < best.sad || (sad == best.sad && v.norm_sq() < best.v.norm_sq()) {
-                        best = MotionVector { v, sad };
-                    }
-                }
-            }
-            field.set_block(bx, by, best);
-        }
-    }
-    field
-}
-
-/// The pre-SWAR scalar kernel (PR 2's shape, faithful): `row()`-sliced
-/// rows, byte-at-a-time u32-chunked accumulation, per-row early exit
-/// against the incumbent, zero seed first, row-major window walk with
-/// the (SAD, |v|²) first-wins tie-break. The SWAR kernel's results must
-/// be bit-identical to this (the total-order tie-break picks exactly
-/// the row-major walk's winner) — and ≥1.5× faster on VGA exhaustive
-/// search.
-fn scalar_row_sad(a: &[u8], b: &[u8]) -> u32 {
-    let mut sum = 0u32;
-    let mut ca = a.chunks_exact(8);
-    let mut cb = b.chunks_exact(8);
-    for (pa, pb) in ca.by_ref().zip(cb.by_ref()) {
-        let mut chunk = 0u32;
-        for k in 0..8 {
-            chunk += u32::from(pa[k].abs_diff(pb[k]));
-        }
-        sum += chunk;
-    }
-    for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
-        sum += u32::from(x.abs_diff(*y));
-    }
-    sum
-}
-
-#[allow(clippy::too_many_arguments)]
-fn scalar_sad_block(
-    cur: &LumaFrame,
-    prev: &LumaFrame,
-    x0: u32,
-    y0: u32,
-    bw: u32,
-    bh: u32,
-    vx: i32,
-    vy: i32,
-    limit: u32,
-) -> u32 {
-    let rx = i64::from(x0) - i64::from(vx);
-    let ry = i64::from(y0) - i64::from(vy);
-    let w = i64::from(prev.width());
-    let h = i64::from(prev.height());
-    let in_bounds = rx >= 0 && ry >= 0 && rx + i64::from(bw) <= w && ry + i64::from(bh) <= h;
-    let mut sad = 0u32;
-    if in_bounds {
-        let (rx, ry) = (rx as u32, ry as u32);
-        for row in 0..bh {
-            let a = &cur.row(y0 + row)[x0 as usize..(x0 + bw) as usize];
-            let b = &prev.row(ry + row)[rx as usize..(rx + bw) as usize];
-            sad += scalar_row_sad(a, b);
-            if sad > limit {
-                return sad;
-            }
-        }
-        return sad;
-    }
-    let lo = (-rx).clamp(0, i64::from(bw)) as u32;
-    let hi = (w - rx).clamp(i64::from(lo), i64::from(bw)) as u32;
-    for row in 0..bh {
-        let a = &cur.row(y0 + row)[x0 as usize..(x0 + bw) as usize];
-        let ry_c = (ry + i64::from(row)).clamp(0, h - 1) as u32;
-        let b = prev.row(ry_c);
-        let mut row_total = 0u32;
-        if lo > 0 {
-            let left = b[0];
-            for &pa in &a[..lo as usize] {
-                row_total += u32::from(pa.abs_diff(left));
-            }
-        }
-        if hi > lo {
-            let bx0 = (rx + i64::from(lo)) as usize;
-            row_total += scalar_row_sad(
-                &a[lo as usize..hi as usize],
-                &b[bx0..bx0 + (hi - lo) as usize],
-            );
-        }
-        if hi < bw {
-            let right = b[b.len() - 1];
-            for &pa in &a[hi as usize..] {
-                row_total += u32::from(pa.abs_diff(right));
-            }
-        }
-        sad += row_total;
-        if sad > limit {
-            return sad;
-        }
-    }
-    sad
-}
-
-/// Exhaustive search driven by the scalar kernel (row-major walk,
-/// first-wins tie-break — the pre-SWAR engine's exact behaviour).
-fn scalar_estimate(cur: &LumaFrame, prev: &LumaFrame, d: i32, mb: u32) -> MotionField {
-    let res = euphrates_common::image::Resolution::new(cur.width(), cur.height());
-    let mut field = MotionField::zeroed(res, mb, d as u32).unwrap();
-    for by in 0..field.blocks_y() {
-        for bx in 0..field.blocks_x() {
-            let x0 = bx * mb;
-            let y0 = by * mb;
-            let bw = (cur.width() - x0).min(mb);
-            let bh = (cur.height() - y0).min(mb);
-            let mut best = MotionVector {
-                v: Vec2i::ZERO,
-                sad: scalar_sad_block(cur, prev, x0, y0, bw, bh, 0, 0, u32::MAX),
-            };
-            for vy in -d..=d {
-                for vx in -d..=d {
-                    if vx == 0 && vy == 0 {
-                        continue;
-                    }
-                    let sad = scalar_sad_block(cur, prev, x0, y0, bw, bh, vx, vy, best.sad);
-                    let v = Vec2i::new(vx as i16, vy as i16);
-                    if sad < best.sad || (sad == best.sad && v.norm_sq() < best.v.norm_sq()) {
-                        best = MotionVector { v, sad };
-                    }
-                }
-            }
-            field.set_block(bx, by, best);
-        }
-    }
-    field
-}
-
-fn bench_sad_kernel(c: &mut Criterion) {
-    let prev = textured_luma(640, 480, 1, 0);
-    let cur = textured_luma(640, 480, 1, 4);
-    let mut g = c.benchmark_group("motion_engine_vga");
-    g.sample_size(10);
-    g.bench_function("exhaustive-naive-kernel", |b| {
-        b.iter(|| black_box(naive_estimate(&cur, &prev, 7, 16)))
-    });
-    for strategy in SearchStrategy::BUILTIN {
-        let m = BlockMatcher::new(16, 7, strategy).unwrap();
-        g.bench_function(strategy.name(), |b| {
-            b.iter(|| black_box(m.estimate(&cur, &prev).unwrap()))
-        });
-    }
-    // Headline 1: the SWAR kernel vs the pre-SWAR scalar kernel, same
-    // exhaustive search. Bit-identity is asserted outright; the speedup
-    // contract (≥1.5× at VGA) is asserted on the median of 5 paired
-    // runs so one scheduler hiccup cannot flip the verdict.
-    let es = BlockMatcher::new(16, 7, SearchStrategy::Exhaustive).unwrap();
-    let scalar_field = scalar_estimate(&cur, &prev, 7, 16);
-    let swar_field = es.estimate(&cur, &prev).unwrap();
-    assert_eq!(
-        scalar_field, swar_field,
-        "SWAR kernel must be bit-identical to the scalar kernel"
-    );
-    let mut ratios: Vec<f64> = (0..5)
-        .map(|_| {
-            let t0 = Instant::now();
-            black_box(scalar_estimate(&cur, &prev, 7, 16));
-            let scalar_s = t0.elapsed().as_secs_f64();
-            let t1 = Instant::now();
-            black_box(es.estimate(&cur, &prev).unwrap());
-            scalar_s / t1.elapsed().as_secs_f64()
-        })
-        .collect();
-    ratios.sort_by(f64::total_cmp);
-    let median = ratios[ratios.len() / 2];
-    println!(
-        "SAD kernel (exhaustive, VGA): SWAR vs scalar median speedup {median:.2}x (fields bit-identical)"
-    );
-    assert!(
-        median >= 1.5,
-        "SWAR SAD kernel must be >= 1.5x the scalar kernel at VGA, got {median:.2}x"
-    );
-
-    // Headline 2: the original pre-engine kernel (no early exit) for the
-    // long-baseline trajectory number.
-    let t0 = Instant::now();
-    let old_field = naive_estimate(&cur, &prev, 7, 16);
-    let naive_s = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    let new_field = es.estimate(&cur, &prev).unwrap();
-    let new_s = t1.elapsed().as_secs_f64();
-    assert_eq!(old_field, new_field, "kernels must agree bit-for-bit");
-    println!(
-        "SAD kernel (exhaustive, VGA): optimized {:.1} ms vs pre-engine naive {:.1} ms -> {:.2}x (fields bit-identical)",
-        new_s * 1e3,
-        naive_s * 1e3,
-        naive_s / new_s
-    );
-
-    // Headline 3: pyramid-cached hierarchical search returns exactly the
-    // per-call pyramid's vectors (and measured effort).
-    let hier = BlockMatcher::new(16, 7, SearchStrategy::Hierarchical).unwrap();
-    let (per_call, per_call_stats) = hier.estimate_with_stats(&cur, &prev).unwrap();
-    let (ccur, cprev) = (downsample2(&cur), downsample2(&prev));
-    let (cached, cached_stats) = hier
-        .estimate_with_pyramid(&cur, &prev, &ccur, &cprev)
-        .unwrap();
-    assert_eq!(
-        per_call, cached,
-        "pyramid-cached hierarchical must return identical motion vectors"
-    );
-    assert_eq!(
-        per_call_stats, cached_stats,
-        "and identical measured effort"
-    );
-    println!(
-        "hierarchical: cached pyramid bit-matches per-call pyramid over {} blocks",
-        cached.block_count()
-    );
-    g.finish();
-}
 
 /// The opt-in SAD lower-bound prefilter on real noisy rendered frames —
 /// the content that defeats the SWAR kernel's early exit and motivated
@@ -379,155 +107,33 @@ fn bench_sad_prefilter(_c: &mut Criterion) {
     }
 }
 
-fn multi_scheme_scenario() -> (Vec<Sequence>, MotionConfig, Vec<SchemeSpec>) {
+/// One OTB-like sequence (16 frames) under exhaustive search: the
+/// strategy where block matching is a material share of preparation.
+fn streaming_sequence() -> (Sequence, MotionConfig) {
     let mut suite = euphrates_datasets::otb100_like(42, DatasetScale::fraction(0.05));
-    suite.truncate(2);
-    for s in &mut suite {
-        s.frames = 16;
-    }
-    let schemes = vec![
-        SchemeSpec::new("base", BackendConfig::baseline()).unwrap(),
-        SchemeSpec::new("EW-2", BackendConfig::new(EwPolicy::Constant(2))).unwrap(),
-        SchemeSpec::new("EW-4", BackendConfig::new(EwPolicy::Constant(4))).unwrap(),
-        SchemeSpec::new("EW-8", BackendConfig::new(EwPolicy::Constant(8))).unwrap(),
-        SchemeSpec::new("EW-16", BackendConfig::new(EwPolicy::Constant(16))).unwrap(),
-        SchemeSpec::new("EW-32", BackendConfig::new(EwPolicy::Constant(32))).unwrap(),
-    ];
-    // Exhaustive search: the strategy where the SAD kernel is a material
-    // share of sequence preparation (TSS matching is ~1 ms/frame against
-    // ~75 ms/frame of scene rendering, so kernel wins would be invisible).
+    let mut seq = suite.remove(0);
+    seq.frames = 16;
     let motion = MotionConfig {
         strategy: SearchStrategy::Exhaustive,
         ..MotionConfig::default()
     };
-    (suite, motion, schemes)
-}
-
-/// The pre-refactor evaluation shape, end to end: each sequence is
-/// prepared with the *old* SAD kernel (`naive_estimate`), parallelism is
-/// over *sequences only*, and every scheme then runs serially against
-/// the prepared frames.
-fn old_per_sequence_path(
-    suite: &[Sequence],
-    motion: &MotionConfig,
-    schemes: &[SchemeSpec],
-    threads: usize,
-) -> Vec<TaskOutcome> {
-    let per_sequence: Vec<Vec<TaskOutcome>> = parallel_map(suite, threads, |i, seq| {
-        let mut frames = Vec::new();
-        let mut prev_luma: Option<LumaFrame> = None;
-        for rendered in seq.render_iter() {
-            let luma = euphrates_common::image::rgb_to_luma(&rendered.rgb);
-            let motion_field = match &prev_luma {
-                Some(prev) => {
-                    naive_estimate(&luma, prev, motion.search_range as i32, motion.mb_size)
-                }
-                None => MotionField::zeroed(seq.resolution(), motion.mb_size, motion.search_range)
-                    .unwrap(),
-            };
-            prev_luma = Some(luma);
-            frames.push(FrameData::new(rendered.truth, motion_field));
-        }
-        let prep = PreparedSequence {
-            name: seq.name.clone(),
-            resolution: seq.resolution(),
-            frames,
-        };
-        schemes
-            .iter()
-            .map(|spec| {
-                run_task(
-                    TrackerTask::new(calib::mdnet()),
-                    &prep,
-                    &spec.backend,
-                    i as u64,
-                )
-                .unwrap()
-            })
-            .collect()
-    });
-    let mut merged: Vec<TaskOutcome> = schemes.iter().map(|_| TaskOutcome::default()).collect();
-    for seq_outcomes in &per_sequence {
-        for (ki, outcome) in seq_outcomes.iter().enumerate() {
-            merged[ki].merge(outcome);
-        }
-    }
-    merged
-}
-
-fn new_grid_path(
-    suite: &[Sequence],
-    motion: &MotionConfig,
-    schemes: &[SchemeSpec],
-    threads: usize,
-) -> EvalReport {
-    Scenario::builder(TrackerTask::new(calib::mdnet()))
-        .suite(suite.to_vec())
-        .motion(*motion)
-        .threads(threads)
-        .schemes(schemes.iter().cloned())
-        .build()
-        .unwrap()
-        .evaluate()
-        .unwrap()
-}
-
-fn bench_grid_vs_per_sequence(c: &mut Criterion) {
-    let (suite, motion, schemes) = multi_scheme_scenario();
-    let threads = euphrates_core::eval::default_threads();
-    let mut g = c.benchmark_group("evaluate_multi_scheme");
-    g.sample_size(3);
-    g.bench_function("old_per_sequence", |b| {
-        b.iter(|| black_box(old_per_sequence_path(&suite, &motion, &schemes, threads)))
-    });
-    g.bench_function("new_grid", |b| {
-        b.iter(|| black_box(new_grid_path(&suite, &motion, &schemes, threads)))
-    });
-    g.finish();
-
-    // Headline numbers: identical outcomes, measured speedup.
-    let t0 = Instant::now();
-    let old = old_per_sequence_path(&suite, &motion, &schemes, threads);
-    let old_s = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    let new = new_grid_path(&suite, &motion, &schemes, threads);
-    let new_s = t1.elapsed().as_secs_f64();
-    for (a, b) in old.iter().zip(new.iter()) {
-        assert_eq!(
-            a, &b.outcome,
-            "new path must be bit-identical to the old one"
-        );
-    }
-    println!(
-        "new evaluate (fast kernel + grid): {:.2}s vs old path (naive kernel, per-sequence): {:.2}s -> {:.2}x on {} sequences x {} schemes ({} threads{})",
-        new_s,
-        old_s,
-        old_s / new_s,
-        suite.len(),
-        schemes.len(),
-        threads,
-        if threads == 1 {
-            "; single-threaded host shows the kernel win only — the grid adds more with >1 worker"
-        } else {
-            ""
-        }
-    );
+    (seq, motion)
 }
 
 fn bench_streaming_source(c: &mut Criterion) {
-    let (suite, motion, _) = multi_scheme_scenario();
+    let (seq, motion) = streaming_sequence();
     let config = BackendConfig::new(EwPolicy::Constant(4));
     let mut g = c.benchmark_group("frontend_paths");
     g.sample_size(3);
     g.bench_function("eager_prepare_then_run", |b| {
         b.iter(|| {
-            let prep = prepare_sequence(&suite[0], &motion).unwrap();
+            let prep = prepare_sequence(&seq, &motion).unwrap();
             black_box(run_task(TrackerTask::new(calib::mdnet()), &prep, &config, 0).unwrap())
         })
     });
     g.bench_function("streaming_run_stream", |b| {
         b.iter(|| {
-            let source = frame_source(&suite[0], &motion).unwrap();
+            let source = frame_source(&seq, &motion).unwrap();
             black_box(
                 run_stream(
                     TrackerTask::new(calib::mdnet()),
@@ -543,11 +149,5 @@ fn bench_streaming_source(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_sad_kernel,
-    bench_sad_prefilter,
-    bench_grid_vs_per_sequence,
-    bench_streaming_source
-);
+criterion_group!(benches, bench_sad_prefilter, bench_streaming_source);
 criterion_main!(benches);

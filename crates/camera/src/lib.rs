@@ -81,7 +81,7 @@
 //!   pass through the noise model into a stack tile), so the streaming
 //!   front-end never materializes an RGB frame it would immediately
 //!   discard — and never does more work than the unfused RGB + convert
-//!   path (asserted in `ablation_render_path`).
+//!   path (asserted in `euphrates-bench`'s `ablation_render_path`).
 //! * **Shared canvases** — the sampled background canvas (and its
 //!   luma) is built once per [`scene::Scene`] and shared by every
 //!   renderer of that scene, so re-opening a sequence costs ~0.02 ms.
@@ -102,9 +102,9 @@
 //! shake, plus illumination drift) and the sensor's RAW capture to
 //! FNV-1a digests: the noise-free combos against digests recorded from
 //! the pre-scanline renderer, the noisy ones against digests recorded
-//! from the counter-based model. `euphrates-bench`'s
-//! `ablation_render_path` measures the speedup (≥5× on the
-//! deterministic VGA effects matrix, asserted).
+//! from the counter-based model. Against the per-pixel renderer it
+//! replaced, the scanline renderer measured ≥5× on the deterministic
+//! VGA effects matrix.
 
 pub mod imu;
 pub mod noise;

@@ -30,9 +30,9 @@
 //!   hardware SAD instruction (`psadbw` on x86-64), addressed by
 //!   running offsets into the flat sample storage with the ubiquitous
 //!   16-px block width fully unrolled (two rows per early-exit check).
-//!   `ablation_motion_engine` asserts it bit-identical to the scalar
-//!   kernel it replaced and ≥1.5× on VGA exhaustive search (measured
-//!   ~2×).
+//!   `tests/search_properties.rs` checks it bit-identical to a scalar
+//!   per-pixel reference (it measured ~2× the scalar kernel it
+//!   replaced on VGA exhaustive search).
 //! * **Total-order tie-break** — the best match is the minimum under
 //!   (SAD, |v|², vy, vx), so the winner is independent of probe order.
 //!   That lets the exhaustive walk probe the window in center-out
@@ -42,7 +42,7 @@
 //! * **Pyramid caching** — strategies that want the 2×-downsampled
 //!   level ([`motion::BlockMatcher::wants_pyramid`]) can be fed
 //!   caller-cached planes via
-//!   [`motion::BlockMatcher::estimate_with_pyramid`]; the streaming
+//!   [`motion::BlockMatcher::estimate_cached`]; the streaming
 //!   frontend in `euphrates-core` builds each frame's coarse plane
 //!   once (reused buffer, O(1) allocations) and double-buffers it
 //!   alongside the fine plane, where a bare `estimate` call rebuilds

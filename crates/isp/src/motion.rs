@@ -50,8 +50,11 @@
 //! winner independent of probe order and lets walks reorder probes for
 //! early-exit efficiency (the exhaustive walk probes center-out rings).
 //! Pyramid strategies can reuse caller-cached 2×-downsampled planes via
-//! [`BlockMatcher::estimate_with_pyramid`] — how the streaming frontend
-//! avoids rebuilding both levels every frame pair.
+//! [`BlockMatcher::estimate_cached`] — how the streaming frontend
+//! avoids rebuilding both levels every frame pair. Every walk searches a
+//! window around a per-block centre: zero here, the block's predicted
+//! motion in [`PredictiveBlockMatcher`](crate::predictive::PredictiveBlockMatcher),
+//! which shares this walk and SAD kernel.
 
 use euphrates_common::error::{Error, Result};
 use euphrates_common::geom::{Rect, Vec2i};
@@ -154,9 +157,13 @@ impl fmt::Display for SearchStrategy {
 /// shorter vector, then smaller `(vy, vx)` lexicographically). The
 /// tie-break is a *total* order, so the winner over any candidate set is
 /// independent of visiting order — which is what lets walks reorder
-/// probes for better early-exit behaviour without changing results. The
-/// zero offset is always probed before `search` runs, so no strategy can
-/// return a match worse than the zero vector.
+/// probes for better early-exit behaviour without changing results.
+///
+/// The window is centred on a per-block offset ([`SearchCtx::centre`]):
+/// zero for [`BlockMatcher`], the block's clamped predictor for
+/// [`PredictiveBlockMatcher`](crate::predictive::PredictiveBlockMatcher).
+/// Walks start from that centre, and the centre is always probed before
+/// `search` runs, so no strategy can return a match worse than it.
 pub(crate) trait MotionSearch {
     /// Cost model: SAD probes per macroblock at search range `d`. An
     /// upper bound for adaptive walks; measured counts
@@ -329,6 +336,11 @@ pub(crate) struct SearchCtx<'a> {
     /// hoisted out of the per-probe path: halved origin/extent, clamped
     /// into the plane (odd origins floor toward it).
     cgeom: (u32, u32, u32, u32),
+    /// Window centre (fine) and its floor-halved pyramid counterpart:
+    /// probes are confined to `|v − centre| ≤ d` (`dc` at the coarse
+    /// level).
+    centre: Vec2i,
+    coarse_centre: Vec2i,
     d: i32,
     dc: i32,
     best: MotionVector,
@@ -361,6 +373,7 @@ impl<'a> SearchCtx<'a> {
         bw: u32,
         bh: u32,
         d: i32,
+        centre: Vec2i,
     ) -> Self {
         let dc = coarse_range(d);
         let fine_cells = ((2 * d + 1) * (2 * d + 1)) as usize;
@@ -412,10 +425,12 @@ impl<'a> SearchCtx<'a> {
             bw,
             bh,
             cgeom,
+            centre,
+            coarse_centre: Vec2i::new(centre.x >> 1, centre.y >> 1),
             d,
             dc,
             best: MotionVector {
-                v: Vec2i::ZERO,
+                v: centre,
                 sad: u32::MAX,
             },
             probes: 0,
@@ -428,13 +443,25 @@ impl<'a> SearchCtx<'a> {
             cur_rows: &scratch.cur_rows,
             ccur_rows: &scratch.ccur_rows,
         };
-        // Seed: the zero offset is always evaluated first, so no strategy
-        // can return a match worse than the zero vector.
-        ctx.probe(0, 0);
+        // Seed: the centre is always evaluated first, so no strategy can
+        // return a match worse than it.
+        ctx.probe(i32::from(centre.x), i32::from(centre.y));
         ctx
     }
 
-    /// Search range `d`: probes are confined to `|vx|, |vy| ≤ d`.
+    /// The window centre: probes are confined to
+    /// `|vx − cx|, |vy − cy| ≤ d`, and walks start here.
+    pub fn centre(&self) -> Vec2i {
+        self.centre
+    }
+
+    /// The coarse-level window centre (the fine centre halved, rounding
+    /// toward −∞), where pyramid walks start.
+    pub fn coarse_centre(&self) -> Vec2i {
+        self.coarse_centre
+    }
+
+    /// Search range `d` around [`SearchCtx::centre`].
     pub fn range(&self) -> i32 {
         self.d
     }
@@ -451,15 +478,20 @@ impl<'a> SearchCtx<'a> {
         self.coarse.is_some()
     }
 
-    /// The best match found so far (the zero offset is always probed
-    /// before the engine runs).
+    /// The best match found so far (the centre is always probed before
+    /// the engine runs).
     pub fn best(&self) -> MotionVector {
         self.best
     }
 
-    fn visited_index(&self, vx: i32, vy: i32) -> usize {
-        let w = 2 * self.d + 1;
-        ((vy + self.d) * w + (vx + self.d)) as usize
+    /// Bitmap slot of offset `(vx, vy)` in the `(2r+1)²` window centred
+    /// on `c`, or `None` outside the window.
+    fn window_index(r: i32, c: Vec2i, vx: i32, vy: i32) -> Option<usize> {
+        let (rx, ry) = (vx - i32::from(c.x), vy - i32::from(c.y));
+        if rx.abs() > r || ry.abs() > r {
+            return None;
+        }
+        Some(((ry + r) * (2 * r + 1) + (rx + r)) as usize)
     }
 
     /// Probes offset `(vx, vy)`: evaluates the block SAD (early-exiting
@@ -478,10 +510,9 @@ impl<'a> SearchCtx<'a> {
     /// the rejection is metered as a probe, so probe counts are
     /// invariant too.
     pub fn probe(&mut self, vx: i32, vy: i32) -> bool {
-        if vx.abs() > self.d || vy.abs() > self.d {
+        let Some(idx) = Self::window_index(self.d, self.centre, vx, vy) else {
             return false;
-        }
-        let idx = self.visited_index(vx, vy);
+        };
         if self.visited[idx] {
             return false;
         }
@@ -535,11 +566,7 @@ impl<'a> SearchCtx<'a> {
     /// range, already probed, or no pyramid was built.
     pub fn probe_coarse(&mut self, vx: i32, vy: i32, limit: u32) -> Option<u32> {
         let (ccur, cprev) = self.coarse?;
-        if vx.abs() > self.dc || vy.abs() > self.dc {
-            return None;
-        }
-        let w = 2 * self.dc + 1;
-        let idx = ((vy + self.dc) * w + (vx + self.dc)) as usize;
+        let idx = Self::window_index(self.dc, self.coarse_centre, vx, vy)?;
         if self.coarse_visited[idx] {
             return None;
         }
@@ -606,14 +633,15 @@ impl MotionSearch for ExhaustiveSearch {
 
     fn search(&self, ctx: &mut SearchCtx<'_>) {
         let d = ctx.range();
+        let (cx, cy) = (i32::from(ctx.centre().x), i32::from(ctx.centre().y));
         for r in 1..=d {
             for vx in -r..=r {
-                ctx.probe(vx, -r);
-                ctx.probe(vx, r);
+                ctx.probe(cx + vx, cy - r);
+                ctx.probe(cx + vx, cy + r);
             }
             for vy in (-r + 1)..r {
-                ctx.probe(-r, vy);
-                ctx.probe(r, vy);
+                ctx.probe(cx - r, cy + vy);
+                ctx.probe(cx + r, cy + vy);
             }
         }
     }
@@ -662,7 +690,7 @@ impl MotionSearch for ThreeStepSearch {
 
     fn search(&self, ctx: &mut SearchCtx<'_>) {
         let d = ctx.range();
-        let mut center = Vec2i::ZERO;
+        let mut center = ctx.centre();
         let mut step = tss_initial_step(d);
         while step >= 1 {
             for (sx, sy) in RING8 {
@@ -710,7 +738,7 @@ impl MotionSearch for DiamondSearch {
 
     fn search(&self, ctx: &mut SearchCtx<'_>) {
         let d = ctx.range();
-        let mut center = Vec2i::ZERO;
+        let mut center = ctx.centre();
         // The incumbent (SAD, |v|²) strictly improves every re-centering
         // round, so the walk cannot cycle; the `2d`-round cap both bounds
         // pathological winding paths and makes `probes_per_block` a true
@@ -770,10 +798,12 @@ impl MotionSearch for HierarchicalSearch {
         // contract > best.0, which the `better` test rejects exactly as
         // the full SAD would).
         let dc = ctx.coarse_range();
-        let mut center = (0i32, 0i32);
+        let cc = ctx.coarse_centre();
+        let mut center = (i32::from(cc.x), i32::from(cc.y));
         let mut best = (
-            ctx.probe_coarse(0, 0, u32::MAX).unwrap_or(u32::MAX),
-            (0i32, 0i32),
+            ctx.probe_coarse(center.0, center.1, u32::MAX)
+                .unwrap_or(u32::MAX),
+            center,
         );
         let mut step = tss_initial_step(dc);
         while step >= 1 {
@@ -792,7 +822,7 @@ impl MotionSearch for HierarchicalSearch {
             step /= 2;
         }
         // Fine refinement: ±1 around the upscaled coarse candidate (the
-        // seed probe already covered the zero offset). The candidate
+        // seed probe already covered the centre). The candidate
         // itself goes first — it is the likeliest winner, and a low fine
         // incumbent makes the 8 neighbours abandon early (probe order
         // cannot change the result: the tie-break is a total order).
@@ -1122,58 +1152,22 @@ impl BlockMatcher {
         cur: &LumaFrame,
         prev: &LumaFrame,
     ) -> Result<(MotionField, SearchStats)> {
-        self.estimate_inner(cur, prev, CachedPlanes::default())
+        self.estimate_inner(cur, prev, CachedPlanes::default(), |_, _| Vec2i::ZERO)
     }
 
     /// `true` if this matcher's strategy consumes the 2×-downsampled
     /// pyramid level — the signal for streaming callers to cache one
     /// [`downsample2`] plane per frame slot and pass it to
-    /// [`estimate_with_pyramid`][BlockMatcher::estimate_with_pyramid]
-    /// instead of letting every [`estimate`][BlockMatcher::estimate]
-    /// call rebuild both levels.
+    /// [`estimate_cached`][BlockMatcher::estimate_cached] as
+    /// [`CachedPlanes::pyramid`] instead of letting every
+    /// [`estimate`][BlockMatcher::estimate] call rebuild both levels.
     pub fn wants_pyramid(&self) -> bool {
         self.strategy.resolve().wants_pyramid()
     }
 
     /// [`estimate_with_stats`][BlockMatcher::estimate_with_stats] with
-    /// caller-cached pyramid planes: `coarse_cur` / `coarse_prev` must be
-    /// the [`downsample2`] of `cur` / `prev`. A streaming frontend
-    /// computes each frame's coarse plane exactly once (into a reused
-    /// buffer, see [`downsample2_into`][euphrates_common::image::downsample2_into])
-    /// and double-buffers it alongside the fine plane, where a bare
-    /// `estimate` would rebuild *both* levels every call. Results are
-    /// bit-identical to [`estimate`][BlockMatcher::estimate] by
-    /// construction — the engine sees the same planes either way. For
-    /// strategies that never ask for a pyramid
-    /// ([`wants_pyramid`][BlockMatcher::wants_pyramid] `== false`) the
-    /// coarse planes are ignored.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::ShapeMismatch`] if the frames differ in size, or
-    /// if a coarse plane does not have the pyramid dimensions of its
-    /// fine plane.
-    pub fn estimate_with_pyramid(
-        &self,
-        cur: &LumaFrame,
-        prev: &LumaFrame,
-        coarse_cur: &LumaFrame,
-        coarse_prev: &LumaFrame,
-    ) -> Result<(MotionField, SearchStats)> {
-        self.estimate_cached(
-            cur,
-            prev,
-            CachedPlanes {
-                pyramid: Some((coarse_cur, coarse_prev)),
-                ..CachedPlanes::default()
-            },
-        )
-    }
-
-    /// [`estimate_with_stats`][BlockMatcher::estimate_with_stats] with
-    /// any subset of caller-cached derived planes — the generalization
-    /// of [`estimate_with_pyramid`][BlockMatcher::estimate_with_pyramid]
-    /// that also accepts the prefilter's [`RowPrefix`] tables. A
+    /// any subset of caller-cached derived planes: the 2×-downsampled
+    /// pyramid level and the prefilter's [`RowPrefix`] tables. A
     /// streaming frontend builds each frame's derived planes exactly
     /// once (coarse plane via
     /// [`downsample2_into`][euphrates_common::image::downsample2_into],
@@ -1233,14 +1227,17 @@ impl BlockMatcher {
                 }
             }
         }
-        self.estimate_inner(cur, prev, planes)
+        self.estimate_inner(cur, prev, planes, |_, _| Vec2i::ZERO)
     }
 
-    fn estimate_inner(
+    /// The shared per-block walk: searches block `(bx, by)` in a window
+    /// centred on `centre(bx, by)` (see [`SearchCtx::centre`]).
+    pub(crate) fn estimate_inner(
         &self,
         cur: &LumaFrame,
         prev: &LumaFrame,
         ext: CachedPlanes<'_>,
+        centre: impl Fn(u32, u32) -> Vec2i,
     ) -> Result<(MotionField, SearchStats)> {
         if !cur.same_shape(prev) {
             return Err(Error::shape(format!(
@@ -1311,6 +1308,7 @@ impl BlockMatcher {
                     bw,
                     bh,
                     d,
+                    centre(bx, by),
                 );
                 search.search(&mut ctx);
                 field.vectors[(by * blocks_x + bx) as usize] = ctx.best();

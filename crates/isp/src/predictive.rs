@@ -10,9 +10,15 @@
 //! any speed while the per-block arithmetic stays that of a small window.
 //! This module implements that scheme as the future-work extension the
 //! paper sketches for codec/vision co-design.
+//!
+//! The predictive matcher is a [`BlockMatcher`] whose windows are centred
+//! on each block's predictor instead of on zero: it runs the same
+//! strategy walk, SAD kernel, `(SAD, |v|², (vy, vx))` tie-break and
+//! metering, so [`SearchStrategy::probes_per_block`] bounds its measured
+//! probes exactly as it bounds the plain matcher's.
 
-use crate::motion::{BlockMatcher, MotionField, MotionVector, SearchStrategy};
-use euphrates_common::error::{Error, Result};
+use crate::motion::{BlockMatcher, CachedPlanes, MotionField, SearchStats, SearchStrategy};
+use euphrates_common::error::Result;
 use euphrates_common::geom::Vec2i;
 use euphrates_common::image::{LumaFrame, Resolution};
 
@@ -20,9 +26,7 @@ use euphrates_common::image::{LumaFrame, Resolution};
 /// block's previous motion (codec-style PMV search).
 #[derive(Debug, Clone)]
 pub struct PredictiveBlockMatcher {
-    mb_size: u32,
-    search_range: u32,
-    strategy: SearchStrategy,
+    matcher: BlockMatcher,
     /// Cap on the predictor magnitude (bounds worst-case memory access
     /// strides in hardware; MVs stay representable in one byte).
     max_predictor: i16,
@@ -35,14 +39,11 @@ impl PredictiveBlockMatcher {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidConfig`] for invalid block parameters.
+    /// Returns [`Error::InvalidConfig`](euphrates_common::error::Error::InvalidConfig)
+    /// for invalid block parameters.
     pub fn new(mb_size: u32, search_range: u32, strategy: SearchStrategy) -> Result<Self> {
-        // Validate eagerly via a throwaway inner matcher.
-        let _ = BlockMatcher::new(mb_size, search_range, strategy)?;
         Ok(PredictiveBlockMatcher {
-            mb_size,
-            search_range,
-            strategy,
+            matcher: BlockMatcher::new(mb_size, search_range, strategy)?,
             max_predictor: 64,
             prev_field: None,
         })
@@ -51,6 +52,14 @@ impl PredictiveBlockMatcher {
     /// Drops the motion history (start of a new stream).
     pub fn reset(&mut self) {
         self.prev_field = None;
+    }
+
+    /// `predictor` clamped to `±max_predictor` per axis: the window centre.
+    fn centre(&self, predictor: Vec2i) -> Vec2i {
+        Vec2i::new(
+            predictor.x.clamp(-self.max_predictor, self.max_predictor),
+            predictor.y.clamp(-self.max_predictor, self.max_predictor),
+        )
     }
 
     /// Stateless variant: searches every block around one externally
@@ -68,123 +77,44 @@ impl PredictiveBlockMatcher {
         prev: &LumaFrame,
         predictor: Vec2i,
     ) -> Result<MotionField> {
-        if !cur.same_shape(prev) {
-            return Err(Error::shape("current and previous frames differ in size"));
-        }
-        let res = Resolution::new(cur.width(), cur.height());
-        let inner = BlockMatcher::new(self.mb_size, self.search_range, self.strategy)?;
-        let clamped = Vec2i::new(
-            predictor.x.clamp(-self.max_predictor, self.max_predictor),
-            predictor.y.clamp(-self.max_predictor, self.max_predictor),
-        );
-        let mut field = MotionField::zeroed(res, self.mb_size, self.search_range)?;
-        for by in 0..field.blocks_y() {
-            for bx in 0..field.blocks_x() {
-                let mv = search_around(&inner, cur, prev, bx, by, clamped);
-                field.set_block(bx, by, mv);
-            }
-        }
-        Ok(field)
+        let centre = self.centre(predictor);
+        self.matcher
+            .estimate_inner(cur, prev, CachedPlanes::default(), |_, _| centre)
+            .map(|(field, _)| field)
     }
 
-    /// Estimates motion, warm-starting every block from its previous MV.
+    /// Estimates motion, centring every block's window on its previous
+    /// MV (zero on the first frame, or after a resolution change).
     ///
     /// # Errors
     ///
     /// Propagates shape mismatches.
     pub fn estimate(&mut self, cur: &LumaFrame, prev: &LumaFrame) -> Result<MotionField> {
-        if !cur.same_shape(prev) {
-            return Err(Error::shape("current and previous frames differ in size"));
-        }
+        self.estimate_with_stats(cur, prev).map(|(field, _)| field)
+    }
+
+    /// [`estimate`][PredictiveBlockMatcher::estimate], also returning the
+    /// measured search-effort counters, like
+    /// [`BlockMatcher::estimate_with_stats`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates shape mismatches.
+    pub fn estimate_with_stats(
+        &mut self,
+        cur: &LumaFrame,
+        prev: &LumaFrame,
+    ) -> Result<(MotionField, SearchStats)> {
         let res = Resolution::new(cur.width(), cur.height());
-        let inner = BlockMatcher::new(self.mb_size, self.search_range, self.strategy)?;
-        let mut field = MotionField::zeroed(res, self.mb_size, self.search_range)?;
-        let predictor_ok = self
-            .prev_field
-            .as_ref()
-            .is_some_and(|f| f.resolution() == res && f.mb_size() == self.mb_size);
-
-        for by in 0..field.blocks_y() {
-            for bx in 0..field.blocks_x() {
-                let predictor = if predictor_ok {
-                    let p = self
-                        .prev_field
-                        .as_ref()
-                        .expect("checked above")
-                        .at_block(bx, by)
-                        .v;
-                    Vec2i::new(
-                        p.x.clamp(-self.max_predictor, self.max_predictor),
-                        p.y.clamp(-self.max_predictor, self.max_predictor),
-                    )
-                } else {
-                    Vec2i::ZERO
-                };
-                let mv = search_around(&inner, cur, prev, bx, by, predictor);
-                field.set_block(bx, by, mv);
-            }
-        }
+        let history = self.prev_field.as_ref().filter(|f| f.resolution() == res);
+        let (field, stats) =
+            self.matcher
+                .estimate_inner(cur, prev, CachedPlanes::default(), |bx, by| {
+                    history.map_or(Vec2i::ZERO, |f| self.centre(f.at_block(bx, by).v))
+                })?;
         self.prev_field = Some(field.clone());
-        Ok(field)
+        Ok((field, stats))
     }
-}
-
-/// Runs the small-window search displaced by `predictor`: equivalent to
-/// matching the current block against a window of the previous frame
-/// centered at `-predictor`.
-fn search_around(
-    matcher: &BlockMatcher,
-    cur: &LumaFrame,
-    prev: &LumaFrame,
-    bx: u32,
-    by: u32,
-    predictor: Vec2i,
-) -> MotionVector {
-    // Reuse the public estimator on a shifted view is not possible without
-    // copying; instead run a direct window scan here. The cost model is
-    // identical to the inner matcher's.
-    let mb = matcher.mb_size();
-    let d = matcher.search_range() as i32;
-    let x0 = bx * mb;
-    let y0 = by * mb;
-    let bw = (cur.width() - x0).min(mb);
-    let bh = (cur.height() - y0).min(mb);
-
-    let sad_at = |vx: i32, vy: i32| -> u32 {
-        let mut sad = 0u32;
-        for row in 0..bh {
-            for col in 0..bw {
-                let a = cur.at(x0 + col, y0 + row);
-                let b = prev.at_clamped(
-                    i64::from(x0 + col) - i64::from(vx),
-                    i64::from(y0 + row) - i64::from(vy),
-                );
-                sad += u32::from(a.abs_diff(b));
-            }
-        }
-        sad
-    };
-
-    let (px, py) = (i32::from(predictor.x), i32::from(predictor.y));
-    let mut best = MotionVector {
-        v: Vec2i::new(px as i16, py as i16),
-        sad: sad_at(px, py),
-    };
-    // Exhaustive scan of the displaced window (TSS refinement would also
-    // work; the window is small so ES keeps this simple and exact).
-    for vy in (py - d)..=(py + d) {
-        for vx in (px - d)..=(px + d) {
-            if vx == px && vy == py {
-                continue;
-            }
-            let sad = sad_at(vx, vy);
-            let v = Vec2i::new(vx as i16, vy as i16);
-            if sad < best.sad || (sad == best.sad && v.norm_sq() < best.v.norm_sq()) {
-                best = MotionVector { v, sad };
-            }
-        }
-    }
-    best
 }
 
 #[cfg(test)]
@@ -262,6 +192,47 @@ mod tests {
         let field = pm.estimate(&b, &b).unwrap();
         assert_eq!(field.resolution(), Resolution::new(64, 64));
         assert_eq!(field.mean_magnitude(), 0.0);
+    }
+
+    /// Digest of every block's `(vx, vy, sad)` over the 12 px/frame
+    /// lock-on sequence and global predictors −20..=20 at `Exhaustive`,
+    /// recorded before the predictive matcher moved onto the shared
+    /// search walk: the refactor must not move a single vector.
+    #[test]
+    fn exhaustive_fields_match_recorded_digest() {
+        fn absorb(h: &mut rngx::Fnv1a, field: &MotionField) {
+            for by in 0..field.blocks_y() {
+                for bx in 0..field.blocks_x() {
+                    let mv = field.at_block(bx, by);
+                    h.write(&mv.v.x.to_le_bytes());
+                    h.write(&mv.v.y.to_le_bytes());
+                    h.write(&mv.sad.to_le_bytes());
+                }
+            }
+        }
+        let mut h = rngx::Fnv1a::new();
+        let mut pm = PredictiveBlockMatcher::new(16, 7, SearchStrategy::Exhaustive).unwrap();
+        for step in 1..5i64 {
+            let prev = textured(160, 96, 2, 12 * (step - 1));
+            let cur = textured(160, 96, 2, 12 * step);
+            absorb(&mut h, &pm.estimate(&cur, &prev).unwrap());
+        }
+        let prev = textured(160, 96, 2, 0);
+        let cur = textured(160, 96, 2, 12);
+        for p in -20i16..=20 {
+            let predictor = Vec2i::new(p, -p / 2);
+            absorb(
+                &mut h,
+                &pm.estimate_with_global_predictor(&cur, &prev, predictor)
+                    .unwrap(),
+            );
+        }
+        assert_eq!(
+            h.finish(),
+            0xAA5C_1F16_111E_C232,
+            "digest {:#018X}",
+            h.finish()
+        );
     }
 
     #[test]

@@ -1,14 +1,17 @@
 //! Property tests for the pluggable motion-search engines: every
-//! strategy must (a) never return a match worse than the zero vector,
-//! (b) recover pure global translation within its search range, and
-//! (c) stay within its declared probe-budget cost model — the contract
+//! strategy must (a) never return a match worse than its window centre
+//! (the zero vector, or the predictive matcher's predictor), (b) recover
+//! pure global translation within its search range, and (c) stay within
+//! its declared probe-budget cost model, predictive or not — the contract
 //! that keeps new strategies honest about their compute claims
 //! (ISSUE 2 satellites; acceptance: Diamond/Hierarchical match
 //! exhaustive on translations at ≥5× fewer measured probes).
 
+use euphrates_common::geom::Vec2i;
 use euphrates_common::image::LumaFrame;
 use euphrates_common::rngx;
 use euphrates_isp::motion::{BlockMatcher, CachedPlanes, RowPrefix, SearchStrategy};
+use euphrates_isp::predictive::PredictiveBlockMatcher;
 use proptest::prelude::*;
 use rand::Rng;
 
@@ -39,13 +42,24 @@ fn shifted(src: &LumaFrame, dx: i32, dy: i32) -> LumaFrame {
     out
 }
 
-/// SAD of the co-located (zero-offset) blocks — the bound no strategy may
-/// exceed, computed independently of the search machinery.
-fn zero_vector_sad(cur: &LumaFrame, prev: &LumaFrame, x0: u32, y0: u32, bw: u32, bh: u32) -> u32 {
+/// SAD of the block at `(x0, y0)` against the previous frame's block
+/// displaced by `-v` (edge-clamped) — the bound no strategy centred on `v`
+/// may exceed, computed independently of the search machinery.
+#[allow(clippy::too_many_arguments)]
+fn offset_sad(
+    cur: &LumaFrame,
+    prev: &LumaFrame,
+    x0: u32,
+    y0: u32,
+    bw: u32,
+    bh: u32,
+    v: Vec2i,
+) -> u32 {
     let mut sad = 0u32;
     for y in y0..y0 + bh {
         for x in x0..x0 + bw {
-            sad += u32::from(cur.at(x, y).abs_diff(prev.at(x, y)));
+            let p = prev.at_clamped(i64::from(x) - i64::from(v.x), i64::from(y) - i64::from(v.y));
+            sad += u32::from(cur.at(x, y).abs_diff(p));
         }
     }
     sad
@@ -140,16 +154,19 @@ proptest! {
         let (per_call, per_call_stats) = m.estimate_with_stats(&cur, &prev).unwrap();
         let ccur = euphrates_common::image::downsample2(&cur);
         let cprev = euphrates_common::image::downsample2(&prev);
-        let (cached, cached_stats) =
-            m.estimate_with_pyramid(&cur, &prev, &ccur, &cprev).unwrap();
+        let pyramid = |coarse_cur| CachedPlanes {
+            pyramid: Some((coarse_cur, &cprev)),
+            ..CachedPlanes::default()
+        };
+        let (cached, cached_stats) = m.estimate_cached(&cur, &prev, pyramid(&ccur)).unwrap();
         prop_assert_eq!(per_call, cached);
         prop_assert_eq!(per_call_stats, cached_stats);
         // Mis-shaped coarse planes are rejected, not silently accepted.
-        prop_assert!(m.estimate_with_pyramid(&cur, &prev, &prev, &cprev).is_err());
+        prop_assert!(m.estimate_cached(&cur, &prev, pyramid(&prev)).is_err());
         // Strategies that never consult the pyramid ignore it.
         let es = BlockMatcher::new(16, 7, SearchStrategy::Exhaustive).unwrap();
         prop_assert!(!es.wants_pyramid());
-        let (a, _) = es.estimate_with_pyramid(&cur, &prev, &ccur, &cprev).unwrap();
+        let (a, _) = es.estimate_cached(&cur, &prev, pyramid(&ccur)).unwrap();
         prop_assert_eq!(a, es.estimate(&cur, &prev).unwrap());
     }
 
@@ -217,31 +234,45 @@ proptest! {
 
     /// (a) No strategy may return a SAD worse than the zero vector, on
     /// any content — including uncorrelated frames where search can only
-    /// flail.
+    /// flail. Centred on a predictor, no strategy may return a SAD worse
+    /// than the predictor's.
     #[test]
     fn no_strategy_is_worse_than_the_zero_vector(
         seed_a in 0u64..1000,
         seed_b in 0u64..1000,
         dx in -9i32..=9,
         dy in -9i32..=9,
+        px in -12i16..=12,
+        py in -12i16..=12,
     ) {
         let prev = textured(80, 64, seed_a);
         let moved = shifted(&textured(80, 64, seed_b), dx, dy);
+        let predictor = Vec2i::new(px, py);
         for strategy in SearchStrategy::BUILTIN {
             let m = BlockMatcher::new(16, 7, strategy).unwrap();
-            let field = m.estimate(&moved, &prev).unwrap();
-            for by in 0..field.blocks_y() {
-                for bx in 0..field.blocks_x() {
-                    let x0 = bx * 16;
-                    let y0 = by * 16;
-                    let bw = (80 - x0).min(16);
-                    let bh = (64 - y0).min(16);
-                    let bound = zero_vector_sad(&moved, &prev, x0, y0, bw, bh);
-                    prop_assert!(
-                        field.at_block(bx, by).sad <= bound,
-                        "{strategy:?} block ({bx},{by}): sad {} > zero-vector bound {bound}",
-                        field.at_block(bx, by).sad
-                    );
+            let pm = PredictiveBlockMatcher::new(16, 7, strategy).unwrap();
+            let fields = [
+                (Vec2i::ZERO, m.estimate(&moved, &prev).unwrap()),
+                (
+                    predictor,
+                    pm.estimate_with_global_predictor(&moved, &prev, predictor).unwrap(),
+                ),
+            ];
+            for (centre, field) in fields {
+                for by in 0..field.blocks_y() {
+                    for bx in 0..field.blocks_x() {
+                        let x0 = bx * 16;
+                        let y0 = by * 16;
+                        let bw = (80 - x0).min(16);
+                        let bh = (64 - y0).min(16);
+                        let bound = offset_sad(&moved, &prev, x0, y0, bw, bh, centre);
+                        prop_assert!(
+                            field.at_block(bx, by).sad <= bound,
+                            "{strategy:?} centred on {centre:?}, block ({bx},{by}): \
+                             sad {} > centre bound {bound}",
+                            field.at_block(bx, by).sad
+                        );
+                    }
                 }
             }
         }
@@ -288,16 +319,44 @@ proptest! {
     /// (c) Measured probe counts stay within each strategy's declared
     /// budget: the model is an upper bound that adaptive walks never
     /// exceed, and it is tight enough to be meaningful (walks use at
-    /// least a quarter of it; exhaustive uses it exactly).
+    /// least a quarter of it; exhaustive uses it exactly). The
+    /// predictive matcher, its windows centred on the per-block motion
+    /// of a warm-up pair shifted by `(px, py)`, runs the same walks
+    /// under the same budget — so three-step search probes strictly
+    /// fewer candidates than exhaustive there too.
     #[test]
     fn measured_probes_stay_within_the_cost_model(
         seed in 0u64..1000,
         dx in -7i32..=7,
         dy in -7i32..=7,
         d in 3u32..=9,
+        px in -12i32..=12,
+        py in -12i32..=12,
     ) {
         let prev = textured(96, 96, seed);
         let cur = shifted(&prev, dx, dy);
+        let warm_up = shifted(&prev, px, py);
+        let mut predictive_probes = Vec::new();
+        for strategy in SearchStrategy::BUILTIN {
+            let mut pm = PredictiveBlockMatcher::new(16, d, strategy).unwrap();
+            pm.estimate(&warm_up, &prev).unwrap();
+            let (_, stats) = pm.estimate_with_stats(&cur, &prev).unwrap();
+            let budget = stats.blocks * strategy.probes_per_block(d);
+            prop_assert!(
+                stats.probes <= budget,
+                "predictive {strategy:?} at d={d}: measured {} probes exceed budget {budget}",
+                stats.probes
+            );
+            if strategy == SearchStrategy::Exhaustive {
+                prop_assert_eq!(stats.probes, budget);
+            }
+            predictive_probes.push((strategy, stats.probes));
+        }
+        let probes_of = |s| predictive_probes.iter().find(|(k, _)| *k == s).unwrap().1;
+        prop_assert!(
+            probes_of(SearchStrategy::ThreeStep) < probes_of(SearchStrategy::Exhaustive),
+            "predictive probes {predictive_probes:?}"
+        );
         for strategy in SearchStrategy::BUILTIN {
             let m = BlockMatcher::new(16, d, strategy).unwrap();
             let (_, stats) = m.estimate_with_stats(&cur, &prev).unwrap();
