@@ -14,8 +14,13 @@
 //! * [`MotionConfig::full_isp`] = `false` (default for large evaluations):
 //!   the rendered RGB frames are converted to luma and block-matched
 //!   directly. This skips the Bayer mosaic/demosaic round trip, which
-//!   costs ~2× the time and perturbs the motion field only marginally
-//!   (the `frontend_paths_agree` test quantifies it).
+//!   perturbs the motion field only marginally (the
+//!   `frontend_paths_agree` test quantifies it) but costs time. perfbench
+//!   medians on a 2-vCPU VM (seed 42, 30 s runs) put `detect_full_isp`
+//!   at ~8.6× `otb_sweep`'s `ms_per_frame` (14.97 vs 1.74 ms) with the
+//!   per-pixel clamped ISP stage kernels, and at ~2.7× (4.42 vs
+//!   1.65 ms) with the row-slice kernels. The two workloads also differ
+//!   in their backends, so the ratio bounds the frontend's share.
 //! * `full_isp = true`: frames pass through the image sensor model (RGGB
 //!   mosaic + read noise) and the full ISP pipeline (dead-pixel
 //!   correction → demosaic → white balance → temporal denoise), with the

@@ -40,15 +40,28 @@ impl ColorCorrection {
 
     /// Applies the matrix in place.
     pub fn process(&self, rgb: &mut RgbFrame) {
-        let m = &self.matrix;
+        // products[j][v][i] = m[i][j]·v: the same f64 products the per-
+        // pixel dot product forms, one entry per input channel value. The
+        // fourth lane pads each entry so the three outputs share vector
+        // arithmetic.
+        let mut products = [[[0.0f64; 4]; 256]; 3];
+        for (j, table) in products.iter_mut().enumerate() {
+            for (v, entry) in table.iter_mut().enumerate() {
+                for (e, row) in entry.iter_mut().zip(&self.matrix) {
+                    *e = row[j] * f64::from(v as u8);
+                }
+            }
+        }
+        let [pr, pg, pb] = &products;
         for p in rgb.samples_mut() {
-            let (r, g, b) = (f64::from(p.r), f64::from(p.g), f64::from(p.b));
-            let out = |row: &[f64; 3]| -> u8 {
-                (row[0] * r + row[1] * g + row[2] * b)
-                    .round()
-                    .clamp(0.0, 255.0) as u8
-            };
-            *p = Rgb::new(out(&m[0]), out(&m[1]), out(&m[2]));
+            let (r, g, b) = (
+                &pr[usize::from(p.r)],
+                &pg[usize::from(p.g)],
+                &pb[usize::from(p.b)],
+            );
+            // Summed in the dot product's order: (m₀r + m₁g) + m₂b.
+            let out: [u8; 4] = std::array::from_fn(|i| round_to_u8(r[i] + g[i] + b[i]));
+            *p = Rgb::new(out[0], out[1], out[2]);
         }
     }
 
@@ -56,6 +69,25 @@ impl ColorCorrection {
     pub fn ops_per_pixel(&self) -> u64 {
         18
     }
+}
+
+/// `x.round().clamp(0.0, 255.0) as u8`, exactly, without the libm
+/// `round` call or a float-to-int conversion.
+///
+/// The clamped value plus 2⁵² lands where the f64 spacing is 1, so the
+/// addition rounds it to the nearest integer (ties to even), which then
+/// sits in the sum's low mantissa bits. That differs from `f64::round`'s
+/// ties-away-from-zero only when the exact remainder is +½, which the
+/// exact subtraction `x − r` detects. The clamp maps NaN to 0, as the
+/// saturating cast does.
+#[inline]
+pub(crate) fn round_to_u8(x: f64) -> u8 {
+    const TWO_52: f64 = 4_503_599_627_370_496.0;
+    let x = if x > 0.0 { x } else { 0.0 };
+    let x = if x < 255.0 { x } else { 255.0 };
+    let shifted = x + TWO_52;
+    let nearest_even = shifted - TWO_52;
+    shifted.to_bits() as u8 + u8::from(x - nearest_even == 0.5)
 }
 
 /// Display gamma encoding (power law over normalized channels).
@@ -137,6 +169,55 @@ mod tests {
         // Red channel separates further from green/blue.
         assert!(p.r > 180, "r {}", p.r);
         assert!(p.g < 90, "g {}", p.g);
+    }
+
+    /// The f64 expression the tabulated kernel replaced.
+    fn reference_ccm(m: &[[f64; 3]; 3], px: Rgb) -> Rgb {
+        let (r, g, b) = (f64::from(px.r), f64::from(px.g), f64::from(px.b));
+        let out = |row: &[f64; 3]| -> u8 {
+            (row[0] * r + row[1] * g + row[2] * b)
+                .round()
+                .clamp(0.0, 255.0) as u8
+        };
+        Rgb::new(out(&m[0]), out(&m[1]), out(&m[2]))
+    }
+
+    #[test]
+    fn default_ccm_matches_float_reference_exhaustively() {
+        // All 2²⁴ inputs, one 256×256 (g, b) plane per red value.
+        let ccm = ColorCorrection::default();
+        let mut plane = RgbFrame::new(256, 256).unwrap();
+        for r in 0..=255u8 {
+            for (i, p) in plane.samples_mut().iter_mut().enumerate() {
+                *p = Rgb::new(r, (i >> 8) as u8, i as u8);
+            }
+            let input = plane.clone();
+            ccm.process(&mut plane);
+            for (&inp, &out) in input.samples().iter().zip(plane.samples()) {
+                assert_eq!(out, reference_ccm(&ccm.matrix, inp), "diverged at {inp}");
+            }
+        }
+    }
+
+    #[test]
+    fn round_to_u8_matches_f64_round_at_every_half() {
+        let reference = |x: f64| x.round().clamp(0.0, 255.0) as u8;
+        for k in -10..=520 {
+            let half = f64::from(k) / 2.0;
+            for x in [half.next_down(), half, half.next_up()] {
+                assert_eq!(round_to_u8(x), reference(x), "diverged at {x:e}");
+            }
+        }
+        for x in [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            1e300,
+            -1e300,
+        ] {
+            assert_eq!(round_to_u8(x), reference(x), "diverged at {x:e}");
+        }
     }
 
     #[test]

@@ -52,6 +52,23 @@
 //!   rate of exhaustive search, and hierarchical runs ~27 measured
 //!   probes/block against ES's 225 (the paper's modelled ISP stage,
 //!   TSS, stays selectable).
+//! * **ISP stage kernels** — the [`stages`] and [`color`] kernels run
+//!   over `Plane::row` slices and give the same bits as the per-pixel
+//!   `at_clamped` code they replaced. Only pixels whose stencil leaves
+//!   the frame take a clamped path: demosaic's one-pixel border, and
+//!   denoise blocks displaced past a side edge. Dead-pixel correction
+//!   reads a 2-sample edge-replicated copy, which is exactly clamp-to-
+//!   edge, and takes its median of four as the sum less the extremes,
+//!   halved. White balance sums channels as exact `u64` and applies
+//!   its gains through two 256-entry tables. The color matrix reads
+//!   its nine `m·v` products from tables, and it and the denoise blend
+//!   round through an exact replacement for `f64::round` (the 2⁵²
+//!   shift with a ties-away fix). `tests/stage_golden.rs` pins every
+//!   stage's output digest, recorded from the old code, at sizes from
+//!   1×1 to VGA. `color.rs` checks the rounding at every half-integer
+//!   and its neighbours, and the default matrix over all 2²⁴ inputs.
+//!   On perfbench's `detect_full_isp` (`--trace 1`, seed 42, 2-vCPU
+//!   VM) the five stages fell from 12.0 to 2.1 ms/frame.
 //!
 //! ## Example
 //!

@@ -9,6 +9,7 @@
 //! denoise stage's motion vectors (§4.2), which [`crate::pipeline`] wires
 //! up.
 
+use crate::color::round_to_u8;
 use crate::motion::MotionField;
 use euphrates_common::error::Result;
 use euphrates_common::image::{rggb_color, BayerFrame, CfaColor, LumaFrame, Rgb, RgbFrame};
@@ -30,26 +31,42 @@ impl Default for DeadPixelCorrection {
 impl DeadPixelCorrection {
     /// Corrects dead pixels in place, returning the number of corrections.
     pub fn process(&self, raw: &mut BayerFrame) -> u32 {
-        let (w, h) = (raw.width(), raw.height());
-        let src = raw.clone();
-        let mut corrected = 0;
+        // Same-color neighbors in the Bayer mosaic are 2 apart. Clamp-to-
+        // edge is edge replication, so a 2-sample replicated border gives
+        // every pixel the exact neighbors `at_clamped` would read and
+        // leaves no separate border loop.
+        const PAD: usize = 2;
+        let (w, h) = (raw.width() as usize, raw.height() as usize);
+        let pw = w + 2 * PAD;
+        let mut padded = vec![0u8; pw * (h + 2 * PAD)];
+        for (py, prow) in padded.chunks_exact_mut(pw).enumerate() {
+            let src = raw.row(py.saturating_sub(PAD).min(h - 1) as u32);
+            prow[..PAD].fill(src[0]);
+            prow[PAD..PAD + w].copy_from_slice(src);
+            prow[PAD + w..].fill(src[w - 1]);
+        }
+        let mut corrected = 0u32;
         for y in 0..h {
-            for x in 0..w {
-                // Same-color neighbors in the Bayer mosaic are 2 apart.
-                let mut neighbors = [0u8; 4];
-                for (n, (dx, dy)) in [(-2i64, 0i64), (2, 0), (0, -2), (0, 2)]
-                    .into_iter()
-                    .enumerate()
-                {
-                    neighbors[n] = src.at_clamped(i64::from(x) + dx, i64::from(y) + dy);
-                }
-                neighbors.sort_unstable();
-                let median = u16::from(neighbors[1]).midpoint(u16::from(neighbors[2])) as u8;
-                let v = src.at(x, y);
-                if v.abs_diff(median) > self.threshold {
-                    raw.set(x, y, median);
-                    corrected += 1;
-                }
+            let above = &padded[y * pw + PAD..][..w];
+            let mid = &padded[(y + PAD) * pw..][..pw];
+            let below = &padded[(y + 2 * PAD) * pw + PAD..][..w];
+            let (left, centre, right) = (&mid[..w], &mid[PAD..PAD + w], &mid[2 * PAD..]);
+            let out = raw.row_mut(y as u32);
+            for (((o, &v), (&l, &r)), (&a, &b)) in out
+                .iter_mut()
+                .zip(centre)
+                .zip(left.iter().zip(right))
+                .zip(above.iter().zip(below))
+            {
+                // The median of four is the midpoint of the middle two,
+                // whose sum is the total less the extremes.
+                let lo = l.min(r).min(a.min(b));
+                let hi = l.max(r).max(a.max(b));
+                let sum = u16::from(l) + u16::from(r) + u16::from(a) + u16::from(b);
+                let median = ((sum - u16::from(lo) - u16::from(hi)) >> 1) as u8;
+                let dead = v.abs_diff(median) > self.threshold;
+                *o = if dead { median } else { v };
+                corrected += u32::from(dead);
             }
         }
         corrected
@@ -75,15 +92,60 @@ impl Demosaic {
     pub fn process(&self, raw: &BayerFrame) -> Result<RgbFrame> {
         let (w, h) = (raw.width(), raw.height());
         let mut rgb = RgbFrame::new(w, h)?;
-        // Averages the clamped neighborhood samples whose CFA color is `c`.
-        let avg = |x: u32, y: u32, c: CfaColor, offsets: &[(i64, i64)]| -> u8 {
+        // Interior: the whole 3×3 stencil is in frame, so every neighbor
+        // the RGGB pattern names is present and the averages divide by a
+        // fixed 4 (cross, diagonal) or 2 (horizontal, vertical).
+        for y in 1..h.saturating_sub(1) {
+            let (above, mid, below) = (raw.row(y - 1), raw.row(y), raw.row(y + 1));
+            let even_row = y & 1 == 0;
+            let out = rgb.row_mut(y);
+            for x in 1..(w as usize).saturating_sub(1) {
+                let v = mid[x];
+                let (left, right) = (u16::from(mid[x - 1]), u16::from(mid[x + 1]));
+                let (up, down) = (u16::from(above[x]), u16::from(below[x]));
+                let cross = ((left + right + up + down) >> 2) as u8;
+                let diag = ((u16::from(above[x - 1])
+                    + u16::from(above[x + 1])
+                    + u16::from(below[x - 1])
+                    + u16::from(below[x + 1]))
+                    >> 2) as u8;
+                let horiz = ((left + right) >> 1) as u8;
+                let vert = ((up + down) >> 1) as u8;
+                out[x] = match (even_row, x & 1 == 0) {
+                    (true, true) => Rgb::new(v, cross, diag),
+                    (true, false) => Rgb::new(horiz, v, vert),
+                    (false, true) => Rgb::new(vert, v, horiz),
+                    (false, false) => Rgb::new(diag, cross, v),
+                };
+            }
+        }
+        // Border: the clamped stencil repeats samples and can change which
+        // colors it reaches, so these keep the general averaging. The
+        // first and last rows are visited whole, the others at their
+        // first and last column.
+        for y in 0..h {
+            let step = if y == 0 || y + 1 == h {
+                1
+            } else {
+                (w - 1).max(1)
+            };
+            for x in (0..w).step_by(step as usize) {
+                rgb.set(x, y, Self::border_pixel(raw, x, y));
+            }
+        }
+        Ok(rgb)
+    }
+
+    /// One output pixel from the clamp-to-edge stencil: each missing
+    /// channel averages the clamped neighbor samples of that CFA color.
+    fn border_pixel(raw: &BayerFrame, x: u32, y: u32) -> Rgb {
+        let (w, h) = (raw.width(), raw.height());
+        let avg = |c: CfaColor, offsets: &[(i64, i64)]| -> u8 {
             let mut sum = 0u32;
             let mut n = 0u32;
             for &(dx, dy) in offsets {
-                let sx = i64::from(x) + dx;
-                let sy = i64::from(y) + dy;
-                let cx = sx.clamp(0, i64::from(w) - 1) as u32;
-                let cy = sy.clamp(0, i64::from(h) - 1) as u32;
+                let cx = (i64::from(x) + dx).clamp(0, i64::from(w) - 1) as u32;
+                let cy = (i64::from(y) + dy).clamp(0, i64::from(h) - 1) as u32;
                 if rggb_color(cx, cy) == c {
                     sum += u32::from(raw.at(cx, cy));
                     n += 1;
@@ -96,37 +158,21 @@ impl Demosaic {
         const DIAG: &Offsets = &[(-1, -1), (1, -1), (-1, 1), (1, 1)];
         const HORIZ: &Offsets = &[(-1, 0), (1, 0)];
         const VERT: &Offsets = &[(0, -1), (0, 1)];
-        for y in 0..h {
-            for x in 0..w {
-                let v = raw.at(x, y);
-                let px = match rggb_color(x, y) {
-                    CfaColor::Red => Rgb::new(v, avg(x, y, CfaColor::Green, CROSS), {
-                        avg(x, y, CfaColor::Blue, DIAG)
-                    }),
-                    CfaColor::Blue => Rgb::new(
-                        avg(x, y, CfaColor::Red, DIAG),
-                        avg(x, y, CfaColor::Green, CROSS),
-                        v,
-                    ),
-                    CfaColor::Green => {
-                        // Red neighbors are horizontal on even rows,
-                        // vertical on odd rows (RGGB).
-                        let (r_off, b_off) = if y & 1 == 0 {
-                            (HORIZ, VERT)
-                        } else {
-                            (VERT, HORIZ)
-                        };
-                        Rgb::new(
-                            avg(x, y, CfaColor::Red, r_off),
-                            v,
-                            avg(x, y, CfaColor::Blue, b_off),
-                        )
-                    }
+        let v = raw.at(x, y);
+        match rggb_color(x, y) {
+            CfaColor::Red => Rgb::new(v, avg(CfaColor::Green, CROSS), avg(CfaColor::Blue, DIAG)),
+            CfaColor::Blue => Rgb::new(avg(CfaColor::Red, DIAG), avg(CfaColor::Green, CROSS), v),
+            CfaColor::Green => {
+                // Red neighbors are horizontal on even rows,
+                // vertical on odd rows (RGGB).
+                let (r_off, b_off) = if y & 1 == 0 {
+                    (HORIZ, VERT)
+                } else {
+                    (VERT, HORIZ)
                 };
-                rgb.set(x, y, px);
+                Rgb::new(avg(CfaColor::Red, r_off), v, avg(CfaColor::Blue, b_off))
             }
         }
-        Ok(rgb)
     }
 
     /// Arithmetic operations per pixel.
@@ -153,12 +199,15 @@ impl Default for WhiteBalance {
 impl WhiteBalance {
     /// Balances the frame in place and returns the applied `(r, b)` gains.
     pub fn process(&self, rgb: &mut RgbFrame) -> (f64, f64) {
-        let mut sums = [0f64; 3];
+        // Exact integer channel sums. Every partial sum stays below 2⁵³,
+        // so their f64 values equal a running f64 accumulation's.
+        let mut sums = [0u64; 3];
         for p in rgb.samples() {
-            sums[0] += f64::from(p.r);
-            sums[1] += f64::from(p.g);
-            sums[2] += f64::from(p.b);
+            sums[0] += u64::from(p.r);
+            sums[1] += u64::from(p.g);
+            sums[2] += u64::from(p.b);
         }
+        let sums = sums.map(|s| s as f64);
         let gain = |target: f64, actual: f64| -> f64 {
             if actual <= 0.0 {
                 1.0
@@ -169,9 +218,14 @@ impl WhiteBalance {
         let rg = gain(sums[1], sums[0]);
         let bg = gain(sums[1], sums[2]);
         if (rg - 1.0).abs() > 1e-3 || (bg - 1.0).abs() > 1e-3 {
+            // Each channel has one gain: tabulate its 256 scaled values.
+            let lut = |g: f64| -> [u8; 256] {
+                std::array::from_fn(|v| (f64::from(v as u8) * g).round().clamp(0.0, 255.0) as u8)
+            };
+            let (r_lut, b_lut) = (lut(rg), lut(bg));
             for p in rgb.samples_mut() {
-                p.r = (f64::from(p.r) * rg).round().clamp(0.0, 255.0) as u8;
-                p.b = (f64::from(p.b) * bg).round().clamp(0.0, 255.0) as u8;
+                p.r = r_lut[usize::from(p.r)];
+                p.b = b_lut[usize::from(p.b)];
             }
         }
         (rg, bg)
@@ -226,24 +280,37 @@ impl TemporalDenoise {
                 "motion field resolution differs from frame",
             ));
         }
+        let (w, h) = (i64::from(cur.width()), i64::from(cur.height()));
         let mut out = LumaFrame::new(cur.width(), cur.height())?;
         for by in 0..field.blocks_y() {
             for bx in 0..field.blocks_x() {
                 let mv = field.at_block(bx, by);
                 let conf = field.confidence(bx, by);
-                let w = self.strength * conf;
+                let weight = self.strength * conf;
+                let keep = 1.0 - weight;
                 let rect = field.block_rect(bx, by);
-                let (x0, y0) = (rect.x as u32, rect.y as u32);
-                let (bw, bh) = (rect.w as u32, rect.h as u32);
-                for dy in 0..bh {
-                    for dx in 0..bw {
-                        let (x, y) = (x0 + dx, y0 + dy);
-                        let c = f64::from(cur.at(x, y));
-                        let p = f64::from(prev_denoised.at_clamped(
-                            i64::from(x) - i64::from(mv.v.x),
-                            i64::from(y) - i64::from(mv.v.y),
-                        ));
-                        out.set(x, y, (c * (1.0 - w) + p * w).round() as u8);
+                let (x0, y0) = (rect.x as usize, rect.y as usize);
+                let (bw, bh) = (rect.w as usize, rect.h as usize);
+                let blend = |c: u8, p: u8| round_to_u8(f64::from(c) * keep + f64::from(p) * weight);
+                // Column of the displaced block's left edge in `prev`. Rows
+                // clamp to the frame; only a block displaced past a side
+                // edge clamps per pixel.
+                let sx = x0 as i64 - i64::from(mv.v.x);
+                let inside = sx >= 0 && sx + bw as i64 <= w;
+                for y in y0..y0 + bh {
+                    let sy = (y as i64 - i64::from(mv.v.y)).clamp(0, h - 1);
+                    let p_row = prev_denoised.row(sy as u32);
+                    let c_row = &cur.row(y as u32)[x0..x0 + bw];
+                    let o_row = &mut out.row_mut(y as u32)[x0..x0 + bw];
+                    if inside {
+                        let p_row = &p_row[sx as usize..sx as usize + bw];
+                        for ((o, &c), &p) in o_row.iter_mut().zip(c_row).zip(p_row) {
+                            *o = blend(c, p);
+                        }
+                    } else {
+                        for (i, (o, &c)) in o_row.iter_mut().zip(c_row).enumerate() {
+                            *o = blend(c, p_row[(sx + i as i64).clamp(0, w - 1) as usize]);
+                        }
                     }
                 }
             }
