@@ -8,8 +8,7 @@
 //! mechanism as data:
 //!
 //! * [`SloConfig`] — the service-level objective: a per-frame queue-wait
-//!   budget, a declared p99 target, the evaluation epoch, and the
-//!   hysteresis streaks.
+//!   budget, the evaluation epoch, and the hysteresis streaks.
 //! * [`DegradationLadder`] / [`Rung`] — the ordered list of states the
 //!   server may degrade through. Each rung can widen the EW window,
 //!   shrink the NN batching window, recommend a cheaper motion search
@@ -153,11 +152,6 @@ pub struct SloConfig {
     /// rung — a stale frame's result is worthless in continuous
     /// vision).
     pub frame_budget: Duration,
-    /// The declared SLO bound on queue-wait p99. Reported against the
-    /// measured distribution; on the 1-core CI box wall-clock is
-    /// *reported, never asserted* (the repo's standing rule), so tests
-    /// gate on the deterministic counters instead.
-    pub p99_target: Duration,
     /// Frames per evaluation epoch: the controller observes pressure
     /// once per `eval_every` frames.
     pub eval_every: u64,
@@ -175,17 +169,6 @@ pub struct SloConfig {
     /// below this value; between the two thresholds the controller
     /// holds its rung (the dead band of the hysteresis).
     pub recover_frac: f64,
-    /// Exponentially-weighted smoothing of the pressure signal before
-    /// it meets the thresholds: each observation is blended into a
-    /// running average with weight `1 / 2^smooth_shift`. Shift 0 (the
-    /// default) disables smoothing — the raw observation is used
-    /// bit-for-bit, preserving every pre-existing walk. Higher shifts
-    /// make the measured path robust to single-epoch spikes (one noisy
-    /// epoch of composition jitter no longer walks the ladder) at the
-    /// cost of reacting `~2^smooth_shift` epochs slower. The smoothing
-    /// is over *logical* epoch counters — no wall clock — so the walk
-    /// stays a pure function of the observation sequence.
-    pub smooth_shift: u32,
     /// The degradation states.
     pub ladder: DegradationLadder,
 }
@@ -194,16 +177,14 @@ impl SloConfig {
     /// An SLO with the standard ladder and default epoch/hysteresis
     /// (256-frame epochs; degrade after 1 overloaded epoch, recover
     /// after 4 healthy ones; 5% / 1% pressure thresholds).
-    pub fn new(frame_budget: Duration, p99_target: Duration) -> Self {
+    pub fn new(frame_budget: Duration) -> Self {
         SloConfig {
             frame_budget,
-            p99_target,
             eval_every: 256,
             degrade_after: 1,
             upgrade_after: 4,
             degrade_frac: 0.05,
             recover_frac: 0.01,
-            smooth_shift: 0,
             ladder: DegradationLadder::standard(),
         }
     }
@@ -227,13 +208,6 @@ impl SloConfig {
         self
     }
 
-    /// Sets the pressure-smoothing shift (EW average weight
-    /// `1 / 2^shift`; 0 = raw observations).
-    pub fn with_smoothing(mut self, shift: u32) -> Self {
-        self.smooth_shift = shift;
-        self
-    }
-
     /// Checks the configuration.
     ///
     /// # Errors
@@ -243,9 +217,6 @@ impl SloConfig {
     pub fn validate(&self) -> Result<()> {
         if self.frame_budget.is_zero() {
             return Err(Error::config("SLO frame budget must be positive"));
-        }
-        if self.p99_target.is_zero() {
-            return Err(Error::config("SLO p99 target must be positive"));
         }
         if self.eval_every == 0 {
             return Err(Error::config("SLO epoch (eval_every) must be >= 1 frame"));
@@ -260,14 +231,6 @@ impl SloConfig {
             return Err(Error::config(
                 "SLO recover threshold exceeds the degrade threshold (inverted hysteresis)",
             ));
-        }
-        if self.smooth_shift > 16 {
-            return Err(Error::config(format!(
-                "SLO smooth_shift {} is absurd (> 16: the controller would need \
-                 ~{} epochs to react)",
-                self.smooth_shift,
-                1u64 << self.smooth_shift
-            )));
         }
         self.ladder.validate()
     }
@@ -296,10 +259,6 @@ pub struct OverloadController {
     over_streak: u32,
     under_streak: u32,
     epochs: u64,
-    /// The EW-averaged pressure (`None` until the first observation);
-    /// only maintained when `smooth_shift > 0` — at shift 0 the raw
-    /// observation is used directly, bit-for-bit.
-    smoothed: Option<f64>,
     timeline: Vec<RungTransition>,
 }
 
@@ -317,7 +276,6 @@ impl OverloadController {
             over_streak: 0,
             under_streak: 0,
             epochs: 0,
-            smoothed: None,
             timeline: Vec::new(),
         })
     }
@@ -350,34 +308,15 @@ impl OverloadController {
     /// degrade streak; healthy epochs (`over_frac <= recover_frac`)
     /// extend the recover streak; the dead band between them resets
     /// both, holding the rung. A streak reaching its threshold steps
-    /// one rung (clamped at the ladder ends) and resets.
-    ///
-    /// With `smooth_shift > 0` the observation is first blended into an
-    /// exponentially-weighted average (`ema += (raw - ema) / 2^shift`)
-    /// and the *smoothed* value meets the thresholds (and is recorded
-    /// in the transition timeline) — the measured-pressure path's
-    /// defense against single-epoch composition spikes.
+    /// one rung (clamped at the ladder ends) and resets. A non-finite
+    /// observation reads as full overload.
     pub fn observe(&mut self, over_frac: f64) -> usize {
         let epoch = self.epochs;
         self.epochs += 1;
-        let raw = if over_frac.is_finite() {
+        let over_frac = if over_frac.is_finite() {
             over_frac.clamp(0.0, 1.0)
         } else {
             1.0
-        };
-        // Shift 0 bypasses the average entirely so legacy walks stay
-        // bit-identical (`prev + (raw - prev) * 1.0` is not exact in
-        // floating point).
-        let over_frac = if self.slo.smooth_shift == 0 {
-            raw
-        } else {
-            let alpha = 1.0 / f64::from(1u32 << self.slo.smooth_shift.min(16));
-            let ema = match self.smoothed {
-                None => raw,
-                Some(prev) => prev + (raw - prev) * alpha,
-            };
-            self.smoothed = Some(ema);
-            ema
         };
         if over_frac >= self.slo.degrade_frac {
             self.under_streak = 0;
@@ -453,6 +392,22 @@ impl DegradationReport {
     pub fn transitions(&self) -> usize {
         self.timeline.len()
     }
+
+    /// Adds `other`'s counters into this report. `epochs` takes the
+    /// larger count: workers and incarnations share one planned walk.
+    /// The timeline and final rung are left alone — the server derives
+    /// them once, at shutdown, from the merged epochs.
+    pub(crate) fn merge(&mut self, other: &DegradationReport) {
+        if self.frames_per_rung.len() < other.frames_per_rung.len() {
+            self.frames_per_rung.resize(other.frames_per_rung.len(), 0);
+        }
+        for (total, n) in self.frames_per_rung.iter_mut().zip(&other.frames_per_rung) {
+            *total += n;
+        }
+        self.shed += other.shed;
+        self.reconfigs += other.reconfigs;
+        self.epochs = self.epochs.max(other.epochs);
+    }
 }
 
 #[cfg(test)]
@@ -460,7 +415,7 @@ mod tests {
     use super::*;
 
     fn slo(degrade_after: u32, upgrade_after: u32) -> SloConfig {
-        SloConfig::new(Duration::from_millis(1), Duration::from_millis(5))
+        SloConfig::new(Duration::from_millis(1))
             .with_epoch(4)
             .with_hysteresis(degrade_after, upgrade_after)
     }
@@ -568,76 +523,6 @@ mod tests {
             (c.rung(), c.timeline().to_vec())
         };
         assert_eq!(run(&pressures), run(&pressures));
-    }
-
-    #[test]
-    fn smoothing_rejects_single_epoch_spikes_but_tracks_sustained_pressure() {
-        // Raw (shift 0): a lone full-overload epoch immediately steps
-        // the ladder with degrade_after = 1.
-        let mut raw = OverloadController::new(slo(1, 4)).unwrap();
-        raw.observe(0.0);
-        raw.observe(1.0); // the spike
-        assert_eq!(raw.rung(), 1, "raw controller chases the spike");
-
-        // Smoothed (shift 2, α = 1/4): the same spike is averaged down
-        // to 0.25 · 1.0 = 0.25 < ... wait, 0.25 ≥ degrade_frac 0.05 —
-        // so use the spike-vs-threshold margin the defaults provide:
-        // blend from a healthy baseline of ~0.0 with degrade_frac 0.3.
-        let mut cfg = slo(1, 4).with_smoothing(2);
-        cfg.degrade_frac = 0.3;
-        cfg.recover_frac = 0.05;
-        let mut smooth = OverloadController::new(cfg.clone()).unwrap();
-        smooth.observe(0.0);
-        smooth.observe(1.0); // spike: ema = 0 + (1 - 0)/4 = 0.25 < 0.3
-        assert_eq!(smooth.rung(), 0, "one spike is absorbed");
-        smooth.observe(0.0); // ema decays: 0.25 - 0.25/4 = 0.1875
-        assert_eq!(smooth.rung(), 0);
-
-        // Sustained pressure still walks the ladder: from a healthy
-        // baseline the ema converges toward 1.0 and crosses 0.3 within
-        // a few epochs.
-        let mut sustained = OverloadController::new(cfg).unwrap();
-        sustained.observe(0.0);
-        for _ in 0..8 {
-            sustained.observe(1.0);
-        }
-        assert!(sustained.rung() >= 1, "sustained overload still degrades");
-        // The recorded transition carries the *smoothed* pressure that
-        // drove it, not the raw spike.
-        let first = sustained.timeline()[0];
-        assert!(
-            first.over_frac >= 0.3 && first.over_frac < 1.0,
-            "transition records the ema ({})",
-            first.over_frac
-        );
-    }
-
-    #[test]
-    fn smoothed_walk_is_pure_and_shift_zero_is_bit_identical_to_legacy() {
-        let pressures: Vec<f64> = (0..96)
-            .map(|e| (euphrates_common::rngx::counter_hash(0x5A00, e) % 1000) as f64 / 1000.0)
-            .collect();
-        let run = |cfg: SloConfig| {
-            let mut c = OverloadController::new(cfg).unwrap();
-            for &p in &pressures {
-                c.observe(p);
-            }
-            (c.rung(), c.timeline().to_vec())
-        };
-        // Purity: the smoothed walk is a function of the observations.
-        assert_eq!(
-            run(slo(1, 2).with_smoothing(3)),
-            run(slo(1, 2).with_smoothing(3))
-        );
-        // Shift 0 and "no smoothing field at all" (the pre-smoothing
-        // construction path) agree bit-for-bit.
-        assert_eq!(run(slo(1, 2)), run(slo(1, 2).with_smoothing(0)));
-    }
-
-    #[test]
-    fn smoothing_shift_is_validated() {
-        assert!(slo(1, 1).with_smoothing(16).validate().is_ok());
-        assert!(slo(1, 1).with_smoothing(17).validate().is_err());
     }
 
     #[test]

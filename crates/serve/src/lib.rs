@@ -112,23 +112,27 @@
 //! # Recovery & supervision
 //!
 //! [`ServeConfig::with_supervision`] arms crash recovery (the
-//! [`supervise`] module): workers checkpoint every session on a fixed
-//! arrival cadence via [`Session::snapshot`] and keep the frames since
-//! in a bounded replay log. Two chaos fault channels take a worker's
-//! whole session table down: kills ([`ChaosConfig::with_worker_kills`],
-//! keyed on a session's arrival index) and wedges
-//! ([`ChaosConfig::with_wedges`], a logical fault at the worker's
-//! dequeue tick). The worker recovers **in place**, on its own thread:
-//! it resurrects every session on its lane from checkpoint + replay —
-//! bit-identical to a fault-free run, or drained as
-//! [`FailureKind::Unrecovered`] with the exact budget arithmetic when
-//! the log outgrew [`SuperviseConfig::replay_budget`] — then processes
-//! the faulting message. Supervised or not, a server runs exactly
-//! `workers` threads. Kill draws key on the same logical counters as
-//! every other fault, so the kill timeline in
+//! [`supervise`] module). Every live session slot then carries its own
+//! recovery ledger: a checkpoint taken via [`Session::snapshot`] on a
+//! fixed arrival cadence, plus a bounded write-ahead log of the frames
+//! since. A dead session is a tombstone slot, so the session table is
+//! the one record of every session's state. Two chaos fault channels
+//! take a worker's whole table down: kills
+//! ([`ChaosConfig::with_worker_kills`], keyed on a session's arrival
+//! index) and wedges ([`ChaosConfig::with_wedges`], a logical fault at
+//! the worker's dequeue tick). The worker recovers **in place**, on its
+//! own thread, rebuilding the table where it stands: tombstones are
+//! kept, and each live slot is restored from its checkpoint and its log
+//! replayed through the same arrival path live frames take —
+//! bit-identical to a fault-free run, or turned into a
+//! [`FailureKind::Unrecovered`] tombstone with the exact budget
+//! arithmetic when the log outgrew [`SuperviseConfig::replay_budget`].
+//! Then it processes the faulting message. Supervised or not, a server
+//! runs exactly `workers` threads. Kill draws key on the same logical
+//! counters as every other fault, so the kill timeline in
 //! [`DrainReport::recovery`] is identical at any worker count.
 //!
-//! **Checkpoint cadence vs replay memory.** The ledger holds up to
+//! **Checkpoint cadence vs replay memory.** A ledger holds up to
 //! `checkpoint_every + replay_budget` `Arc`-shared frames per session:
 //! a tight cadence means cheap, short replays (low MTTR in logical
 //! ticks) but frequent snapshot work; a loose cadence amortizes
@@ -140,11 +144,15 @@
 //! typed `Unrecovered` drains.
 //!
 //! The whole server also restarts warm: [`SessionServer::freeze`]
-//! flushes every live session to a checkpoint inside a
-//! [`ServerImage`], and [`SessionServer::thaw`] rebuilds a running
-//! server — at any worker count — whose sessions continue bit-exactly
-//! where they froze, with the pre-freeze counters carried into the
-//! final [`DrainReport`].
+//! shuts down with every session slot — live or tombstoned — moved
+//! into a [`ServerImage`], and [`SessionServer::thaw`] rebuilds a
+//! running server — at any worker count — whose sessions continue
+//! bit-exactly where they froze; under supervision each live slot
+//! restarts its ledger from a fresh checkpoint. Every worker's counters
+//! take the shape of a one-worker [`DrainReport`], and one merge folds
+//! the workers at shutdown and the pre-freeze report carried through
+//! the image, so the final [`DrainReport`] — degradation accounting
+//! included — covers both incarnations.
 //!
 //! Frames enter as [`Arc<FrameData>`] — ground truth plus the
 //! ISP-exported motion field, i.e. what the paper's ISP ships to the
@@ -189,14 +197,14 @@ pub use degrade::{
 };
 pub use supervise::{IncidentKind, RecoveryIncident, RecoveryReport, SuperviseConfig};
 
-use crate::supervise::{Ledger, LiveLedger, SlotCheckpoint};
+use crate::supervise::{Ledger, SlotCheckpoint};
 use euphrates_common::error::{Error, Result};
 use euphrates_common::gate::CapacityGate;
 use euphrates_common::image::Resolution;
 use euphrates_common::par::default_threads;
 use euphrates_common::rngx;
 use euphrates_common::stats::LatencyHistogram;
-use euphrates_core::api::{SchemeSpec, Session, VisionTask};
+use euphrates_core::api::{FrameDecision, SchemeSpec, Session, VisionTask};
 use euphrates_core::backend::TaskOutcome;
 use euphrates_core::frontend::{frame_source, FrameData, MotionConfig};
 use euphrates_datasets::Sequence;
@@ -205,7 +213,7 @@ use euphrates_mc::policy::EwPolicy;
 use euphrates_nn::engine::{BatchPlan, InferencePlan, NnxEngine};
 use euphrates_nn::layer::NetworkDescriptor;
 use std::collections::{BTreeSet, HashMap};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex};
@@ -403,6 +411,27 @@ struct OverloadRuntime {
     controller: Mutex<OverloadController>,
 }
 
+impl OverloadRuntime {
+    /// Measured-mode pressure pooling: every received frame contributes;
+    /// the worker that completes an epoch locks the controller once and
+    /// publishes the rung. A no-op under a pressure plan.
+    fn pool_pressure(&self, wait_ns: u64) {
+        if self.plan.is_some() {
+            return;
+        }
+        if wait_ns > self.slo.frame_budget.as_nanos() as u64 {
+            self.epoch_over.fetch_add(1, Ordering::Relaxed);
+        }
+        let n = self.epoch_frames.fetch_add(1, Ordering::Relaxed) + 1;
+        if n.is_multiple_of(self.slo.eval_every) {
+            let over = self.epoch_over.swap(0, Ordering::Relaxed);
+            let mut ctl = self.controller.lock().unwrap_or_else(|p| p.into_inner());
+            let rung = ctl.observe(over as f64 / self.slo.eval_every as f64);
+            self.current.store(rung, Ordering::Relaxed);
+        }
+    }
+}
+
 /// Read-only state shared by all workers (plus the one write-once
 /// `freeze` latch the warm-restart path flips before shutdown).
 struct Shared<T> {
@@ -412,8 +441,8 @@ struct Shared<T> {
     overload: Option<OverloadRuntime>,
     chaos: Option<ChaosConfig>,
     supervise: Option<SuperviseConfig>,
-    /// Set by [`SessionServer::freeze`]: workers flush open sessions as
-    /// checkpoints instead of finishing them.
+    /// Set by [`SessionServer::freeze`]: workers hand their open
+    /// session slots to the image instead of finishing them.
     freeze: AtomicBool,
 }
 
@@ -473,14 +502,17 @@ impl FailureBreakdown {
 /// A live session plus the serving-side state that rides along: its
 /// scheme index (to restore the declared EW policy at rung 0), the
 /// arrival counter the deterministic fault/pressure schedules key on,
-/// the rung currently applied to it, and — under a pressure plan — its
-/// own controller replica.
+/// the rung currently applied to it, under a pressure plan its own
+/// controller replica, and under supervision its recovery ledger.
 struct LiveSlot<T: VisionTask> {
     session: Session<T>,
     scheme: usize,
     arrivals: u64,
     applied_rung: usize,
     walk: Option<OverloadController>,
+    /// The write-ahead recovery state: the last checkpoint plus the
+    /// frames since. `None` when supervision is off.
+    ledger: Option<Ledger<T>>,
 }
 
 /// A worker's session slot: a live session, or the error that killed it
@@ -594,27 +626,6 @@ pub struct IngressReport {
     pub busy_rejections: u64,
 }
 
-/// What one worker hands back at drain (with frozen session checkpoints
-/// in place of outcomes when the server is freezing).
-struct WorkerOutput<T: VisionTask> {
-    outcomes: Vec<(SessionId, Result<TaskOutcome>, Option<FailureKind>)>,
-    frozen: Vec<(SessionId, FrozenSlot<T>)>,
-    latency: LatencyHistogram,
-    queue_wait: LatencyHistogram,
-    frames: u64,
-    served: u64,
-    dropped: u64,
-    shed: u64,
-    busy_ns: u64,
-    wall_ns: u64,
-    frames_per_rung: Vec<u64>,
-    reconfigs: u64,
-    max_epochs: u64,
-    chaos: ChaosReport,
-    recovery: RecoveryReport,
-    nn: Option<NnServeReport>,
-}
-
 /// The merged result of [`SessionServer::drain`]: every session's
 /// outcome (keyed by id), cross-worker latency/queue-wait histograms,
 /// the frame counters the throughput numbers derive from, per-shard
@@ -700,6 +711,73 @@ impl DrainReport {
         }
         b
     }
+
+    /// An empty report with a section for every feature `shared` arms.
+    fn empty<T>(shared: &Shared<T>) -> Self {
+        DrainReport {
+            outcomes: HashMap::new(),
+            latency: LatencyHistogram::new(),
+            queue_wait: LatencyHistogram::new(),
+            frames: 0,
+            served: 0,
+            dropped: 0,
+            shed: 0,
+            per_worker: Vec::new(),
+            ingress: IngressReport::default(),
+            nn: shared.batching.as_ref().map(|_| NnServeReport::default()),
+            degradation: shared.overload.as_ref().map(|rt| DegradationReport {
+                timeline: Vec::new(),
+                frames_per_rung: vec![0; rt.slo.ladder.len()],
+                shed: 0,
+                reconfigs: 0,
+                epochs: 0,
+                final_rung: 0,
+            }),
+            chaos: shared.chaos.as_ref().map(|_| ChaosReport::default()),
+            recovery: shared.supervise.as_ref().map(|_| RecoveryReport::default()),
+        }
+    }
+
+    /// Folds `other` into this report: histograms merge, counters add,
+    /// `per_worker` concatenates, each section merges (or is taken when
+    /// this report lacks it), and outcome maps union with this report's
+    /// entry winning on an id conflict — so a post-thaw report keeps the
+    /// outcome of the incarnation that saw the session last.
+    fn merge(&mut self, other: DrainReport) {
+        self.latency.merge(&other.latency);
+        self.queue_wait.merge(&other.queue_wait);
+        self.frames += other.frames;
+        self.served += other.served;
+        self.dropped += other.dropped;
+        self.shed += other.shed;
+        self.per_worker.extend(other.per_worker);
+        self.ingress.parked += other.ingress.parked;
+        self.ingress.woken += other.ingress.woken;
+        self.ingress.immediate += other.ingress.immediate;
+        self.ingress.busy_rejections += other.ingress.busy_rejections;
+        merge_section(&mut self.nn, other.nn, NnServeReport::merge);
+        merge_section(
+            &mut self.degradation,
+            other.degradation,
+            DegradationReport::merge,
+        );
+        merge_section(&mut self.chaos, other.chaos, ChaosReport::merge);
+        merge_section(&mut self.recovery, other.recovery, RecoveryReport::merge);
+        for (id, entry) in other.outcomes {
+            self.outcomes.entry(id).or_insert(entry);
+        }
+    }
+}
+
+/// Merges an optional report section into another, taking it whole
+/// when the target has none.
+fn merge_section<R>(into: &mut Option<R>, from: Option<R>, merge: fn(&mut R, &R)) {
+    if let Some(part) = from {
+        match into {
+            Some(total) => merge(total, &part),
+            None => *into = Some(part),
+        }
+    }
 }
 
 /// One worker's ingress lane: the bounded transport plus the capacity
@@ -707,17 +785,6 @@ impl DrainReport {
 struct Lane {
     tx: SyncSender<Msg>,
     gate: Arc<CapacityGate>,
-}
-
-/// A frozen session slot inside a [`ServerImage`]: a live session's
-/// checkpoint, or the tombstone of one that had already died.
-// Live dominates any healthy image; boxing it would cost an
-// indirection on every freeze/thaw for a variant imbalance that only
-// exists while tombstones are present.
-#[allow(clippy::large_enum_variant)]
-enum FrozenSlot<T: VisionTask> {
-    Live(SlotCheckpoint<T>),
-    Dead { error: Error, kind: FailureKind },
 }
 
 /// A sharded, backpressured session server over `N` worker threads.
@@ -734,7 +801,7 @@ pub struct SessionServer<T: VisionTask> {
     shared: Arc<Shared<T>>,
     lanes: Vec<Lane>,
     /// One thread per lane, in lane order.
-    workers: Vec<JoinHandle<WorkerOutput<T>>>,
+    workers: Vec<JoinHandle<Drained<T>>>,
     /// Pre-freeze statistics carried through [`thaw`][Self::thaw],
     /// merged into the final drain.
     carry: Option<Box<DrainReport>>,
@@ -877,7 +944,7 @@ where
             });
             let shared = Arc::clone(&shared);
             workers.push(std::thread::spawn(move || {
-                worker_loop(shared, rx, gate, windex as u64, table)
+                worker_loop(Worker::new(shared, windex as u64, table), rx, gate)
             }));
         }
         Ok(SessionServer {
@@ -1094,8 +1161,8 @@ where
         self.shutdown().0
     }
 
-    /// Warm-restart half one: shuts the server down with every live
-    /// session flushed to a checkpoint instead of finished. The
+    /// Warm-restart half one: shuts the server down with every open
+    /// session slot moved into the image instead of finished. The
     /// returned [`ServerImage`] plus [`thaw`][Self::thaw] rebuilds a
     /// server whose sessions continue bit-exactly where they froze.
     /// Statistics accumulated so far ride inside the image and are
@@ -1132,140 +1199,60 @@ where
             sessions,
             carry,
         } = image;
-        let initial = sessions
-            .into_iter()
-            .map(|(id, frozen)| {
-                let slot = match frozen {
-                    FrozenSlot::Live(cp) => Slot::Live(Box::new(thaw_slot(cp))),
-                    FrozenSlot::Dead { error, kind } => Slot::Dead { error, kind },
-                };
-                (id, slot)
-            })
-            .collect();
-        Self::boot(task, schemes, config, initial, Some(Box::new(carry)))
+        Self::boot(task, schemes, config, sessions, Some(Box::new(carry)))
     }
 
     /// The common teardown behind [`drain`][Self::drain] and
-    /// [`freeze`][Self::freeze]: close lanes, join the workers, merge.
-    fn shutdown(self) -> (DrainReport, Vec<(SessionId, FrozenSlot<T>)>) {
-        let gates: Vec<Arc<CapacityGate>> = self
-            .lanes
-            .iter()
-            .map(|lane| Arc::clone(&lane.gate))
-            .collect();
+    /// [`freeze`][Self::freeze]: close lanes, join the workers, fold
+    /// their reports and the thaw carry, then derive the degradation
+    /// walk once.
+    fn shutdown(self) -> Drained<T> {
         drop(self.lanes);
-        let ladder_len = self
-            .shared
-            .overload
-            .as_ref()
-            .map_or(0, |rt| rt.slo.ladder.len());
-        let mut frames_per_rung = vec![0u64; ladder_len];
-        let mut reconfigs = 0u64;
-        let mut max_epochs = 0u64;
-        let mut chaos_total = ChaosReport::default();
+        let mut report = DrainReport::empty(&self.shared);
         let mut frozen = Vec::new();
-        let mut report = DrainReport {
-            outcomes: HashMap::new(),
-            latency: LatencyHistogram::new(),
-            queue_wait: LatencyHistogram::new(),
-            frames: 0,
-            served: 0,
-            dropped: 0,
-            shed: 0,
-            per_worker: Vec::with_capacity(self.workers.len()),
-            ingress: IngressReport {
-                busy_rejections: self.busy_rejections.load(Ordering::Relaxed),
-                ..IngressReport::default()
-            },
-            nn: self
-                .shared
-                .batching
-                .as_ref()
-                .map(|_| NnServeReport::default()),
-            degradation: None,
-            chaos: None,
-            recovery: self
-                .shared
-                .supervise
-                .as_ref()
-                .map(|_| RecoveryReport::default()),
-        };
-        for (handle, gate) in self.workers.into_iter().zip(gates) {
-            let out = handle
+        for handle in self.workers {
+            let (part, slots) = handle
                 .join()
                 .expect("serve workers isolate session panics and never die");
-            let gs = gate.stats();
-            report.ingress.parked += gs.parked;
-            report.ingress.woken += gs.woken;
-            report.ingress.immediate += gs.immediate;
-            report.latency.merge(&out.latency);
-            report.queue_wait.merge(&out.queue_wait);
-            report.frames += out.frames;
-            report.served += out.served;
-            report.dropped += out.dropped;
-            report.shed += out.shed;
-            for (rung, n) in out.frames_per_rung.iter().enumerate() {
-                frames_per_rung[rung] += n;
-            }
-            reconfigs += out.reconfigs;
-            max_epochs = max_epochs.max(out.max_epochs);
-            chaos_total.merge(&out.chaos);
-            if let Some(total) = report.recovery.as_mut() {
-                total.merge(&out.recovery);
-            }
-            frozen.extend(out.frozen);
-            report.per_worker.push(WorkerStats {
-                frames: out.frames,
-                served: out.served,
-                dropped: out.dropped,
-                shed: out.shed,
-                queue_wait: out.queue_wait,
-                busy_ns: out.busy_ns,
-                wall_ns: out.wall_ns,
-                parked: gs.parked,
-                woken: gs.woken,
-            });
-            if let (Some(total), Some(nn)) = (report.nn.as_mut(), out.nn.as_ref()) {
-                total.merge(nn);
-            }
-            for (id, outcome, kind) in out.outcomes {
-                report.outcomes.insert(id, (outcome, kind));
-            }
+            report.merge(part);
+            frozen.extend(slots);
         }
-        if let Some(rt) = self.shared.overload.as_ref() {
-            // Planned mode: the canonical (thread-count-independent)
-            // walk is the template replayed over the pure pressure plan
-            // for as many epochs as any session reached. Measured mode:
-            // the global controller's own history (a poisoned lock just
-            // means a worker died mid-epoch; its state is still valid).
-            let (timeline, epochs, final_rung) = match &rt.plan {
-                Some(plan) => {
-                    let mut walk = rt.template.clone();
-                    for epoch in 0..max_epochs {
-                        walk.observe(plan.over_frac(epoch));
-                    }
-                    (walk.timeline().to_vec(), walk.epochs(), walk.rung())
-                }
-                None => {
-                    let ctl = rt.controller.lock().unwrap_or_else(|p| p.into_inner());
-                    (ctl.timeline().to_vec(), ctl.epochs(), ctl.rung())
-                }
-            };
-            report.degradation = Some(DegradationReport {
-                timeline,
-                frames_per_rung,
-                shed: report.shed,
-                reconfigs,
-                epochs,
-                final_rung,
-            });
-        }
-        if self.shared.chaos.is_some() {
-            chaos_total.rejections += self.chaos_rejections.load(Ordering::Relaxed);
-            report.chaos = Some(chaos_total);
+        report.ingress.busy_rejections += self.busy_rejections.load(Ordering::Relaxed);
+        if let Some(chaos) = report.chaos.as_mut() {
+            chaos.rejections += self.chaos_rejections.load(Ordering::Relaxed);
         }
         if let Some(carry) = self.carry {
-            merge_carry(&mut report, *carry);
+            // `per_worker` stays per-incarnation: the worker count may
+            // have changed across the restart.
+            let mut carry = *carry;
+            carry.per_worker.clear();
+            report.merge(carry);
+        }
+        if let (Some(rt), Some(walk)) = (self.shared.overload.as_ref(), report.degradation.as_mut())
+        {
+            // Planned mode: the canonical (thread-count-independent)
+            // walk is the template replayed over the pure pressure plan
+            // for as many epochs as any session reached, in any
+            // incarnation. Measured mode: the global controller's own
+            // history (a poisoned lock just means a worker died
+            // mid-epoch; its state is still valid).
+            let ctl = match &rt.plan {
+                Some(plan) => {
+                    let mut ctl = rt.template.clone();
+                    for epoch in 0..walk.epochs {
+                        ctl.observe(plan.over_frac(epoch));
+                    }
+                    ctl
+                }
+                None => rt
+                    .controller
+                    .lock()
+                    .unwrap_or_else(|p| p.into_inner())
+                    .clone(),
+            };
+            walk.timeline = ctl.timeline().to_vec();
+            walk.epochs = ctl.epochs();
+            walk.final_rung = ctl.rung();
         }
         (report, frozen)
     }
@@ -1352,90 +1339,31 @@ fn charge_batch(report: &mut NnServeReport, runtime: &BatchRuntime, jobs: usize)
     report.batch_sizes.record(jobs as u64);
 }
 
-/// One worker: owns its session table, recovery ledger, histograms,
-/// counters, and batch collector; runs until every sender is dropped.
-/// Releases one gate permit per dequeued message — the other half of
-/// the parked-producer protocol. Under supervision, a chaos kill or
-/// wedge costs the worker its session table, which it rebuilds in
-/// place ([`recover`]) before processing the faulting message.
-fn worker_loop<T>(
-    shared: Arc<Shared<T>>,
-    rx: Receiver<Msg>,
-    gate: Arc<CapacityGate>,
-    windex: u64,
-    mut sessions: HashMap<SessionId, Slot<T>>,
-) -> WorkerOutput<T>
+/// What a worker hands back at drain: its report, plus the slots it
+/// kept for the image when the server is freezing.
+type Drained<T> = (DrainReport, Vec<(SessionId, Slot<T>)>);
+
+/// One worker thread: the receive with the batch deadline, the permit
+/// release — the other half of the parked-producer protocol — the
+/// dequeue tick, and busy-time accounting. Everything else is the
+/// [`Worker`]'s. Runs until every sender is dropped.
+fn worker_loop<T>(mut worker: Worker<T>, rx: Receiver<Msg>, gate: Arc<CapacityGate>) -> Drained<T>
 where
     T: VisionTask + Clone,
     T::State: Clone,
 {
     let started = Instant::now();
-    let mut collector = BatchCollector::new();
-    let ladder_len = shared.overload.as_ref().map_or(0, |rt| rt.slo.ladder.len());
-    // The chaos corruption channel's substitute: a tiny frame of the
-    // wrong resolution, so the corruption travels the same validation
-    // (and poison) path a malformed client frame would.
-    let corrupt_frame = shared
-        .chaos
-        .as_ref()
-        .filter(|c| c.corrupt_every != 0)
-        .map(|_| {
-            FrameData::new(
-                Vec::new(),
-                MotionField::zeroed(Resolution::new(2, 2), 2, 1)
-                    .expect("a 2x2 zero field is always constructible"),
-            )
-        });
-    let mut out = WorkerOutput {
-        outcomes: Vec::new(),
-        frozen: Vec::new(),
-        latency: LatencyHistogram::new(),
-        queue_wait: LatencyHistogram::new(),
-        frames: 0,
-        served: 0,
-        dropped: 0,
-        shed: 0,
-        busy_ns: 0,
-        wall_ns: 0,
-        frames_per_rung: vec![0; ladder_len],
-        reconfigs: 0,
-        max_epochs: 0,
-        chaos: ChaosReport::default(),
-        recovery: RecoveryReport::default(),
-        nn: shared.batching.as_ref().map(|_| NnServeReport::default()),
-    };
-    // The recovery ledger starts with the genesis checkpoint of every
-    // session this worker was born with (a thawed table).
-    let mut ledgers: Option<HashMap<SessionId, Ledger<T>>> = shared.supervise.as_ref().map(|_| {
-        sessions
-            .iter()
-            .map(|(id, slot)| (*id, ledger_entry(slot)))
-            .collect()
-    });
+    let mut busy_ns = 0u64;
     let mut dequeues = 0u64;
     loop {
-        // While a batch window is open, wait only until its deadline
-        // (shrunk by the current rung's shift — degraded servers trade
-        // amortization for latency); otherwise block for the next
-        // message.
-        let deadline = shared.batching.as_ref().and_then(|b| {
-            let max_wait = match shared.overload.as_ref() {
-                Some(rt) => {
-                    let rung = rt.current.load(Ordering::Relaxed);
-                    let shift = rt.slo.ladder.rungs[rung].max_wait_shift.min(63);
-                    Duration::from_nanos((b.max_wait.as_nanos() as u64) >> shift)
-                }
-                None => b.max_wait,
-            };
-            collector.deadline(max_wait)
-        });
-        let msg = match deadline {
+        // While a batch window is open, wait only until its deadline;
+        // otherwise block for the next message.
+        let msg = match worker.batch_deadline() {
             Some(deadline) => {
-                let wait = deadline.saturating_duration_since(Instant::now());
-                match rx.recv_timeout(wait) {
+                match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
                     Ok(msg) => msg,
                     Err(RecvTimeoutError::Timeout) => {
-                        flush_batch(&shared, &mut collector, &mut out);
+                        worker.flush();
                         continue;
                     }
                     Err(RecvTimeoutError::Disconnected) => break,
@@ -1447,367 +1375,479 @@ where
             },
         };
         gate.release();
-        let tick = dequeues;
+        worker.inject_faults(&msg, dequeues);
         dequeues += 1;
-        if let Some(chaos) = shared.chaos.as_ref() {
-            if chaos.stall_at(windex, tick) {
-                out.chaos.stalls += 1;
-                std::thread::sleep(chaos.stall);
-            }
-            if chaos.wedge_at(windex, tick) {
-                out.chaos.wedges += 1;
-                let ledgers = ledgers
-                    .as_mut()
-                    .expect("wedges are gated on supervision at config validation");
-                sessions = recover(
-                    &shared,
-                    &mut collector,
-                    &mut out,
-                    ledgers,
-                    IncidentKind::Wedge,
-                    msg.session(),
-                    tick,
-                );
+        let busy_from = Instant::now();
+        worker.handle(msg);
+        busy_ns += busy_from.elapsed().as_nanos() as u64;
+    }
+    worker.finish(started, busy_ns, &gate)
+}
+
+/// Everything one worker owns: its session table (each live slot with
+/// its own recovery ledger), its batch collector, and its counters in
+/// the shape of a one-worker [`DrainReport`].
+struct Worker<T: VisionTask> {
+    shared: Arc<Shared<T>>,
+    windex: u64,
+    sessions: HashMap<SessionId, Slot<T>>,
+    collector: BatchCollector,
+    /// The chaos corruption channel's substitute: a tiny frame of the
+    /// wrong resolution, so the corruption travels the same validation
+    /// (and poison) path a malformed client frame would.
+    corrupt_frame: Option<FrameData>,
+    report: DrainReport,
+}
+
+impl<T> Worker<T>
+where
+    T: VisionTask + Clone,
+    T::State: Clone,
+{
+    /// A worker born with `sessions` (a thawed table): under
+    /// supervision each live slot's ledger restarts from a genesis
+    /// checkpoint under this server's config.
+    fn new(shared: Arc<Shared<T>>, windex: u64, mut sessions: HashMap<SessionId, Slot<T>>) -> Self {
+        for slot in sessions.values_mut() {
+            if let Slot::Live(live) = slot {
+                live.restart_ledger(shared.supervise.is_some());
             }
         }
-        let busy_from = Instant::now();
+        let corrupt_frame = shared
+            .chaos
+            .as_ref()
+            .filter(|c| c.corrupt_every != 0)
+            .map(|_| {
+                FrameData::new(
+                    Vec::new(),
+                    MotionField::zeroed(Resolution::new(2, 2), 2, 1)
+                        .expect("a 2x2 zero field is always constructible"),
+                )
+            });
+        Worker {
+            report: DrainReport::empty(&shared),
+            shared,
+            windex,
+            sessions,
+            collector: BatchCollector::new(),
+            corrupt_frame,
+        }
+    }
+
+    /// When the open batch window must flush: `max_wait` after it
+    /// opened, shrunk by the current rung's shift (degraded servers
+    /// trade amortization for latency). `None` while no window is open.
+    fn batch_deadline(&self) -> Option<Instant> {
+        let batching = self.shared.batching.as_ref()?;
+        let max_wait = match self.shared.overload.as_ref() {
+            Some(rt) => {
+                let rung = rt.current.load(Ordering::Relaxed);
+                let shift = rt.slo.ladder.rungs[rung].max_wait_shift.min(63);
+                Duration::from_nanos((batching.max_wait.as_nanos() as u64) >> shift)
+            }
+            None => batching.max_wait,
+        };
+        self.collector.deadline(max_wait)
+    }
+
+    /// The worker-level chaos faults drawn at dequeue `tick`: a stall
+    /// sleeps, a wedge costs the worker its session table, which it
+    /// rebuilds in place before handling `msg`.
+    fn inject_faults(&mut self, msg: &Msg, tick: u64) {
+        let Some(chaos) = self.shared.chaos.as_ref() else {
+            return;
+        };
+        if chaos.stall_at(self.windex, tick) {
+            self.report.chaos.get_or_insert_default().stalls += 1;
+            std::thread::sleep(chaos.stall);
+        }
+        if chaos.wedge_at(self.windex, tick) {
+            self.report.chaos.get_or_insert_default().wedges += 1;
+            self.recover(IncidentKind::Wedge, msg.session(), tick);
+        }
+    }
+
+    /// Processes one message.
+    fn handle(&mut self, msg: Msg) {
         match msg {
             Msg::Open {
                 id,
                 scheme,
                 resolution,
-            } => {
-                let spec = &shared.schemes[scheme];
-                let slot = match Session::new(shared.task.clone(), spec.backend, resolution, id) {
-                    Ok(session) => Slot::Live(Box::new(LiveSlot {
-                        session,
-                        scheme,
-                        arrivals: 0,
-                        applied_rung: 0,
-                        walk: shared
-                            .overload
-                            .as_ref()
-                            .filter(|rt| rt.plan.is_some())
-                            .map(|rt| rt.template.clone()),
-                    })),
-                    Err(e) => Slot::Dead {
-                        error: e,
-                        kind: FailureKind::Protocol,
-                    },
-                };
-                if let Some(ledgers) = ledgers.as_mut() {
-                    ledgers.insert(id, ledger_entry(&slot));
-                }
-                if let Some(old) = sessions.insert(id, slot) {
-                    let (outcome, kind) = finish_slot(old);
-                    out.outcomes.push((id, outcome, kind));
-                }
-            }
-            Msg::Frame { id, frame, at } => {
-                // Chaos worker kill: keyed on the target session's next
-                // arrival index (worker-count invariant), drawn *before*
-                // any counter so the frame is counted exactly once — by
-                // the rebuilt session table.
-                let kill = shared
-                    .chaos
-                    .as_ref()
-                    .filter(|c| c.kill_every != 0)
-                    .and_then(|chaos| match sessions.get(&id) {
-                        Some(Slot::Live(slot)) if chaos.kill_at(id, slot.arrivals) => {
-                            Some(slot.arrivals)
-                        }
-                        _ => None,
-                    });
-                if let Some(arrival) = kill {
-                    out.chaos.kills += 1;
-                    let ledgers = ledgers
-                        .as_mut()
-                        .expect("kills are gated on supervision at config validation");
-                    sessions = recover(
-                        &shared,
-                        &mut collector,
-                        &mut out,
-                        ledgers,
-                        IncidentKind::WorkerKill,
-                        id,
-                        arrival,
-                    );
-                }
-                out.frames += 1;
-                let wait_ns = at.elapsed().as_nanos() as u64;
-                out.queue_wait.record(wait_ns);
-                // Measured-mode pressure pooling: every received frame
-                // contributes; the worker that completes an epoch locks
-                // the controller once and publishes the rung.
-                if let Some(rt) = shared.overload.as_ref() {
-                    if rt.plan.is_none() {
-                        if wait_ns > rt.slo.frame_budget.as_nanos() as u64 {
-                            rt.epoch_over.fetch_add(1, Ordering::Relaxed);
-                        }
-                        let n = rt.epoch_frames.fetch_add(1, Ordering::Relaxed) + 1;
-                        if n % rt.slo.eval_every == 0 {
-                            let over = rt.epoch_over.swap(0, Ordering::Relaxed);
-                            let mut ctl = rt.controller.lock().unwrap_or_else(|p| p.into_inner());
-                            let rung = ctl.observe(over as f64 / rt.slo.eval_every as f64);
-                            rt.current.store(rung, Ordering::Relaxed);
-                        }
-                    }
-                }
-                match sessions.get_mut(&id) {
-                    Some(Slot::Live(slot)) => {
-                        // Write-ahead: log the frame into the recovery
-                        // ledger *before* processing — shed frames
-                        // included, since they still advance the
-                        // arrival counter and the planned walk and must
-                        // be re-shed identically on replay.
-                        if let (Some(ledgers), Some(sup)) =
-                            (ledgers.as_mut(), shared.supervise.as_ref())
-                        {
-                            if let Some(Ledger::Live(l)) = ledgers.get_mut(&id) {
-                                l.lag += 1;
-                                if l.lag > sup.replay_budget {
-                                    l.lost = true;
-                                    l.replay.clear();
-                                } else {
-                                    l.replay.push(Arc::clone(&frame));
-                                }
-                            }
-                        }
-                        let arrival = slot.arrivals;
-                        slot.arrivals += 1;
-                        let shed =
-                            schedule_arrival(&shared, slot, arrival, Some(wait_ns), Some(&mut out));
-                        if shed {
-                            out.shed += 1;
-                        } else {
-                            let (chaos_panic, chaos_corrupt) = match shared.chaos.as_ref() {
-                                Some(c) => (c.panic_at(id, arrival), c.corrupt_at(id, arrival)),
-                                None => (false, false),
-                            };
-                            let pushed: &FrameData = if chaos_corrupt {
-                                out.chaos.corrupted += 1;
-                                corrupt_frame
-                                    .as_ref()
-                                    .expect("corruption armed implies the substitute exists")
-                            } else {
-                                &frame
-                            };
-                            // One session's panic — organic or injected —
-                            // must not take down the worker (or the other
-                            // sessions on this shard).
-                            match catch_unwind(AssertUnwindSafe(|| {
-                                if chaos_panic {
-                                    panic!("chaos: injected task panic");
-                                }
-                                slot.session.push_frame(pushed)
-                            })) {
-                                Ok(Ok(decision)) => {
-                                    out.served += 1;
-                                    out.latency.record(at.elapsed().as_nanos() as u64);
-                                    if decision.is_inference() {
-                                        if let Some(rt) = shared.batching.as_ref() {
-                                            if collector.add(rt.max_batch) {
-                                                if let (Some(nn), Some(jobs)) =
-                                                    (out.nn.as_mut(), collector.take())
-                                                {
-                                                    charge_batch(nn, rt, jobs);
-                                                }
-                                            }
-                                        }
-                                    }
-                                }
-                                Ok(Err(e)) => {
-                                    out.dropped += 1;
-                                    let kind = if chaos_corrupt {
-                                        FailureKind::ChaosInjected
-                                    } else {
-                                        FailureKind::Poisoned
-                                    };
-                                    bury(ledgers.as_mut(), id, &e, kind);
-                                    sessions.insert(id, Slot::Dead { error: e, kind });
-                                }
-                                Err(payload) => {
-                                    out.dropped += 1;
-                                    let kind = if chaos_panic {
-                                        out.chaos.panics += 1;
-                                        FailureKind::ChaosInjected
-                                    } else {
-                                        FailureKind::Panicked
-                                    };
-                                    let error = Error::config(format!(
-                                        "session task panicked: {}",
-                                        panic_text(payload)
-                                    ));
-                                    bury(ledgers.as_mut(), id, &error, kind);
-                                    sessions.insert(id, Slot::Dead { error, kind });
-                                }
-                            }
-                        }
-                        // Checkpoint refresh on the arrival cadence —
-                        // only if the session survived this frame.
-                        // Cadence points are pure arrival multiples, so
-                        // a session's replay distance at any fault is
-                        // `arrival % checkpoint_every` at every worker
-                        // count.
-                        if let (Some(ledgers), Some(sup)) =
-                            (ledgers.as_mut(), shared.supervise.as_ref())
-                        {
-                            if let Some(Slot::Live(slot)) = sessions.get(&id) {
-                                if slot.arrivals % sup.checkpoint_every == 0 {
-                                    if let Some(Ledger::Live(l)) = ledgers.get_mut(&id) {
-                                        l.checkpoint = checkpoint_slot(slot);
-                                        l.replay.clear();
-                                        l.lag = 0;
-                                        l.lost = false;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    Some(Slot::Dead { .. }) | None => out.dropped += 1,
-                }
-            }
+            } => self.open(id, scheme, resolution),
+            Msg::Frame { id, frame, at } => self.frame(id, frame, at),
             Msg::Close { id } => {
-                if let Some(ledgers) = ledgers.as_mut() {
-                    ledgers.remove(&id);
-                }
-                let (outcome, kind) = match sessions.remove(&id) {
+                let entry = match self.sessions.remove(&id) {
                     Some(slot) => finish_slot(slot),
                     None => (
                         Err(Error::config(format!("close of unknown session {id}"))),
                         Some(FailureKind::Protocol),
                     ),
                 };
-                out.outcomes.push((id, outcome, kind));
+                self.report.outcomes.insert(id, entry);
             }
+            // The tombstone replaces whatever was there; a live
+            // session's partial outcome is deliberately discarded — the
+            // breaker reason is the record.
             Msg::Fail { id, error } => {
-                // The tombstone replaces whatever was there; a live
-                // session's partial outcome is deliberately discarded —
-                // the breaker reason is the record.
-                bury(ledgers.as_mut(), id, &error, FailureKind::CircuitBroken);
-                sessions.insert(
-                    id,
-                    Slot::Dead {
-                        error,
-                        kind: FailureKind::CircuitBroken,
-                    },
-                );
+                let kind = FailureKind::CircuitBroken;
+                self.sessions.insert(id, Slot::Dead { error, kind });
             }
         }
-        out.busy_ns += busy_from.elapsed().as_nanos() as u64;
     }
-    // Lanes closed: flush the open batch, then everything still open —
-    // as outcomes normally, as checkpoints when the server is freezing
-    // for a warm restart.
-    flush_batch(&shared, &mut collector, &mut out);
-    out.wall_ns = started.elapsed().as_nanos() as u64;
-    if shared.freeze.load(Ordering::Relaxed) {
-        out.frozen = sessions
-            .drain()
-            .map(|(id, slot)| {
-                let frozen = match slot {
-                    Slot::Live(live) => FrozenSlot::Live(checkpoint_slot(&live)),
-                    Slot::Dead { error, kind } => FrozenSlot::Dead { error, kind },
+
+    fn open(&mut self, id: SessionId, scheme: usize, resolution: Resolution) {
+        let shared = &*self.shared;
+        let backend = shared.schemes[scheme].backend;
+        let slot = match Session::new(shared.task.clone(), backend, resolution, id) {
+            Ok(session) => {
+                let mut live = LiveSlot {
+                    session,
+                    scheme,
+                    arrivals: 0,
+                    applied_rung: 0,
+                    walk: shared
+                        .overload
+                        .as_ref()
+                        .filter(|rt| rt.plan.is_some())
+                        .map(|rt| rt.template.clone()),
+                    ledger: None,
                 };
-                (id, frozen)
-            })
-            .collect();
-    } else {
-        for (id, slot) in sessions.drain() {
-            let (outcome, kind) = finish_slot(slot);
-            out.outcomes.push((id, outcome, kind));
-        }
-    }
-    out
-}
-
-/// In-place recovery from a chaos kill or wedge. The fault costs the
-/// worker its session table, as a thread death would: this flushes the
-/// open batch window, records the incident, and returns the table
-/// rebuilt from the ledger ([`resurrect`]). The caller then processes
-/// the faulting message with no new fault drawn for the same tick.
-fn recover<T>(
-    shared: &Shared<T>,
-    collector: &mut BatchCollector,
-    out: &mut WorkerOutput<T>,
-    ledgers: &mut HashMap<SessionId, Ledger<T>>,
-    kind: IncidentKind,
-    session: SessionId,
-    tick: u64,
-) -> HashMap<SessionId, Slot<T>>
-where
-    T: VisionTask + Clone,
-    T::State: Clone,
-{
-    flush_batch(shared, collector, out);
-    // A kill strands the triggering session's replay log; a wedge
-    // strikes between messages, so it charges no replay distance.
-    let (replay_lag, recovered) = match (kind, ledgers.get(&session)) {
-        (IncidentKind::WorkerKill, Some(Ledger::Live(l))) => (l.lag, !l.lost),
-        _ => (0, true),
-    };
-    out.recovery.incidents.push(RecoveryIncident {
-        kind,
-        session,
-        tick,
-        replay_lag,
-        recovered,
-    });
-    resurrect(shared, ledgers, &mut out.recovery)
-}
-
-/// Flushes the open batch window into the worker's NN report (on a
-/// window timeout, a recovery, and drain).
-fn flush_batch<T: VisionTask>(
-    shared: &Shared<T>,
-    collector: &mut BatchCollector,
-    out: &mut WorkerOutput<T>,
-) {
-    if let Some(rt) = shared.batching.as_ref() {
-        if let (Some(nn), Some(jobs)) = (out.nn.as_mut(), collector.take()) {
-            charge_batch(nn, rt, jobs);
-        }
-    }
-}
-
-/// A fresh ledger entry mirroring `slot`: a live session's genesis
-/// checkpoint, or the tombstone of a dead one.
-fn ledger_entry<T>(slot: &Slot<T>) -> Ledger<T>
-where
-    T: VisionTask + Clone,
-    T::State: Clone,
-{
-    match slot {
-        Slot::Live(live) => Ledger::Live(LiveLedger {
-            checkpoint: checkpoint_slot(live),
-            replay: Vec::new(),
-            lag: 0,
-            lost: false,
-        }),
-        Slot::Dead { error, kind } => Ledger::Dead {
-            error: error.clone(),
-            kind: *kind,
-        },
-    }
-}
-
-/// Mirrors a session death into the recovery ledger so a resurrection
-/// reproduces the tombstone (late frames must still count as dropped
-/// after a recovery).
-fn bury<T: VisionTask>(
-    ledgers: Option<&mut HashMap<SessionId, Ledger<T>>>,
-    id: SessionId,
-    error: &Error,
-    kind: FailureKind,
-) {
-    if let Some(ledgers) = ledgers {
-        ledgers.insert(
-            id,
-            Ledger::Dead {
-                error: error.clone(),
-                kind,
+                live.restart_ledger(shared.supervise.is_some());
+                Slot::Live(Box::new(live))
+            }
+            Err(error) => Slot::Dead {
+                error,
+                kind: FailureKind::Protocol,
             },
+        };
+        if let Some(old) = self.sessions.insert(id, slot) {
+            self.report.outcomes.insert(id, finish_slot(old));
+        }
+    }
+
+    fn frame(&mut self, id: SessionId, frame: Arc<FrameData>, at: Instant) {
+        // Chaos worker kill: keyed on the target session's next arrival
+        // index (worker-count invariant), drawn *before* any counter so
+        // the frame is counted exactly once — by the rebuilt table.
+        let kill = self
+            .shared
+            .chaos
+            .as_ref()
+            .filter(|c| c.kill_every != 0)
+            .and_then(|chaos| match self.sessions.get(&id) {
+                Some(Slot::Live(slot)) if chaos.kill_at(id, slot.arrivals) => Some(slot.arrivals),
+                _ => None,
+            });
+        if let Some(arrival) = kill {
+            self.report.chaos.get_or_insert_default().kills += 1;
+            self.recover(IncidentKind::WorkerKill, id, arrival);
+        }
+        self.report.frames += 1;
+        let wait_ns = at.elapsed().as_nanos() as u64;
+        self.report.queue_wait.record(wait_ns);
+        let shared = &*self.shared;
+        if let Some(rt) = shared.overload.as_ref() {
+            rt.pool_pressure(wait_ns);
+        }
+        let Some(Slot::Live(slot)) = self.sessions.get_mut(&id) else {
+            self.report.dropped += 1;
+            return;
+        };
+        // Write-ahead: log the frame *before* processing — shed frames
+        // included, since they still advance the arrival counter and the
+        // planned walk and must be re-shed identically on replay.
+        if let (Some(ledger), Some(sup)) = (slot.ledger.as_mut(), shared.supervise.as_ref()) {
+            ledger.log(&frame, sup.replay_budget);
+        }
+        let (inject_panic, corrupt) = match shared.chaos.as_ref() {
+            Some(c) => (
+                c.panic_at(id, slot.arrivals),
+                c.corrupt_at(id, slot.arrivals),
+            ),
+            None => (false, false),
+        };
+        let substitute = if corrupt {
+            self.corrupt_frame.as_ref()
+        } else {
+            None
+        };
+        let arrival = slot.arrive(
+            shared,
+            &frame,
+            Some(wait_ns),
+            self.report.degradation.as_mut(),
+            inject_panic,
+            substitute,
         );
+        if !matches!(arrival, Arrival::Shed) {
+            if let Some(c) = self.report.chaos.as_mut() {
+                c.corrupted += u64::from(corrupt);
+                c.panics += u64::from(inject_panic);
+            }
+        }
+        let inference = match arrival {
+            Arrival::Shed => {
+                self.report.shed += 1;
+                false
+            }
+            Arrival::Pushed(decision) => {
+                self.report.served += 1;
+                self.report.latency.record(at.elapsed().as_nanos() as u64);
+                decision.is_inference()
+            }
+            Arrival::Failed(error, kind) => {
+                self.report.dropped += 1;
+                self.sessions.insert(id, Slot::Dead { error, kind });
+                return;
+            }
+        };
+        // Checkpoint refresh on the arrival cadence. Cadence points are
+        // pure arrival multiples, so a session's replay distance at any
+        // fault is `arrival % checkpoint_every` at every worker count.
+        if let Some(sup) = shared.supervise.as_ref() {
+            if slot.arrivals % sup.checkpoint_every == 0 {
+                slot.restart_ledger(true);
+            }
+        }
+        if let Some(rt) = shared.batching.as_ref() {
+            if inference && self.collector.add(rt.max_batch) {
+                self.flush();
+            }
+        }
+    }
+
+    /// Flushes the open batch window into the NN report (on a window
+    /// timeout, a full batch, a recovery, and drain).
+    fn flush(&mut self) {
+        if let Some(rt) = self.shared.batching.as_ref() {
+            if let (Some(nn), Some(jobs)) = (self.report.nn.as_mut(), self.collector.take()) {
+                charge_batch(nn, rt, jobs);
+            }
+        }
+    }
+
+    /// In-place recovery from a chaos kill or wedge. The fault costs the
+    /// worker its session table, as a thread death would: this flushes
+    /// the open batch window, records the incident, and rebuilds the
+    /// table ([`resurrect`][Self::resurrect]). The caller then
+    /// processes the faulting message with no new fault drawn for the
+    /// same tick.
+    fn recover(&mut self, kind: IncidentKind, session: SessionId, tick: u64) {
+        self.flush();
+        // A kill strands the triggering session's replay log; a wedge
+        // strikes between messages, so it charges no replay distance.
+        let (replay_lag, recovered) = match (kind, self.sessions.get(&session)) {
+            (IncidentKind::WorkerKill, Some(Slot::Live(slot))) => {
+                slot.ledger.as_ref().map_or((0, true), |l| (l.lag, !l.lost))
+            }
+            _ => (0, true),
+        };
+        let incident = RecoveryIncident {
+            kind,
+            session,
+            tick,
+            replay_lag,
+            recovered,
+        };
+        self.report
+            .recovery
+            .get_or_insert_default()
+            .incidents
+            .push(incident);
+        self.resurrect();
+    }
+
+    /// Rebuilds the session table in place from the slots' own ledgers.
+    /// Tombstones are kept. A slot whose log outgrew the replay budget
+    /// becomes an [`FailureKind::Unrecovered`] tombstone with the exact
+    /// arithmetic in its error. Every other live slot is restored from
+    /// its checkpoint and its log replayed through
+    /// [`LiveSlot::arrive`], counter-free. Replay draws no chaos: a
+    /// frame only enters the log after surviving its kill draw, and a
+    /// frame whose injected panic or corruption killed the session left
+    /// a tombstone, so logged frames are exactly the fault-free ones.
+    fn resurrect(&mut self) {
+        let shared = &*self.shared;
+        let budget = shared.supervise.as_ref().map_or(0, |s| s.replay_budget);
+        let recovery = self.report.recovery.get_or_insert_default();
+        for (id, slot) in self.sessions.iter_mut() {
+            let Slot::Live(live) = slot else {
+                continue;
+            };
+            let ledger = live
+                .ledger
+                .take()
+                .expect("faults are gated on supervision, which ledgers every live slot");
+            let error = if ledger.lost {
+                Error::state(format!(
+                    "unrecovered session {id}: worker died {} frames past the last \
+                     checkpoint, over the replay budget of {budget}",
+                    ledger.lag,
+                ))
+            } else {
+                let mut restored = LiveSlot::restore(ledger.checkpoint.clone());
+                let mut diverged = None;
+                for frame in &ledger.replay {
+                    recovery.replayed_frames += 1;
+                    if let Arrival::Failed(e, _) =
+                        restored.arrive(shared, frame, None, None, false, None)
+                    {
+                        diverged = Some(e);
+                        break;
+                    }
+                }
+                match diverged {
+                    None => {
+                        restored.ledger = Some(ledger);
+                        **live = restored;
+                        recovery.resurrected += 1;
+                        continue;
+                    }
+                    Some(e) => {
+                        Error::state(format!("unrecovered session {id}: replay diverged: {e}"))
+                    }
+                }
+            };
+            recovery.unrecovered += 1;
+            *slot = Slot::Dead {
+                error,
+                kind: FailureKind::Unrecovered,
+            };
+        }
+    }
+
+    /// Lanes closed: flushes the open batch, then settles everything
+    /// still open — as outcomes normally, as slots for the image when
+    /// the server is freezing for a warm restart — and returns the
+    /// worker's one-entry report.
+    fn finish(mut self, started: Instant, busy_ns: u64, gate: &CapacityGate) -> Drained<T> {
+        self.flush();
+        let wall_ns = started.elapsed().as_nanos() as u64;
+        let mut report = self.report;
+        let frozen = if self.shared.freeze.load(Ordering::Relaxed) {
+            self.sessions.into_iter().collect()
+        } else {
+            for (id, slot) in self.sessions {
+                report.outcomes.insert(id, finish_slot(slot));
+            }
+            Vec::new()
+        };
+        let gs = gate.stats();
+        report.ingress.parked = gs.parked;
+        report.ingress.woken = gs.woken;
+        report.ingress.immediate = gs.immediate;
+        if let Some(walk) = report.degradation.as_mut() {
+            walk.shed = report.shed;
+        }
+        report.per_worker.push(WorkerStats {
+            frames: report.frames,
+            served: report.served,
+            dropped: report.dropped,
+            shed: report.shed,
+            queue_wait: report.queue_wait.clone(),
+            busy_ns,
+            wall_ns,
+            parked: gs.parked,
+            woken: gs.woken,
+        });
+        (report, frozen)
+    }
+}
+
+/// What one arrival did to its session.
+enum Arrival {
+    /// The degradation ladder shed the frame.
+    Shed,
+    /// The session processed the frame.
+    Pushed(FrameDecision),
+    /// The frame killed the session: the error and its typed kind.
+    Failed(Error, FailureKind),
+}
+
+impl<T> LiveSlot<T>
+where
+    T: VisionTask + Clone,
+    T::State: Clone,
+{
+    /// One arrival, the single path of live frames and recovery replay:
+    /// advances the arrival counter, resolves the degradation decision
+    /// ([`schedule_arrival`]), and unless shed pushes the frame — or
+    /// the chaos `substitute` — with an injected panic when
+    /// `inject_panic`. The push runs under an unwind guard: one
+    /// session's panic, organic or injected, must not take down the
+    /// worker or the other sessions on its shard.
+    fn arrive(
+        &mut self,
+        shared: &Shared<T>,
+        frame: &FrameData,
+        wait_ns: Option<u64>,
+        degradation: Option<&mut DegradationReport>,
+        inject_panic: bool,
+        substitute: Option<&FrameData>,
+    ) -> Arrival {
+        let arrival = self.arrivals;
+        self.arrivals += 1;
+        if schedule_arrival(shared, self, arrival, wait_ns, degradation) {
+            return Arrival::Shed;
+        }
+        let pushed = substitute.unwrap_or(frame);
+        match std::panic::catch_unwind(AssertUnwindSafe(|| {
+            if inject_panic {
+                panic!("chaos: injected task panic");
+            }
+            self.session.push_frame(pushed)
+        })) {
+            Ok(Ok(decision)) => Arrival::Pushed(decision),
+            Ok(Err(error)) => {
+                let kind = if substitute.is_some() {
+                    FailureKind::ChaosInjected
+                } else {
+                    FailureKind::Poisoned
+                };
+                Arrival::Failed(error, kind)
+            }
+            Err(payload) => {
+                let kind = if inject_panic {
+                    FailureKind::ChaosInjected
+                } else {
+                    FailureKind::Panicked
+                };
+                let error =
+                    Error::config(format!("session task panicked: {}", panic_text(payload)));
+                Arrival::Failed(error, kind)
+            }
+        }
+    }
+
+    /// Captures the slot (core session snapshot + serve-side schedule
+    /// state) into a checkpoint.
+    fn checkpoint(&self) -> SlotCheckpoint<T> {
+        SlotCheckpoint {
+            session: self.session.snapshot(),
+            scheme: self.scheme,
+            arrivals: self.arrivals,
+            applied_rung: self.applied_rung,
+            walk: self.walk.clone(),
+        }
+    }
+
+    /// Rebuilds a slot from a checkpoint, with no ledger.
+    fn restore(cp: SlotCheckpoint<T>) -> Self {
+        LiveSlot {
+            session: Session::restore(cp.session),
+            scheme: cp.scheme,
+            arrivals: cp.arrivals,
+            applied_rung: cp.applied_rung,
+            walk: cp.walk,
+            ledger: None,
+        }
+    }
+
+    /// Restarts the slot's ledger at a checkpoint of its current state
+    /// when `supervised`; drops it otherwise.
+    fn restart_ledger(&mut self, supervised: bool) {
+        self.ledger = supervised.then(|| Ledger::new(self.checkpoint()));
     }
 }
 
@@ -1817,208 +1857,66 @@ fn bury<T: VisionTask>(
 /// rung's EW policy via `Session::reconfigure_policy` when it changes,
 /// and returns whether the frame is shed.
 ///
-/// The live path passes `Some(out)`; the recovery **replay** path
-/// passes `None` for both `wait_ns` and `out` — replay rebuilds session
-/// *state* (walk, policy, arrivals) without touching any counter,
-/// histogram, or the global rung, because every replayed frame was
-/// already counted when it was first processed. Under a planned
-/// pressure plan the shed decision is a pure function of the arrival
-/// index, so replay re-sheds exactly the frames the live path shed; in
-/// measured mode replay never sheds (documented best-effort —
-/// measured rungs are wall-clock-driven and not replayable).
+/// The live path passes `Some` for both `wait_ns` and `report`; the
+/// recovery **replay** path passes `None` for both — replay rebuilds
+/// session *state* (walk, policy, arrivals) without touching any
+/// counter or the global rung, because every replayed frame was already
+/// counted when it was first processed. Under a planned pressure plan
+/// the shed decision is a pure function of the arrival index, so replay
+/// re-sheds exactly the frames the live path shed; in measured mode
+/// replay never sheds (documented best-effort — measured rungs are
+/// wall-clock-driven and not replayable).
 fn schedule_arrival<T>(
     shared: &Shared<T>,
     slot: &mut LiveSlot<T>,
     arrival: u64,
     wait_ns: Option<u64>,
-    mut out: Option<&mut WorkerOutput<T>>,
+    mut report: Option<&mut DegradationReport>,
 ) -> bool
 where
     T: VisionTask + Clone,
 {
-    let rung = match shared.overload.as_ref() {
-        Some(rt) => match (&rt.plan, slot.walk.as_mut()) {
-            (Some(plan), Some(walk)) => {
-                if arrival.is_multiple_of(rt.slo.eval_every) {
-                    let epoch = arrival / rt.slo.eval_every;
-                    let r = walk.observe(plan.over_frac(epoch));
-                    if let Some(out) = out.as_deref_mut() {
-                        out.max_epochs = out.max_epochs.max(epoch + 1);
-                        rt.current.store(r, Ordering::Relaxed);
-                    }
-                }
-                walk.rung()
-            }
-            _ => rt.current.load(Ordering::Relaxed),
-        },
-        None => 0,
+    let Some(rt) = shared.overload.as_ref() else {
+        return false;
     };
-    let mut shed = false;
-    if let Some(rt) = shared.overload.as_ref() {
-        if let Some(out) = out.as_deref_mut() {
-            out.frames_per_rung[rung] += 1;
-        }
-        if rung != slot.applied_rung {
-            let policy = match rt.slo.ladder.rungs[rung].ew_window {
-                Some(n) => EwPolicy::Constant(n),
-                None => shared.schemes[slot.scheme].backend.policy,
-            };
-            if slot.session.reconfigure_policy(policy).is_ok() {
-                if let Some(out) = out {
-                    out.reconfigs += 1;
+    let rung = match (&rt.plan, slot.walk.as_mut()) {
+        (Some(plan), Some(walk)) => {
+            if arrival.is_multiple_of(rt.slo.eval_every) {
+                let epoch = arrival / rt.slo.eval_every;
+                let r = walk.observe(plan.over_frac(epoch));
+                if let Some(report) = report.as_deref_mut() {
+                    report.epochs = report.epochs.max(epoch + 1);
+                    rt.current.store(r, Ordering::Relaxed);
                 }
             }
-            slot.applied_rung = rung;
+            walk.rung()
         }
-        // Last-resort rung: planned mode sheds every frame
-        // (deterministic); measured mode sheds only frames already over
-        // budget (a stale frame's result is worthless).
-        shed = rt.slo.ladder.rungs[rung].shed
-            && (rt.plan.is_some()
-                || wait_ns.is_some_and(|w| w > rt.slo.frame_budget.as_nanos() as u64));
+        _ => rt.current.load(Ordering::Relaxed),
+    };
+    if let Some(report) = report.as_deref_mut() {
+        report.frames_per_rung[rung] += 1;
     }
-    shed
-}
-
-/// Captures a live serving slot into a checkpoint (core session
-/// snapshot + serve-side schedule state).
-fn checkpoint_slot<T>(slot: &LiveSlot<T>) -> SlotCheckpoint<T>
-where
-    T: VisionTask + Clone,
-    T::State: Clone,
-{
-    SlotCheckpoint {
-        session: slot.session.snapshot(),
-        scheme: slot.scheme,
-        arrivals: slot.arrivals,
-        applied_rung: slot.applied_rung,
-        walk: slot.walk.clone(),
-    }
-}
-
-/// Rebuilds a live serving slot from a checkpoint.
-fn thaw_slot<T>(cp: SlotCheckpoint<T>) -> LiveSlot<T>
-where
-    T: VisionTask + Clone,
-    T::State: Clone,
-{
-    LiveSlot {
-        session: Session::restore(cp.session),
-        scheme: cp.scheme,
-        arrivals: cp.arrivals,
-        applied_rung: cp.applied_rung,
-        walk: cp.walk,
-    }
-}
-
-/// Rebuilds a faulted worker's session table from its ledger:
-/// tombstones are copied, live sessions are restored from their last
-/// checkpoint and the write-ahead log is replayed through the same
-/// scheduling logic the live path uses (counter-free — see
-/// [`schedule_arrival`]). Sessions whose log outgrew the replay budget
-/// drain as [`FailureKind::Unrecovered`] with the exact arithmetic in
-/// the error. Replay skips the per-frame chaos checks deliberately:
-/// a frame only enters the log *after* surviving its kill draw, and a
-/// frame whose injected panic/corruption killed the session leaves a
-/// `Dead` ledger behind, so logged frames are exactly the fault-free
-/// ones.
-fn resurrect<T>(
-    shared: &Shared<T>,
-    ledgers: &mut HashMap<SessionId, Ledger<T>>,
-    recovery: &mut RecoveryReport,
-) -> HashMap<SessionId, Slot<T>>
-where
-    T: VisionTask + Clone,
-    T::State: Clone,
-{
-    let budget = shared.supervise.as_ref().map_or(0, |s| s.replay_budget);
-    let mut sessions = HashMap::new();
-    for (id, ledger) in ledgers.iter_mut() {
-        match ledger {
-            Ledger::Dead { error, kind } => {
-                sessions.insert(
-                    *id,
-                    Slot::Dead {
-                        error: error.clone(),
-                        kind: *kind,
-                    },
-                );
-            }
-            Ledger::Live(live) => {
-                if live.lost {
-                    let error = Error::state(format!(
-                        "unrecovered session {id}: worker died {} frames past the last \
-                         checkpoint, over the replay budget of {budget}",
-                        live.lag,
-                    ));
-                    sessions.insert(
-                        *id,
-                        Slot::Dead {
-                            error: error.clone(),
-                            kind: FailureKind::Unrecovered,
-                        },
-                    );
-                    *ledger = Ledger::Dead {
-                        error,
-                        kind: FailureKind::Unrecovered,
-                    };
-                    recovery.unrecovered += 1;
-                    continue;
-                }
-                let mut slot = thaw_slot(live.checkpoint.clone());
-                let mut failed: Option<Error> = None;
-                for frame in &live.replay {
-                    let arrival = slot.arrivals;
-                    slot.arrivals += 1;
-                    recovery.replayed_frames += 1;
-                    if schedule_arrival(shared, &mut slot, arrival, None, None) {
-                        continue;
-                    }
-                    match catch_unwind(AssertUnwindSafe(|| slot.session.push_frame(frame))) {
-                        Ok(Ok(_)) => {}
-                        Ok(Err(e)) => {
-                            failed = Some(e);
-                            break;
-                        }
-                        Err(payload) => {
-                            failed = Some(Error::config(format!(
-                                "session task panicked during replay: {}",
-                                panic_text(payload)
-                            )));
-                            break;
-                        }
-                    }
-                }
-                match failed {
-                    None => {
-                        recovery.resurrected += 1;
-                        sessions.insert(*id, Slot::Live(Box::new(slot)));
-                    }
-                    Some(e) => {
-                        let error =
-                            Error::state(format!("unrecovered session {id}: replay diverged: {e}"));
-                        sessions.insert(
-                            *id,
-                            Slot::Dead {
-                                error: error.clone(),
-                                kind: FailureKind::Unrecovered,
-                            },
-                        );
-                        *ledger = Ledger::Dead {
-                            error,
-                            kind: FailureKind::Unrecovered,
-                        };
-                        recovery.unrecovered += 1;
-                    }
-                }
+    if rung != slot.applied_rung {
+        let policy = match rt.slo.ladder.rungs[rung].ew_window {
+            Some(n) => EwPolicy::Constant(n),
+            None => shared.schemes[slot.scheme].backend.policy,
+        };
+        if slot.session.reconfigure_policy(policy).is_ok() {
+            if let Some(report) = report {
+                report.reconfigs += 1;
             }
         }
+        slot.applied_rung = rung;
     }
-    sessions
+    // Last-resort rung: planned mode sheds every frame (deterministic);
+    // measured mode sheds only frames already over budget (a stale
+    // frame's result is worthless).
+    rt.slo.ladder.rungs[rung].shed
+        && (rt.plan.is_some() || wait_ns.is_some_and(|w| w > rt.slo.frame_budget.as_nanos() as u64))
 }
 
 /// A frozen server: the task, the scheme registry, every session's
-/// checkpoint (or tombstone) in id order, and the statistics
+/// slot (live or tombstoned) in id order, and the statistics
 /// accumulated before the freeze. Produced by
 /// [`SessionServer::freeze`], consumed by [`SessionServer::thaw`] —
 /// the thawed server's sessions continue bit-exactly where they froze,
@@ -2026,12 +1924,12 @@ where
 pub struct ServerImage<T: VisionTask> {
     task: T,
     schemes: Vec<SchemeSpec>,
-    sessions: Vec<(SessionId, FrozenSlot<T>)>,
+    sessions: Vec<(SessionId, Slot<T>)>,
     carry: DrainReport,
 }
 
 impl<T: VisionTask> ServerImage<T> {
-    /// Sessions captured in the image (live checkpoints + tombstones).
+    /// Sessions captured in the image (live sessions + tombstones).
     pub fn sessions(&self) -> usize {
         self.sessions.len()
     }
@@ -2040,7 +1938,7 @@ impl<T: VisionTask> ServerImage<T> {
     pub fn live_sessions(&self) -> usize {
         self.sessions
             .iter()
-            .filter(|(_, slot)| matches!(slot, FrozenSlot::Live(_)))
+            .filter(|(_, slot)| matches!(slot, Slot::Live(_)))
             .count()
     }
 
@@ -2048,49 +1946,6 @@ impl<T: VisionTask> ServerImage<T> {
     /// thawed server's final drain).
     pub fn carried(&self) -> &DrainReport {
         &self.carry
-    }
-}
-
-/// Folds a pre-freeze [`DrainReport`] carried through a warm restart
-/// into the final one: histograms merge, counters add, outcome maps
-/// union (the post-thaw run wins on conflict — it saw the session
-/// last), and the degradation walk keeps the current incarnation's
-/// unless it had none. `per_worker` stays per-incarnation (the worker
-/// count may have changed across the restart).
-fn merge_carry(report: &mut DrainReport, carry: DrainReport) {
-    report.latency.merge(&carry.latency);
-    report.queue_wait.merge(&carry.queue_wait);
-    report.frames += carry.frames;
-    report.served += carry.served;
-    report.dropped += carry.dropped;
-    report.shed += carry.shed;
-    report.ingress.parked += carry.ingress.parked;
-    report.ingress.woken += carry.ingress.woken;
-    report.ingress.immediate += carry.ingress.immediate;
-    report.ingress.busy_rejections += carry.ingress.busy_rejections;
-    if let Some(nn) = carry.nn {
-        match report.nn.as_mut() {
-            Some(total) => total.merge(&nn),
-            None => report.nn = Some(nn),
-        }
-    }
-    if report.degradation.is_none() {
-        report.degradation = carry.degradation;
-    }
-    if let Some(chaos) = carry.chaos {
-        match report.chaos.as_mut() {
-            Some(total) => total.merge(&chaos),
-            None => report.chaos = Some(chaos),
-        }
-    }
-    if let Some(recovery) = carry.recovery {
-        match report.recovery.as_mut() {
-            Some(total) => total.merge(&recovery),
-            None => report.recovery = Some(recovery),
-        }
-    }
-    for (id, entry) in carry.outcomes {
-        report.outcomes.entry(id).or_insert(entry);
     }
 }
 

@@ -1,5 +1,5 @@
-//! Crash recovery: session checkpoints, the per-lane recovery ledger,
-//! and the recovery report types.
+//! Crash recovery: slot checkpoints, the recovery ledger each live
+//! session slot carries, and the recovery report types.
 //!
 //! A dead or wedged *worker* is the one fault the per-session isolation
 //! of [`SessionServer`][crate::SessionServer] cannot absorb: every
@@ -8,29 +8,32 @@
 //! the server runs a write-ahead recovery scheme on top of
 //! [`Session::snapshot`][euphrates_core::api::Session::snapshot]:
 //!
-//! * **Checkpoints.** Each worker owns, per session, a
-//!   [`SessionCheckpoint`]-based ledger entry: a full checkpoint
-//!   refreshed every
+//! * **Ledgers.** Every live session slot carries its own ledger: a
+//!   [`SessionCheckpoint`]-based checkpoint of the slot, refreshed every
 //!   [`checkpoint_every`][SuperviseConfig::checkpoint_every] arrivals,
-//!   plus the ordered **replay log** of every frame processed since.
+//!   plus the ordered **replay log** of every frame logged since.
 //!   Checkpoints land at deterministic arrival counts (multiples of the
 //!   cadence), so a session's replay distance at any fault point is a
-//!   pure function of its arrival index — worker-count independent.
+//!   pure function of its arrival index — worker-count independent. A
+//!   dead session is a tombstone slot and needs no ledger; without
+//!   supervision no slot has one.
 //! * **Faults.** Worker kills and wedges are logical faults from the
 //!   seeded chaos plan: a kill fires on a session's arrival index, a
 //!   wedge on the worker's dequeue index. Either one costs the worker
 //!   its whole session table, exactly as a dead thread would.
 //! * **Resurrection.** The worker recovers in place, on its own thread:
 //!   it flushes its open batch window, records the
-//!   [`RecoveryIncident`], restores each ledgered session from its
-//!   checkpoint and replays the logged frames through the same
-//!   scheduling logic (rung walk included) to rebuild the exact
-//!   pre-fault state, then processes the faulting message. Replayed
-//!   frames touch **no** counters: every frame is counted once. A
-//!   session whose replay log outgrew
-//!   [`replay_budget`][SuperviseConfig::replay_budget] drains as
-//!   [`FailureKind::Unrecovered`][crate::FailureKind] with the exact
-//!   budget arithmetic in its error — it never silently vanishes.
+//!   [`RecoveryIncident`], and rebuilds its table where it stands.
+//!   Tombstones stay as they are. Each live slot is restored from its
+//!   own checkpoint and its log replayed through the same arrival path
+//!   live frames take (rung walk included) to rebuild the exact
+//!   pre-fault state; then the worker processes the faulting message.
+//!   Replayed frames touch **no** counters: every frame is counted
+//!   once. A session whose replay log outgrew
+//!   [`replay_budget`][SuperviseConfig::replay_budget] becomes a
+//!   [`FailureKind::Unrecovered`][crate::FailureKind] tombstone with
+//!   the exact budget arithmetic in its error — it never silently
+//!   vanishes.
 //!
 //! Everything the drained [`RecoveryReport`] states — the incident
 //! timeline, per-incident replay distance, and the MTTR — is in
@@ -39,7 +42,7 @@
 //! workers.
 
 use crate::degrade::OverloadController;
-use crate::{FailureKind, SessionId};
+use crate::SessionId;
 use euphrates_common::error::{Error, Result};
 use euphrates_core::api::{SessionCheckpoint, VisionTask};
 use euphrates_core::frontend::FrameData;
@@ -134,20 +137,9 @@ where
     }
 }
 
-/// One session's recovery ledger entry: its last checkpoint plus the
-/// write-ahead replay log, or the tombstone of an already-dead session
-/// (kept so a resurrection reproduces dead slots too — a late frame for
-/// a poisoned session must still count as dropped after a recovery).
-// Live dominates the ledger in any healthy run; boxing it would put an
-// indirection on every checkpoint refresh and WAL append.
-#[allow(clippy::large_enum_variant)]
-pub(crate) enum Ledger<T: VisionTask> {
-    Live(LiveLedger<T>),
-    Dead { error: Error, kind: FailureKind },
-}
-
-/// The live half of a [`Ledger`].
-pub(crate) struct LiveLedger<T: VisionTask> {
+/// One live session's recovery ledger, carried in its slot: the last
+/// checkpoint plus the write-ahead replay log since.
+pub(crate) struct Ledger<T: VisionTask> {
     pub(crate) checkpoint: SlotCheckpoint<T>,
     /// Frames processed since the checkpoint, in arrival order
     /// (`Arc`-shared with producers; emptied while `lost`).
@@ -156,9 +148,33 @@ pub(crate) struct LiveLedger<T: VisionTask> {
     /// arithmetic survives dropping an over-budget log.
     pub(crate) lag: u64,
     /// The replay log outgrew the budget: a fault now drains this
-    /// session as `Unrecovered` (the next checkpoint refresh clears the
-    /// flag).
+    /// session as `Unrecovered` (the next checkpoint refresh starts a
+    /// new ledger).
     pub(crate) lost: bool,
+}
+
+impl<T: VisionTask> Ledger<T> {
+    /// A ledger starting at `checkpoint` with an empty log.
+    pub(crate) fn new(checkpoint: SlotCheckpoint<T>) -> Self {
+        Ledger {
+            checkpoint,
+            replay: Vec::new(),
+            lag: 0,
+            lost: false,
+        }
+    }
+
+    /// Logs one arrival ahead of processing it; past `budget` arrivals
+    /// the log is dropped and the session marked lost.
+    pub(crate) fn log(&mut self, frame: &Arc<FrameData>, budget: u64) {
+        self.lag += 1;
+        if self.lag > budget {
+            self.lost = true;
+            self.replay.clear();
+        } else {
+            self.replay.push(Arc::clone(frame));
+        }
+    }
 }
 
 /// What cost a worker its session table.

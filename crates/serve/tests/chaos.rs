@@ -77,7 +77,7 @@ impl VisionTask for CalmTask {
 /// down after one overloaded epoch, recover only after `upgrade` calm
 /// ones.
 fn fast_slo(upgrade: u32) -> SloConfig {
-    SloConfig::new(Duration::from_millis(1), Duration::from_millis(5))
+    SloConfig::new(Duration::from_millis(1))
         .with_epoch(4)
         .with_hysteresis(1, upgrade)
 }

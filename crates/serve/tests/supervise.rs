@@ -14,8 +14,12 @@
 //!   place without losing a single frame;
 //! * every kill and wedge point of a small script recovers
 //!   bit-identically at 1, 2 and 4 workers;
+//! * tombstones survive recovery — a session killed by a chaos panic,
+//!   corruption or a tripped breaker stays dead, with its typed reason,
+//!   through every worker fault that follows;
 //! * freeze/thaw round-trips hundreds of concurrent sessions
-//!   bit-identically, including across a worker-count change.
+//!   bit-identically, including across a worker-count change, and
+//!   carries the degradation accounting across the restart.
 
 use euphrates_camera::scene::SceneBuilder;
 use euphrates_camera::texture::Texture;
@@ -24,11 +28,12 @@ use euphrates_core::prelude::*;
 use euphrates_isp::motion::MotionField;
 use euphrates_nn::oracle::calib;
 use euphrates_serve::{
-    ChaosConfig, DrainReport, FailureKind, IncidentKind, RecoveryReport, ServeConfig,
-    SessionServer, SuperviseConfig,
+    ChaosConfig, DrainReport, FailureKind, IncidentKind, PressurePlan, RecoveryReport, ServeConfig,
+    SessionServer, SloConfig, SuperviseConfig,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::time::Duration;
 
 const RES: Resolution = Resolution::new(80, 60);
 
@@ -446,6 +451,113 @@ fn every_kill_and_wedge_point_recovers_bit_identically() {
 }
 
 // ---------------------------------------------------------------------------
+// Tombstones through recovery: sessions killed by chaos panics,
+// corruption and a tripped breaker stay dead across every worker fault.
+// ---------------------------------------------------------------------------
+
+/// The session whose circuit breaker trips, and the round before which
+/// it trips.
+const BROKEN: u64 = 6;
+const BREAK_AT: u64 = 10;
+
+/// [`tombstone_run`]'s figures, recorded when tombstones were still
+/// mirrored into a separate recovery ledger.
+const PINNED_KINDS: [Option<FailureKind>; SESSIONS as usize] = [
+    Some(FailureKind::ChaosInjected),
+    Some(FailureKind::ChaosInjected),
+    Some(FailureKind::ChaosInjected),
+    None,
+    None,
+    None,
+    Some(FailureKind::CircuitBroken),
+    Some(FailureKind::ChaosInjected),
+];
+/// `(chaos_injected, circuit_broken, total)` failures.
+const PINNED_BREAKDOWN: (usize, usize, usize) = (4, 1, 5);
+const PINNED_COUNTS: (u64, u64, u64, u64) = (192, 128, 64, 0);
+const PINNED_DIGEST: u64 = 0x970a_85b9_df51_a7c2;
+
+/// [`calm_run`] with per-session faults and one breaker trip layered on
+/// worker kills: every kill after a death must rebuild the tombstone.
+fn tombstone_run(workers: usize) -> DrainReport {
+    let config = ServeConfig::sized(workers, 64)
+        .with_chaos(
+            ChaosConfig::seeded(21)
+                .with_worker_kills(5)
+                .with_panics(40)
+                .with_corruption(40),
+        )
+        .with_supervision(SuperviseConfig::every(4, 16));
+    let server = SessionServer::new(
+        CalmTask,
+        vec![SchemeSpec::new("ew4", BackendConfig::new(EwPolicy::Constant(4))).unwrap()],
+        config,
+    )
+    .unwrap();
+    for id in 0..SESSIONS {
+        server.open(id, "ew4", RES).unwrap();
+    }
+    for round in 0..FRAMES {
+        if round == BREAK_AT {
+            server.break_session(BROKEN, "breaker tripped").unwrap();
+        }
+        for id in 0..SESSIONS {
+            server.submit_blocking(id, frame_at(RES)).unwrap();
+        }
+    }
+    for id in 0..SESSIONS {
+        server.close(id).unwrap();
+    }
+    server.drain()
+}
+
+/// A stable 64-bit FNV-1a digest of a drain's outcome map.
+fn outcome_digest(report: &DrainReport) -> u64 {
+    format!("{:?}", outcome_map(report))
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+#[test]
+fn tombstones_survive_worker_recovery_at_any_worker_count() {
+    let one = tombstone_run(1);
+    for workers in [2usize, 4] {
+        let report = tombstone_run(workers);
+        assert_exact_accounting(&report);
+        assert_eq!(report.frames, SESSIONS * FRAMES);
+        assert_eq!(
+            outcome_map(&report),
+            outcome_map(&one),
+            "{workers} workers: outcomes moved"
+        );
+        assert_eq!(report.failure_breakdown(), one.failure_breakdown());
+        assert_eq!(report.dropped, one.dropped, "{workers} workers");
+        let recovery = report.recovery.as_ref().expect("supervised run reports");
+        assert_eq!(recovery.unrecovered, 0, "budget 16 covers cadence 4");
+        assert!(recovery.detections() > 0, "seed 21 must land kills");
+    }
+
+    assert_exact_accounting(&one);
+    assert_eq!(one.frames, SESSIONS * FRAMES);
+
+    // Pinned: which sessions died and why, the accounting, and the
+    // survivors' outcomes.
+    let kinds: Vec<Option<FailureKind>> = (0..SESSIONS).map(|id| one.failure_kind(id)).collect();
+    assert_eq!(kinds, PINNED_KINDS);
+    let b = one.failure_breakdown();
+    assert_eq!(
+        (b.chaos_injected, b.circuit_broken, b.total()),
+        PINNED_BREAKDOWN
+    );
+    assert_eq!(counts(&one), PINNED_COUNTS);
+    let chaos = one.chaos.expect("chaos armed");
+    assert_eq!((chaos.panics, chaos.corrupted, chaos.kills), (3, 1, 32));
+    assert_eq!(outcome_digest(&one), PINNED_DIGEST);
+}
+
+// ---------------------------------------------------------------------------
 // Supervision with no faults armed is inert: same outcomes, an empty
 // recovery report, zero checkpoint-induced drift.
 // ---------------------------------------------------------------------------
@@ -622,4 +734,84 @@ fn freeze_after_kill_recovery_still_roundtrips() {
     );
     let recovery = report.recovery.as_ref().expect("supervised");
     assert_eq!(recovery.unrecovered, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Degradation accounting across freeze/thaw: the split run's walk and
+// counters equal the uninterrupted run's.
+// ---------------------------------------------------------------------------
+
+const BURST_SESSIONS: u64 = 8;
+const BURST_FRAMES: u64 = 16;
+
+/// A server under a planned burst that never lets up: 4-frame epochs,
+/// one step down per overloaded epoch, so every session walks to the
+/// shedding rung by its ninth arrival.
+fn burst_config(workers: usize) -> ServeConfig {
+    ServeConfig::sized(workers, 64)
+        .with_slo(
+            SloConfig::new(Duration::from_millis(1))
+                .with_epoch(4)
+                .with_hysteresis(1, 8),
+        )
+        .with_chaos(ChaosConfig::seeded(1).with_pressure(PressurePlan::Burst {
+            from: 0,
+            until: 1_000,
+        }))
+}
+
+/// Feeds rounds `rounds` of the burst script, one frame per session per
+/// round.
+fn feed_rounds(server: &SessionServer<CalmTask>, rounds: std::ops::Range<u64>) {
+    for _ in rounds {
+        for id in 0..BURST_SESSIONS {
+            server.submit_blocking(id, frame_at(RES)).unwrap();
+        }
+    }
+}
+
+fn burst_server() -> SessionServer<CalmTask> {
+    let server = SessionServer::new(
+        CalmTask,
+        vec![SchemeSpec::new("ew1", BackendConfig::new(EwPolicy::Constant(1))).unwrap()],
+        burst_config(2),
+    )
+    .unwrap();
+    for id in 0..BURST_SESSIONS {
+        server.open(id, "ew1", RES).unwrap();
+    }
+    server
+}
+
+fn close_and_drain(server: SessionServer<CalmTask>) -> DrainReport {
+    for id in 0..BURST_SESSIONS {
+        server.close(id).unwrap();
+    }
+    server.drain()
+}
+
+#[test]
+fn degradation_accounting_carries_across_freeze_and_thaw() {
+    const CUT: u64 = 12;
+    let server = burst_server();
+    feed_rounds(&server, 0..BURST_FRAMES);
+    let want = close_and_drain(server);
+
+    let server = burst_server();
+    feed_rounds(&server, 0..CUT);
+    let server = SessionServer::thaw(server.freeze(), burst_config(3)).unwrap();
+    feed_rounds(&server, CUT..BURST_FRAMES);
+    let split = close_and_drain(server);
+
+    assert_eq!(outcome_map(&split), outcome_map(&want));
+    assert_eq!(counts(&split), counts(&want));
+    let walk = want.degradation.as_ref().expect("slo armed");
+    assert_eq!(walk.frames_per_rung, vec![0, 32, 32, 64]);
+    assert_eq!((walk.shed, walk.reconfigs), (64, 24));
+    let carried = split.degradation.as_ref().expect("slo armed");
+    assert_eq!(
+        carried, walk,
+        "the split run's degradation report must cover both incarnations"
+    );
+    assert_eq!(carried.shed, split.shed);
 }
