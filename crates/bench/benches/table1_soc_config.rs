@@ -2,11 +2,11 @@
 //! paper quotes for each IP (§5.1).
 
 use euphrates_common::image::Resolution;
-use euphrates_common::table::{fnum, Table};
-use euphrates_isp::power::IspPowerModel;
+use euphrates_common::table::Table;
+use euphrates_common::units::{Bytes, MilliWatts, Picos};
 use euphrates_mc::McConfig;
 use euphrates_nn::NnxConfig;
-use euphrates_soc::{DramConfig, SocConfig};
+use euphrates_soc::{DramConfig, EnergyModel, IpBlock, SchemeParams, SocConfig};
 
 fn main() {
     println!("== Table 1: modeled vision SoC ==\n{}", SocConfig::table1());
@@ -24,16 +24,18 @@ fn main() {
         "1.77 TOPS/W".to_string(),
         format!("{:.2} TOPS/W", nnx.tops_per_watt()),
     ]);
-    let isp = IspPowerModel::default();
+    // The ISP's share of the frontend ledger over one capture period, as
+    // every figure charges it (frontend power is scheme-invariant).
+    let model = EnergyModel::default();
+    let frame = SchemeParams::baseline(Picos::ZERO, Bytes::ZERO, Bytes::ZERO);
+    let isp = model.evaluate(&frame, 0).expect("window 1 is valid");
     table.row([
         "ISP power @1080p60".to_string(),
-        "153 mW".to_string(),
-        format!("{}", isp.active_power(Resolution::FULL_HD, 60.0, false)),
-    ]);
-    table.row([
-        "ISP ME overhead".to_string(),
-        "2.5%".to_string(),
-        fnum(isp.motion_estimation_overhead * 100.0, 1) + "%",
+        "153+2.5% ME=156.8 mW".to_string(),
+        format!(
+            "{}",
+            MilliWatts(isp.ledger.of(IpBlock::Isp).0 * model.config().capture_fps)
+        ),
     ]);
     let mc = McConfig::default();
     table.row([

@@ -11,6 +11,7 @@
 use euphrates_common::error::Result;
 use euphrates_common::image::Resolution;
 use euphrates_common::units::{Bytes, Picos};
+use euphrates_isp::motion::MotionField;
 use euphrates_mc::ip::McConfig;
 use euphrates_mc::policy::FrameKind;
 use euphrates_mc::sequencer::McSequencer;
@@ -74,8 +75,8 @@ impl SystemModel {
     /// Motion-vector metadata + MC result traffic per frame.
     pub fn metadata_traffic(&self) -> Bytes {
         let (bx, by) = self.capture.macroblocks(self.mb_size);
-        // 4 B/block of MV+confidence metadata plus ~1 KiB of results.
-        Bytes(u64::from(bx) * u64::from(by) * 4 + 1024)
+        // MV+confidence metadata per block plus ~1 KiB of results.
+        Bytes(u64::from(bx) * u64::from(by) * MotionField::METADATA_BYTES_PER_BLOCK + 1024)
     }
 
     /// Per-frame MC busy time at the capture operating point (fetch,

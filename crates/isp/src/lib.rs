@@ -15,10 +15,9 @@
 //!   or two-level hierarchical).
 //! * **Architectural** — [`linebuffer::TdSramModel`] models the
 //!   temporal-denoise SRAM with single vs. double buffering (the §4.2
-//!   design choice that keeps MV write-back off the ISP critical path),
-//!   [`dma`] accounts the frame-buffer and metadata traffic, and
-//!   [`power`] provides the calibrated ISP power (153 mW @1080p60 plus the
-//!   2.5 % motion-estimation overhead from §5.1).
+//!   design choice that keeps MV write-back off the ISP critical path).
+//!   The ISP's power and DRAM traffic are charged by the one SoC model,
+//!   `euphrates_soc::energy`.
 //!
 //! ## Performance notes
 //!
@@ -88,12 +87,10 @@
 //! ```
 
 pub mod color;
-pub mod dma;
 pub mod interpolate;
 pub mod linebuffer;
 pub mod motion;
 pub mod pipeline;
-pub mod power;
 pub mod predictive;
 pub mod raw_motion;
 pub mod stages;

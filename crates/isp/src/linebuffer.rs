@@ -11,12 +11,9 @@
 //! [`TdSramModel::frame_timing`] quantifies both designs; the
 //! `ablation_double_buffer` bench sweeps it.
 
+use crate::motion::MotionField;
 use euphrates_common::image::Resolution;
 use euphrates_common::units::{Bytes, Clock, Cycles};
-
-/// Bytes of MV metadata per macroblock (1 B per MV component + 2 B
-/// SAD/confidence), matching [`crate::motion::MotionField::metadata_bytes`].
-pub const BYTES_PER_BLOCK: u64 = 4;
 
 /// Configuration of the temporal-denoise SRAM and its DMA path.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -93,7 +90,7 @@ impl TdSramModel {
     /// SRAM bytes needed to hold one frame's motion vectors.
     pub fn mv_sram_bytes(resolution: Resolution, mb_size: u32) -> Bytes {
         let (bx, by) = resolution.macroblocks(mb_size);
-        Bytes(u64::from(bx) * u64::from(by) * BYTES_PER_BLOCK)
+        Bytes(u64::from(bx) * u64::from(by) * MotionField::METADATA_BYTES_PER_BLOCK)
     }
 
     /// Total SRAM provisioned: 2× for the double-buffered design.
@@ -129,7 +126,7 @@ impl TdSramModel {
             };
         }
         let (bx, by) = resolution.macroblocks(mb_size);
-        let row_bytes = u64::from(bx) * BYTES_PER_BLOCK;
+        let row_bytes = u64::from(bx) * MotionField::METADATA_BYTES_PER_BLOCK;
         let effective_bpc =
             (f64::from(self.config.dma_bytes_per_cycle) * self.config.dma_share).max(0.125);
         let drain_per_row =
@@ -171,7 +168,7 @@ mod tests {
         // MV payload (1 B/block... 2 B/block) is within 8-16 KB. Check the
         // block math.
         let bytes = TdSramModel::mv_sram_bytes(Resolution::FULL_HD, 16);
-        assert_eq!(bytes.0, 120 * 68 * BYTES_PER_BLOCK);
+        assert_eq!(bytes.0, 120 * 68 * MotionField::METADATA_BYTES_PER_BLOCK);
     }
 
     #[test]

@@ -856,6 +856,10 @@ pub struct MotionField {
 }
 
 impl MotionField {
+    /// Bytes of frame-buffer metadata per macroblock: 1 byte per MV
+    /// component (d ≤ 127) plus 2 bytes of SAD-derived confidence.
+    pub const METADATA_BYTES_PER_BLOCK: u64 = 4;
+
     /// Creates a zero-motion field (used for the first frame of a stream,
     /// which has no predecessor).
     pub fn zeroed(resolution: Resolution, mb_size: u32, search_range: u32) -> Result<Self> {
@@ -991,11 +995,11 @@ impl MotionField {
         })
     }
 
-    /// Bytes of frame-buffer metadata this field occupies: per block, 1 byte
-    /// per MV component (d ≤ 127) plus 2 bytes of SAD-derived confidence,
-    /// matching the §4.2 estimate of ~8 KB per 1080p frame for the MVs.
+    /// Bytes of frame-buffer metadata this field occupies at
+    /// [`Self::METADATA_BYTES_PER_BLOCK`], the same order as the §4.2
+    /// estimate of ~8 KB per 1080p frame for the MVs.
     pub fn metadata_bytes(&self) -> Bytes {
-        Bytes(self.vectors.len() as u64 * 4)
+        Bytes(self.vectors.len() as u64 * Self::METADATA_BYTES_PER_BLOCK)
     }
 
     /// Mean motion magnitude over all blocks (diagnostic).

@@ -2,8 +2,6 @@
 //! summary (the `table1_soc_config` bench prints it next to the paper's
 //! values).
 
-use crate::cpu::CpuConfig;
-use crate::dram::DramConfig;
 use crate::energy::EnergyModelConfig;
 use std::fmt;
 
@@ -39,16 +37,6 @@ impl SocConfig {
             dram_desc: "4-channel LPDDR3, 25.6 GB/s peak".into(),
             energy: EnergyModelConfig::default(),
         }
-    }
-
-    /// The DRAM model constants.
-    pub fn dram(&self) -> &DramConfig {
-        &self.energy.dram
-    }
-
-    /// The CPU model constants.
-    pub fn cpu(&self) -> &CpuConfig {
-        &self.energy.cpu
     }
 }
 
@@ -99,12 +87,5 @@ mod tests {
         ] {
             assert!(s.contains(needle), "missing {needle:?} in:\n{s}");
         }
-    }
-
-    #[test]
-    fn accessors_expose_model_constants() {
-        let cfg = SocConfig::table1();
-        assert!((cfg.dram().peak_bandwidth - 25.6e9).abs() < 1.0);
-        assert!(cfg.cpu().active_power.0 > 1000.0);
     }
 }

@@ -1,26 +1,16 @@
-//! LPDDR3 main-memory model (Table 1: 4-channel, 25.6 GB/s peak).
+//! LPDDR3 main-memory energy (Table 1: 4-channel, 25.6 GB/s peak).
 //!
-//! Two layers:
-//!
-//! * An **energy model** in the DRAMPower spirit, reduced to an
-//!   energy-per-byte plus background power. Calibrated so that the
-//!   always-on 1080p60 camera-streaming workload dissipates ≈230 mW, the
-//!   paper's Jetson TX2 measurement (§5.1).
-//! * A **service model** for the discrete-event simulator: per-channel
-//!   bandwidth with queueing (busy-until bookkeeping), used to time DMA
-//!   transfers.
+//! An energy model in the DRAMPower spirit, reduced to an energy-per-byte
+//! plus background power. Calibrated so that the always-on 1080p60
+//! camera-streaming workload dissipates ≈230 mW, the paper's Jetson TX2
+//! measurement (§5.1). Bandwidth is not modelled here: the NNX times its
+//! spills with `SystolicConfig::dram_bandwidth`.
 
 use euphrates_common::units::{Bytes, MilliJoules, MilliWatts, Picos};
 
 /// DRAM configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramConfig {
-    /// Peak aggregate bandwidth, bytes/second (Table 1: 25.6 GB/s).
-    pub peak_bandwidth: f64,
-    /// Achievable fraction of peak under mixed traffic.
-    pub efficiency: f64,
-    /// Number of channels (Table 1: 4).
-    pub channels: u32,
     /// Access energy per byte (activate + read/write + I/O), picojoules.
     pub energy_per_byte_pj: f64,
     /// Background power (refresh, controller, PHY).
@@ -30,9 +20,6 @@ pub struct DramConfig {
 impl Default for DramConfig {
     fn default() -> Self {
         DramConfig {
-            peak_bandwidth: 25.6e9,
-            efficiency: 0.7,
-            channels: 4,
             // Calibration: 38 pJ/B access + 200 mW background reproduces
             // both the TX2's ~230 mW DRAM power under 1080p60 streaming
             // (§5.1) and the Fig. 9b memory-vs-backend energy split.
@@ -43,17 +30,6 @@ impl Default for DramConfig {
 }
 
 impl DramConfig {
-    /// Effective sustained bandwidth, bytes/second.
-    pub fn effective_bandwidth(&self) -> f64 {
-        self.peak_bandwidth * self.efficiency
-    }
-
-    /// Time to move `bytes` at effective bandwidth (single stream using
-    /// the full device).
-    pub fn transfer_time(&self, bytes: Bytes) -> Picos {
-        Picos::from_secs_f64(bytes.0 as f64 / self.effective_bandwidth())
-    }
-
     /// Access energy for `bytes` (excluding background).
     pub fn access_energy(&self, bytes: Bytes) -> MilliJoules {
         MilliJoules(bytes.0 as f64 * self.energy_per_byte_pj * 1e-12 * 1e3)
@@ -75,59 +51,6 @@ impl DramConfig {
     }
 }
 
-/// Per-channel queueing model for the DES.
-#[derive(Debug, Clone)]
-pub struct DramService {
-    config: DramConfig,
-    busy_until: Vec<Picos>,
-    bytes_served: Bytes,
-}
-
-impl DramService {
-    /// Creates a service model.
-    pub fn new(config: DramConfig) -> Self {
-        DramService {
-            busy_until: vec![Picos::ZERO; config.channels as usize],
-            config,
-            bytes_served: Bytes::ZERO,
-        }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &DramConfig {
-        &self.config
-    }
-
-    /// Enqueues a transfer at `now` on the least-loaded channel; returns
-    /// its completion time.
-    pub fn request(&mut self, now: Picos, bytes: Bytes) -> Picos {
-        let per_channel_bw = self.config.effective_bandwidth() / f64::from(self.config.channels);
-        let duration = Picos::from_secs_f64(bytes.0 as f64 / per_channel_bw);
-        let ch = self
-            .busy_until
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, t)| **t)
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        let start = self.busy_until[ch].max(now);
-        let done = start + duration;
-        self.busy_until[ch] = done;
-        self.bytes_served += bytes;
-        done
-    }
-
-    /// Total bytes served so far.
-    pub fn bytes_served(&self) -> Bytes {
-        self.bytes_served
-    }
-
-    /// Earliest time all channels are idle.
-    pub fn drained_at(&self) -> Picos {
-        self.busy_until.iter().copied().max().unwrap_or(Picos::ZERO)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,13 +67,6 @@ mod tests {
     }
 
     #[test]
-    fn transfer_time_uses_effective_bandwidth() {
-        let cfg = DramConfig::default();
-        let t = cfg.transfer_time(Bytes(17_920_000_000 / 1000)); // 1/1000 s worth
-        assert!((t.as_secs_f64() - 1e-3).abs() < 1e-6);
-    }
-
-    #[test]
     fn energy_decomposes_into_access_plus_background() {
         let cfg = DramConfig::default();
         let span = Picos::from_millis(10);
@@ -159,29 +75,5 @@ mod tests {
         let sum = cfg.access_energy(bytes) + cfg.background_energy(span);
         assert!((total.0 - sum.0).abs() < 1e-12);
         assert!(cfg.access_energy(bytes).0 > 0.0);
-    }
-
-    #[test]
-    fn service_parallelizes_across_channels() {
-        let mut svc = DramService::new(DramConfig::default());
-        let b = Bytes::from_mib(10);
-        let t1 = svc.request(Picos::ZERO, b);
-        let t2 = svc.request(Picos::ZERO, b);
-        // Two requests land on different channels: same completion time.
-        assert_eq!(t1, t2);
-        // Five requests on four channels: one queues behind.
-        let mut svc = DramService::new(DramConfig::default());
-        let times: Vec<Picos> = (0..5).map(|_| svc.request(Picos::ZERO, b)).collect();
-        assert!(times[4] > times[0]);
-        assert_eq!(svc.bytes_served(), Bytes(b.0 * 5));
-    }
-
-    #[test]
-    fn queueing_respects_arrival_time() {
-        let mut svc = DramService::new(DramConfig::default());
-        let later = Picos::from_millis(5);
-        let done = svc.request(later, Bytes::from_mib(1));
-        assert!(done > later);
-        assert!(svc.drained_at() == done);
     }
 }

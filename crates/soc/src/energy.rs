@@ -61,7 +61,8 @@ impl Default for EnergyModelConfig {
     fn default() -> Self {
         EnergyModelConfig {
             capture_fps: 60.0,
-            // 1080p60 calibration: sensor 205 mW + ISP 157 mW (§5.1).
+            // 1080p60 calibration (§5.1): sensor 205 mW + ISP 157 mW, the
+            // TX2's 153 mW plus 2.5 % for in-ISP motion estimation.
             frontend_power: MilliWatts(362.0),
             nnx_active: MilliWatts(651.0),
             nnx_idle: MilliWatts(33.0),
@@ -189,7 +190,7 @@ impl EnergyModel {
 
         // Frontend: constant per captured frame (§6.1).
         let fe = cfg.frontend_power.over(capture_period);
-        // Split sensor/ISP 55/45 per the §5.1 measurements (205/157 mW).
+        // Split sensor/ISP 56.6/43.4 per the §5.1 measurements (205/157 mW).
         ledger.add(IpBlock::Sensor, fe * 0.566);
         ledger.add(IpBlock::Isp, fe * 0.434);
 
@@ -316,6 +317,21 @@ mod tests {
         );
         // And the CPU entry is what did it.
         assert!(cpu8.ledger.of(IpBlock::Cpu).0 > 5.0);
+    }
+
+    #[test]
+    fn frontend_split_reads_section_5_1_powers() {
+        // Over one 1080p60 frame period the ledger's frontend terms are
+        // §5.1's powers: the TX2 ISP's 153 mW plus the 2.5 % in-ISP
+        // motion-estimation overhead, and the 205 mW sensor.
+        let model = EnergyModel::default();
+        let r = model.evaluate(&yolov2_params(4.0), YOLOV2_OPS).unwrap();
+        let fps = model.config().capture_fps;
+        assert_eq!(fps, 60.0);
+        let isp_mw = r.ledger.of(IpBlock::Isp).0 * fps;
+        let sensor_mw = r.ledger.of(IpBlock::Sensor).0 * fps;
+        assert!((isp_mw - 153.0 * 1.025).abs() < 0.5, "ISP {isp_mw} mW");
+        assert!((sensor_mw - 205.0).abs() < 0.5, "sensor {sensor_mw} mW");
     }
 
     #[test]

@@ -4,21 +4,20 @@
 //! paper's GemDroid-style in-house simulator (§5.1), calibrated against
 //! its published Jetson TX2 measurements and RTL synthesis results.
 //!
+//! [`energy`] is the one cost model and [`sim`] its one oracle:
+//!
 //! * [`energy`] — the analytical SoC energy/throughput model behind
 //!   Fig. 9b/9c/10b: per-frame ledgers split into frontend / memory /
 //!   backend / CPU, extrapolation-window amortization, real-time FPS.
-//! * [`dram`] — LPDDR3 model (25.6 GB/s, DRAMPower-lite energy calibrated
-//!   to ≈230 mW at 1080p60 streaming) with per-channel queueing for the
-//!   event simulator.
-//! * [`cpu`] — the wake/ramp/hold CPU episode model that quantifies why
-//!   software extrapolation negates Euphrates' savings (the EW-N@CPU
-//!   bars).
 //! * [`sim`] — a discrete-event engine plus the Fig. 5 pipeline wiring
 //!   (sensor → ISP → MC → NNX) with frame-drop semantics; cross-checks
 //!   the analytical FPS and powers the `soc_trace` example.
+//! * [`dram`] — LPDDR3 energy (DRAMPower-lite, calibrated to ≈230 mW at
+//!   1080p60 streaming), charged by [`energy`].
+//! * [`cpu`] — the wake/ramp/hold CPU episode model that quantifies why
+//!   software extrapolation negates Euphrates' savings (the EW-N@CPU
+//!   bars).
 //! * [`power`] — per-IP energy ledger and the figure-style breakdown.
-//! * [`framebuffer`] — the DRAM frame-slot ring the IPs communicate
-//!   through.
 //! * [`config`] — the Table 1 system description.
 //!
 //! ## Example
@@ -44,19 +43,14 @@ pub mod config;
 pub mod cpu;
 pub mod dram;
 pub mod energy;
-pub mod framebuffer;
-pub mod interconnect;
-pub mod memsim;
 pub mod power;
 pub mod sim;
 
 pub use config::SocConfig;
 pub use cpu::CpuConfig;
-pub use dram::{DramConfig, DramService};
+pub use dram::DramConfig;
 pub use energy::{
     EnergyModel, EnergyModelConfig, ExtrapolationExecutor, SchemeParams, SchemeReport,
 };
-pub use interconnect::{Interconnect, InterconnectConfig};
-pub use memsim::{run_memory_aware, ComputeTimings, MemSimReport, MemoryTraffic};
 pub use power::{EnergyBreakdown, EnergyLedger, IpBlock, NormalizedBreakdown};
 pub use sim::{run_vision_pipeline, PipelineRun, PipelineTimings, Simulator};
