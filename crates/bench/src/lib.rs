@@ -1,24 +1,26 @@
 //! # euphrates-bench
 //!
-//! The experiment harness: one bench target per table/figure of the
-//! Euphrates paper, plus ablations of the reproduction's design choices.
+//! The experiment harness. The `paper` bench target prints every figure
+//! and table of the Euphrates paper in paper order, paper values next
+//! to measured ones, from one shared evaluation: the [`paper`] module
+//! declares which cells of the (task profile, suite, motion
+//! configuration, EW scheme) grid each figure reads, and
+//! [`paper::PaperRun`] evaluates each cell once. The other targets are
+//! ablations of the reproduction's design choices, an extension study
+//! and kernel micro-benchmarks:
+//! `cargo bench -p euphrates-bench --bench paper` runs one.
 //!
-//! Run everything with `cargo bench`, or a single experiment with
-//! `cargo bench -p euphrates-bench --bench fig09a_detection_precision`.
-//!
-//! Every experiment prints paper-reference values next to the measured
-//! ones.
-//!
-//! The dataset scale is controlled by `EUPHRATES_SCALE` (0–1). The
-//! default, [`DEFAULT_SCALE`], keeps the full `cargo bench` suite around
-//! ten minutes; `EUPHRATES_SCALE=1.0` reproduces the paper-sized datasets
-//! (~76k frames). Worker-thread count follows `EUPHRATES_THREADS` (see
-//! `euphrates_core::eval::default_threads`).
+//! The dataset scale is `EUPHRATES_SCALE` (0–1, default
+//! [`DEFAULT_SCALE`]); `EUPHRATES_SCALE=1.0` reproduces the paper-sized
+//! datasets (~76k frames). Worker-thread count follows
+//! `EUPHRATES_THREADS` (see [`euphrates_common::par::default_threads`]).
 
 use euphrates_common::image::LumaFrame;
 use euphrates_common::rngx;
 use euphrates_core::prelude::*;
-use euphrates_nn::oracle::{DetectorProfile, TrackerProfile};
+use euphrates_nn::oracle::TrackerProfile;
+
+pub mod paper;
 
 /// Default dataset scale for `cargo bench`.
 pub const DEFAULT_SCALE: f64 = 0.25;
@@ -53,25 +55,33 @@ pub fn textured_luma(width: u32, height: u32, seed: u64, shift: i64) -> LumaFram
     f
 }
 
-/// The EW scheme sweep used across the figures.
+/// The every-frame-inference scheme, labelled `label`.
+pub fn baseline(label: &str) -> SchemeSpec {
+    SchemeSpec::new(label, BackendConfig::baseline()).expect("static id is valid")
+}
+
+/// Constant extrapolation window `n`, labelled `EW-n`.
+pub fn ew(n: u32) -> SchemeSpec {
+    SchemeSpec::new(format!("EW-{n}"), BackendConfig::new(EwPolicy::Constant(n)))
+        .expect("static id is valid")
+}
+
+/// The adaptive window (§3.3), labelled `EW-A`.
+pub fn ew_adaptive() -> SchemeSpec {
+    SchemeSpec::new(
+        "EW-A",
+        BackendConfig::new(EwPolicy::Adaptive(AdaptiveConfig::default())),
+    )
+    .expect("static id is valid")
+}
+
+/// The EW scheme sweep used across the figures: the baseline, then one
+/// constant window each, then (optionally) the adaptive window.
 pub fn ew_schemes(baseline_label: &str, windows: &[u32], adaptive: bool) -> Vec<SchemeSpec> {
-    let mut schemes = vec![
-        SchemeSpec::new(baseline_label, BackendConfig::baseline()).expect("static id is valid")
-    ];
-    for &n in windows {
-        schemes.push(
-            SchemeSpec::new(format!("EW-{n}"), BackendConfig::new(EwPolicy::Constant(n)))
-                .expect("static id is valid"),
-        );
-    }
+    let mut schemes = vec![baseline(baseline_label)];
+    schemes.extend(windows.iter().map(|&n| ew(n)));
     if adaptive {
-        schemes.push(
-            SchemeSpec::new(
-                "EW-A",
-                BackendConfig::new(EwPolicy::Adaptive(AdaptiveConfig::default())),
-            )
-            .expect("static id is valid"),
-        );
+        schemes.push(ew_adaptive());
     }
     schemes
 }
@@ -91,24 +101,6 @@ pub fn run_tracking_suite(
         .expect("scheme registry is valid")
         .evaluate()
         .expect("tracking evaluation succeeds")
-        .schemes
-}
-
-/// Runs the detection task for a scheme list.
-pub fn run_detection_suite(
-    suite: &[Sequence],
-    motion: &MotionConfig,
-    schemes: &[SchemeSpec],
-    profile: DetectorProfile,
-) -> Vec<SchemeResult> {
-    Scenario::builder(DetectorTask::new(profile))
-        .suite(suite.to_vec())
-        .motion(*motion)
-        .schemes(schemes.iter().cloned())
-        .build()
-        .expect("scheme registry is valid")
-        .evaluate()
-        .expect("detection evaluation succeeds")
         .schemes
 }
 

@@ -3,8 +3,8 @@
 //! thread-sizing policy ([`default_threads`]).
 //!
 //! This lives in `euphrates-common` so both ends of the pipeline can use
-//! it — `euphrates-core` parallelizes the (sequence × scheme) evaluation
-//! grid, while `euphrates-isp` parallelizes macroblock rows inside one
+//! it — `euphrates-core` evaluates the sequences of a suite in parallel,
+//! while `euphrates-isp` parallelizes macroblock rows inside one
 //! frame. Results are always independent of thread count and execution
 //! order: workers only decide *who* computes an item, never *what* the
 //! item's result is.

@@ -26,18 +26,19 @@
 //!   bit-identical by construction.
 
 use crate::backend::{charge_sequencer, controller, BackendConfig, TaskOutcome};
-use crate::eval::{default_threads, parallel_map};
-use crate::frontend::{FrameData, MotionConfig, PreparedCache, PreparedSequence};
+use crate::frontend::{frame_source, FrameData, MotionConfig, PreparedSequence};
 use crate::system::SystemModel;
 use euphrates_common::error::{Error, Result};
 use euphrates_common::geom::Rect;
 use euphrates_common::image::Resolution;
 use euphrates_common::metrics::IouAccumulator;
+use euphrates_common::par::{default_threads, parallel_map};
 use euphrates_common::units::Cycles;
 use euphrates_datasets::Sequence;
 use euphrates_mc::policy::FrameKind;
 use euphrates_nn::layer::NetworkDescriptor;
 use euphrates_soc::energy::{ExtrapolationExecutor, SchemeReport};
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -516,24 +517,16 @@ pub fn run_task<T: VisionTask>(
     config: &BackendConfig,
     stream: u64,
 ) -> Result<TaskOutcome> {
-    if prep.is_empty() {
-        return Err(Error::config(format!(
-            "cannot run {} on an empty sequence",
-            task.name()
-        )));
-    }
-    let mut session = Session::new(task, *config, prep.resolution, stream)?;
-    for frame in &prep.frames {
-        session.push_frame(frame)?;
-    }
-    Ok(session.finish())
+    let session = Session::new(task, *config, prep.resolution, stream)?;
+    let mut outcomes = stream_sessions(vec![session], prep.frames.iter().map(Ok))?;
+    Ok(outcomes.remove(0))
 }
 
-/// Runs `task` over a streaming frame source (e.g.
-/// [`frame_source`][crate::frontend::frame_source]) without materializing
-/// the sequence: every frame is pushed through a [`Session`] as it is
-/// produced, so memory stays O(1 frame). The outcome bit-matches
-/// [`run_task`] over the eagerly prepared equivalent.
+/// Runs `task` over a streaming frame source (e.g. [`frame_source`])
+/// without materializing the sequence: every frame is pushed through a
+/// [`Session`] as it is produced, so memory stays O(1 frame). The
+/// outcome bit-matches [`run_task`] over the eagerly prepared
+/// equivalent.
 ///
 /// # Errors
 ///
@@ -550,17 +543,40 @@ where
     T: VisionTask,
     I: IntoIterator<Item = Result<FrameData>>,
 {
-    let name = task.name();
-    let mut session = Session::new(task, *config, resolution, stream)?;
+    let session = Session::new(task, *config, resolution, stream)?;
+    let mut outcomes = stream_sessions(vec![session], frames)?;
+    Ok(outcomes.remove(0))
+}
+
+/// Pushes each frame of `frames` into every session in turn and returns
+/// the sessions' outcomes in order: the one offline loop behind
+/// [`run_task`], [`run_stream`] and [`Scenario::evaluate`].
+///
+/// # Errors
+///
+/// Rejects a stream without frames (naming the task) and stops at the
+/// first frame-production or push error.
+fn stream_sessions<T, F, I>(mut sessions: Vec<Session<T>>, frames: I) -> Result<Vec<TaskOutcome>>
+where
+    T: VisionTask,
+    F: Borrow<FrameData>,
+    I: IntoIterator<Item = Result<F>>,
+{
+    let mut pushed = false;
     for frame in frames {
-        session.push_frame(&frame?)?;
+        let frame = frame?;
+        for session in &mut sessions {
+            session.push_frame(frame.borrow())?;
+        }
+        pushed = true;
     }
-    if session.frames() == 0 {
+    if !pushed {
+        let name = sessions.first().map_or("task", |s| s.task.name());
         return Err(Error::config(format!(
             "cannot run {name} on an empty frame stream"
         )));
     }
-    Ok(session.finish())
+    Ok(sessions.into_iter().map(Session::finish).collect())
 }
 
 // ---------------------------------------------------------------------------
@@ -834,21 +850,22 @@ impl<T: VisionTask> Scenario<T> {
         Session::new(self.task.clone(), spec.backend, resolution, stream)
     }
 
-    /// Evaluates every scheme over the whole suite, parallelizing the
-    /// full *(sequence × scheme)* grid: with `S` sequences and `K`
-    /// schemes there are `S·K` independent work units, so threads stay
-    /// busy even when the suite is shorter than the pool (each sequence
-    /// used to run its schemes serially). Each sequence is rendered and
-    /// motion-estimated once — the first worker to need it prepares it
-    /// through a [`PreparedCache`] keyed on the scenario's
-    /// [`MotionConfig`], and the last scheme to finish a sequence drops
-    /// its frames, bounding peak memory by the sequences in flight.
+    /// Evaluates every scheme over the whole suite in one pass per
+    /// sequence: sequences run in parallel, and each one is rendered and
+    /// motion-estimated once by [`frame_source`], every frame pushed into
+    /// one [`Session`] per scheme as it is produced. Nothing is
+    /// materialized, so peak memory is one frame per sequence in flight.
+    /// Schemes never share state, so a scheme's per-sequence outcomes do
+    /// not depend on which other schemes are registered beside it, nor on
+    /// the thread count.
     ///
     /// # Errors
     ///
     /// Rejects an empty suite (a scenario without sequences can only
-    /// serve streaming [`Session`]s) and propagates preparation and task
-    /// errors (the first encountered, in grid order).
+    /// serve streaming [`Session`]s) and any sequence without frames
+    /// (the error names the task), and propagates frame-production and
+    /// task errors. The error returned is the first in sequence order;
+    /// within a sequence, the first frame at which any scheme fails.
     pub fn evaluate(&self) -> Result<EvalReport>
     where
         T: Clone + Sync,
@@ -859,34 +876,30 @@ impl<T: VisionTask> Scenario<T> {
             ));
         }
         let threads = self.threads.unwrap_or_else(default_threads);
-        let cache = PreparedCache::new(&self.suite, self.motion, self.schemes.len());
-        // Sequence-major grid order keeps all of one sequence's schemes
-        // adjacent, so the cache drains sequences promptly.
-        let grid: Vec<(usize, usize)> = (0..self.suite.len())
-            .flat_map(|si| (0..self.schemes.len()).map(move |ki| (si, ki)))
-            .collect();
-        let cell_results: Vec<Result<TaskOutcome>> =
-            parallel_map(&grid, threads, |_, &(si, ki)| {
-                let result = cache.get(si).and_then(|prep| {
-                    run_task(
-                        self.task.clone(),
-                        &prep,
-                        &self.schemes[ki].backend,
-                        si as u64,
-                    )
-                });
-                cache.finish(si);
-                result
+        let per_sequence: Vec<Result<Vec<TaskOutcome>>> =
+            parallel_map(&self.suite, threads, |si, seq| {
+                let source = frame_source(seq, &self.motion)?;
+                let sessions = self
+                    .schemes
+                    .iter()
+                    .map(|spec| {
+                        Session::new(
+                            self.task.clone(),
+                            spec.backend,
+                            source.resolution(),
+                            si as u64,
+                        )
+                    })
+                    .collect::<Result<Vec<_>>>()?;
+                stream_sessions(sessions, source)
             });
         // Transpose the owned sequence-major outcomes into scheme-major
         // vectors without cloning the per-frame IoU data.
-        let mut per_scheme: Vec<Vec<TaskOutcome>> = self
-            .schemes
-            .iter()
-            .map(|_| Vec::with_capacity(self.suite.len()))
-            .collect();
-        for (cell, result) in grid.into_iter().zip(cell_results) {
-            per_scheme[cell.1].push(result?);
+        let mut per_scheme: Vec<Vec<TaskOutcome>> = vec![Vec::new(); self.schemes.len()];
+        for outcomes in per_sequence {
+            for (ki, outcome) in outcomes?.into_iter().enumerate() {
+                per_scheme[ki].push(outcome);
+            }
         }
 
         let mut results = Vec::with_capacity(self.schemes.len());

@@ -6,8 +6,10 @@
 //! time, holding O(1 frame) of state — exactly the shape a serving
 //! [`Session`][crate::api::Session] needs. The eager [`prepare_sequence`]
 //! is a thin `collect()` over the same iterator, so the two paths are
-//! bit-identical by construction; batch evaluation keeps using it through
-//! the sharing [`PreparedCache`].
+//! bit-identical by construction. Batch evaluation
+//! ([`Scenario::evaluate`][crate::api::Scenario::evaluate]) streams too:
+//! it opens one source per sequence and pushes each frame into every
+//! scheme's session as it is produced.
 //!
 //! Two configurations produce identical *kinds* of data:
 //!
@@ -29,7 +31,7 @@
 
 use euphrates_camera::scene::{GtObject, Renderer};
 use euphrates_camera::sensor::{ImageSensor, SensorConfig};
-use euphrates_common::error::{Error, Result};
+use euphrates_common::error::Result;
 use euphrates_common::geom::Rect;
 use euphrates_common::image::{
     downsample2_dims, downsample2_into, BayerFrame, LumaFrame, Resolution, RgbFrame,
@@ -38,12 +40,11 @@ use euphrates_datasets::Sequence;
 use euphrates_isp::motion::{BlockMatcher, CachedPlanes, MotionField, RowPrefix, SearchStrategy};
 use euphrates_isp::pipeline::{IspConfig, IspPipeline};
 use euphrates_nn::oracle::OracleTarget;
-use std::sync::{Arc, Condvar, Mutex};
 
 /// Motion-estimation configuration for an evaluation run.
 ///
-/// `Eq + Hash` so prepared-frame caches can key on it (see
-/// [`PreparedCache`]).
+/// `Eq + Hash`: it is part of what identifies an evaluated cell (two
+/// runs under equal configs see bit-identical frames).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MotionConfig {
     /// Macroblock size (paper default 16).
@@ -88,10 +89,10 @@ impl Default for MotionConfig {
 ///
 /// Construct through [`FrameData::new`], which also caches the two
 /// derived views every scheme used to recompute per frame — the
-/// oracle-facing target list and the non-empty truth rectangles. A
-/// prepared sequence is shared by every scheme in the evaluation grid,
-/// so deriving them once at preparation time removes a per-(frame ×
-/// scheme) allocation from both task hot loops. Treat a `FrameData` as
+/// oracle-facing target list and the non-empty truth rectangles. One
+/// frame is pushed into every scheme's session, so deriving them once
+/// at production time removes a per-(frame × scheme) allocation from
+/// both task hot loops. Treat a `FrameData` as
 /// immutable once built: mutating `truth` in place would desync the
 /// cached views.
 #[derive(Debug, Clone)]
@@ -407,150 +408,9 @@ pub fn prepare_sequence(seq: &Sequence, config: &MotionConfig) -> Result<Prepare
     })
 }
 
-// ---------------------------------------------------------------------------
-// PreparedCache
-// ---------------------------------------------------------------------------
-
-/// A blocking, self-evicting cache of prepared sequences shared by the
-/// (sequence × scheme) evaluation grid, keyed on the [`MotionConfig`]
-/// that prepared them.
-///
-/// The first worker to [`get`][PreparedCache::get] a sequence prepares
-/// it; concurrent getters block until it is ready and then share the
-/// `Arc`. Each of the `uses_per_sequence` users calls
-/// [`finish`][PreparedCache::finish] when done; the last one drops the
-/// frames, so peak memory is bounded by the sequences currently in
-/// flight, not the whole suite.
-pub struct PreparedCache<'a> {
-    suite: &'a [Sequence],
-    motion: MotionConfig,
-    uses_per_sequence: usize,
-    slots: Vec<Slot>,
-}
-
-struct Slot {
-    state: Mutex<SlotState>,
-    ready: Condvar,
-}
-
-enum SlotState {
-    /// Not yet requested.
-    Empty,
-    /// A worker is preparing the sequence; others wait on the condvar.
-    Building,
-    /// Prepared; the count tracks outstanding `finish` calls.
-    Ready(Arc<PreparedSequence>, usize),
-    /// Preparation failed; every user observes the same error.
-    Failed(Error),
-    /// All users finished; frames are dropped.
-    Drained,
-}
-
-impl<'a> PreparedCache<'a> {
-    /// Creates a cache over `suite` where each sequence will be fetched
-    /// (and finished) exactly `uses_per_sequence` times — one per scheme
-    /// in the evaluation grid.
-    pub fn new(suite: &'a [Sequence], motion: MotionConfig, uses_per_sequence: usize) -> Self {
-        PreparedCache {
-            suite,
-            motion,
-            uses_per_sequence: uses_per_sequence.max(1),
-            slots: (0..suite.len())
-                .map(|_| Slot {
-                    state: Mutex::new(SlotState::Empty),
-                    ready: Condvar::new(),
-                })
-                .collect(),
-        }
-    }
-
-    /// The motion configuration this cache's entries are keyed on.
-    pub fn motion(&self) -> &MotionConfig {
-        &self.motion
-    }
-
-    /// Fetches sequence `index`, preparing it on first use and blocking
-    /// while another worker prepares it. Pair every successful or failed
-    /// `get` with one [`finish`][PreparedCache::finish].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the preparation error (every user of the sequence
-    /// observes the same one).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range or the sequence was already
-    /// drained by `uses_per_sequence` finishes.
-    pub fn get(&self, index: usize) -> Result<Arc<PreparedSequence>> {
-        let slot = &self.slots[index];
-        let mut state = slot.state.lock().expect("cache slot never poisons");
-        loop {
-            match &mut *state {
-                SlotState::Empty => {
-                    *state = SlotState::Building;
-                    drop(state);
-                    // A panicking preparation must not strand peers in
-                    // `wait` forever (the caller's catch_unwind would
-                    // swallow the builder thread): mark the slot failed
-                    // and wake everyone before re-raising.
-                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        prepare_sequence(&self.suite[index], &self.motion)
-                    }));
-                    let mut state = slot.state.lock().expect("cache slot never poisons");
-                    let out = match result {
-                        Ok(Ok(prep)) => {
-                            let prep = Arc::new(prep);
-                            *state = SlotState::Ready(prep.clone(), self.uses_per_sequence);
-                            Ok(prep)
-                        }
-                        Ok(Err(e)) => {
-                            *state = SlotState::Failed(e.clone());
-                            Err(e)
-                        }
-                        Err(payload) => {
-                            *state = SlotState::Failed(Error::state(format!(
-                                "preparation of sequence {index} panicked"
-                            )));
-                            slot.ready.notify_all();
-                            drop(state);
-                            std::panic::resume_unwind(payload);
-                        }
-                    };
-                    slot.ready.notify_all();
-                    return out;
-                }
-                SlotState::Building => {
-                    state = slot.ready.wait(state).expect("cache slot never poisons");
-                }
-                SlotState::Ready(prep, _) => return Ok(prep.clone()),
-                SlotState::Failed(e) => return Err(e.clone()),
-                SlotState::Drained => {
-                    panic!("sequence {index} already drained (more gets than declared uses)")
-                }
-            }
-        }
-    }
-
-    /// Releases one use of sequence `index`; the last release drops the
-    /// prepared frames. Call exactly once per [`get`][PreparedCache::get],
-    /// whether it succeeded or failed.
-    pub fn finish(&self, index: usize) {
-        let slot = &self.slots[index];
-        let mut state = slot.state.lock().expect("cache slot never poisons");
-        if let SlotState::Ready(_, remaining) = &mut *state {
-            *remaining -= 1;
-            if *remaining == 0 {
-                *state = SlotState::Drained;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use euphrates_common::par::parallel_map;
     use euphrates_datasets::{otb100_like, DatasetScale};
 
     fn tiny_seq() -> Sequence {
@@ -697,42 +557,5 @@ mod tests {
         };
         assert!(prepare_sequence(&seq, &bad).is_err());
         assert!(frame_source(&seq, &bad).is_err());
-    }
-
-    #[test]
-    fn cache_prepares_once_and_drains_after_last_use() {
-        let seq = tiny_seq();
-        let suite = vec![seq];
-        let uses = 3;
-        let cache = PreparedCache::new(&suite, MotionConfig::default(), uses);
-        // Concurrent users all see the same prepared Arc.
-        let jobs: Vec<usize> = (0..uses).collect();
-        let preps: Vec<Arc<PreparedSequence>> = parallel_map(&jobs, uses, |_, _| {
-            let p = cache.get(0).unwrap();
-            cache.finish(0);
-            p
-        });
-        for p in &preps[1..] {
-            assert!(Arc::ptr_eq(&preps[0], p), "cache must share one copy");
-        }
-        assert_eq!(preps[0].len(), 12);
-        // After the declared uses, the slot is drained.
-        let drained = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cache.get(0)));
-        assert!(drained.is_err(), "drained slot must not be re-fetched");
-    }
-
-    #[test]
-    fn cache_propagates_preparation_errors_to_every_user() {
-        let seq = tiny_seq();
-        let suite = vec![seq];
-        let bad = MotionConfig {
-            search_range: 0,
-            ..MotionConfig::default()
-        };
-        let cache = PreparedCache::new(&suite, bad, 2);
-        assert!(cache.get(0).is_err());
-        cache.finish(0);
-        assert!(cache.get(0).is_err(), "second user sees the same error");
-        cache.finish(0);
     }
 }

@@ -8,9 +8,8 @@
 //! * [`frontend`] — the streaming frame front-end: camera/scene
 //!   rendering plus ISP block matching → per-frame ground truth and
 //!   motion fields, produced lazily by [`frame_source`] (O(1 frame) of
-//!   memory), eagerly by [`prepare_sequence`], and shared across an
-//!   evaluation grid by
-//!   [`PreparedCache`]. Which search explores the block-matching window
+//!   memory) or eagerly by [`prepare_sequence`]. Which search explores
+//!   the block-matching window
 //!   is a knob: [`MotionConfig::strategy`] names one of the four
 //!   built-in walks — exhaustive, three-step, diamond, or two-level
 //!   hierarchical.
@@ -20,9 +19,6 @@
 //! * [`tracker`] / [`detector`] — the two evaluated tasks (§5.2): MDNet-
 //!   class single-object tracking and YOLOv2-class multi-object
 //!   detection, as [`VisionTask`] implementations.
-//! * [`eval`] — deterministic parallel evaluation plumbing;
-//!   [`Scenario::evaluate`] parallelizes the full *(sequence × scheme)*
-//!   grid over it.
 //! * [`system`] — the Table 1 platform model mapping inference rates to
 //!   SoC energy, FPS, and DRAM traffic.
 //!
@@ -99,8 +95,9 @@
 //! The one-call form of the same loop is
 //! [`run_stream`]`(task, resolution, frames, &config, stream)`; batch
 //! evaluation over many sequences and schemes belongs to
-//! [`Scenario::evaluate`], which shares each sequence's prepared frames
-//! across schemes through a [`PreparedCache`].
+//! [`Scenario::evaluate`], which runs that loop once per sequence (in
+//! parallel across sequences) and pushes each frame into one session
+//! per scheme.
 //!
 //! ### Serving
 //!
@@ -119,14 +116,14 @@
 //! ## Environment
 //!
 //! * `EUPHRATES_THREADS` — overrides the evaluation worker-thread count
-//!   (positive integer, capped at 16; see [`eval::default_threads`]).
+//!   (positive integer, capped at 16; see
+//!   [`euphrates_common::par::default_threads`]).
 //!   Results are thread-count independent; the knob only controls
 //!   parallelism.
 
 pub mod api;
 pub mod backend;
 pub mod detector;
-pub mod eval;
 pub mod frontend;
 pub mod system;
 pub mod tracker;
@@ -137,10 +134,8 @@ pub use api::{
 };
 pub use backend::{BackendConfig, TaskOutcome};
 pub use detector::DetectorTask;
-pub use eval::parallel_map;
 pub use frontend::{
-    frame_source, prepare_sequence, FrameData, FrameSource, MotionConfig, PreparedCache,
-    PreparedSequence,
+    frame_source, prepare_sequence, FrameData, FrameSource, MotionConfig, PreparedSequence,
 };
 pub use system::SystemModel;
 pub use tracker::TrackerTask;
@@ -154,8 +149,7 @@ pub mod prelude {
     pub use crate::backend::{BackendConfig, TaskOutcome};
     pub use crate::detector::DetectorTask;
     pub use crate::frontend::{
-        frame_source, prepare_sequence, FrameData, FrameSource, MotionConfig, PreparedCache,
-        PreparedSequence,
+        frame_source, prepare_sequence, FrameData, FrameSource, MotionConfig, PreparedSequence,
     };
     pub use crate::system::SystemModel;
     pub use crate::tracker::TrackerTask;

@@ -225,6 +225,67 @@ fn grid_parallel_evaluate_is_thread_count_invariant() {
     }
 }
 
+/// A scheme's per-sequence outcomes must not depend on which other
+/// schemes share its `Scenario`: evaluating the registry together and
+/// each scheme alone agree bit for bit, serially and with workers. A
+/// paper run that evaluates the union of several figures' schemes in
+/// one scenario relies on this.
+#[test]
+fn multi_scheme_evaluate_matches_single_scheme_runs() {
+    let suite = tracking_suite(29, 3, 26);
+    let schemes = [
+        ("base", BackendConfig::baseline()),
+        ("EW-2", BackendConfig::new(EwPolicy::Constant(2))),
+        ("EW-8", BackendConfig::new(EwPolicy::Constant(8))),
+        (
+            "EW-A",
+            BackendConfig::new(EwPolicy::Adaptive(AdaptiveConfig::default())),
+        ),
+    ];
+    let evaluate = |threads: usize, registry: &[(&str, BackendConfig)]| {
+        let mut builder = Scenario::builder(TrackerTask::new(calib::mdnet()))
+            .suite(suite.clone())
+            .threads(threads);
+        for (id, backend) in registry {
+            builder = builder.scheme(*id, *backend);
+        }
+        builder.build().unwrap().evaluate().unwrap()
+    };
+    for threads in [1, 4] {
+        let together = evaluate(threads, &schemes);
+        assert_eq!(together.len(), schemes.len());
+        for (k, scheme) in schemes.iter().enumerate() {
+            let alone = evaluate(threads, std::slice::from_ref(scheme));
+            assert_eq!(together.schemes[k].label(), scheme.0);
+            assert_eq!(
+                together.schemes[k].per_sequence, alone.schemes[0].per_sequence,
+                "{} at {threads} threads depends on its neighbours",
+                scheme.0
+            );
+            assert_eq!(together.schemes[k].outcome, alone.schemes[0].outcome);
+        }
+    }
+}
+
+/// A sequence without frames has nothing to score: evaluation must
+/// fail (naming the task) instead of reporting an empty outcome.
+#[test]
+fn evaluate_rejects_a_zero_frame_sequence() {
+    let mut suite = tracking_suite(31, 2, 16);
+    suite[1].frames = 0;
+    let err = Scenario::builder(TrackerTask::new(calib::mdnet()))
+        .suite(suite)
+        .scheme("EW-4", BackendConfig::new(EwPolicy::Constant(4)))
+        .build()
+        .unwrap()
+        .evaluate()
+        .unwrap_err();
+    assert!(
+        err.to_string().contains("tracking"),
+        "error does not name the task: {err}"
+    );
+}
+
 #[test]
 fn frame_decisions_expose_the_schedule() {
     let suite = tracking_suite(13, 1, 16);

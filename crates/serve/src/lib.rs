@@ -19,8 +19,9 @@
 //!   (admission control instead of unbounded growth — memory is
 //!   `O(workers × queue_depth)` frames).
 //! * **Shared read-only state** — one scheme registry (the validated
-//!   [`SchemeSpec`] list, the serving analog of the offline
-//!   `PreparedCache`) lives behind an [`Arc`] shared by all workers;
+//!   [`SchemeSpec`] list, the same registry an offline
+//!   `Scenario::evaluate` opens one session per scheme from) lives
+//!   behind an [`Arc`] shared by all workers;
 //!   per-worker state (the session table, latency histograms, counters)
 //!   is owned, unsynchronized scratch.
 //! * **Instrumentation** — every frame's submit→completion latency and

@@ -1,8 +1,10 @@
 //! The modeled SoC configuration — Table 1 of the paper — as a displayable
-//! summary (the `table1_soc_config` bench prints it next to the paper's
+//! summary (the `paper` bench target prints it next to the paper's
 //! values).
 
-use crate::energy::EnergyModelConfig;
+use crate::energy::{EnergyModel, EnergyModelConfig, SchemeParams};
+use crate::power::IpBlock;
+use euphrates_common::units::{Bytes, MilliWatts, Picos};
 use std::fmt;
 
 /// The full Table 1 configuration plus the calibrated model constants.
@@ -23,10 +25,19 @@ pub struct SocConfig {
 }
 
 impl SocConfig {
-    /// The Table 1 system.
+    /// The Table 1 system. The sensor's power is the one the energy
+    /// model charges: the ledger's `Sensor` term over one capture period.
     pub fn table1() -> Self {
+        let energy = EnergyModelConfig::default();
+        let frame = EnergyModel::new(energy)
+            .evaluate(
+                &SchemeParams::baseline(Picos::ZERO, Bytes::ZERO, Bytes::ZERO),
+                0,
+            )
+            .expect("window 1 is valid");
+        let sensor = MilliWatts(frame.ledger.of(IpBlock::Sensor).0 * energy.capture_fps);
         SocConfig {
-            sensor: "AR1335-class, 1080p @ 60 FPS, 180 mW".into(),
+            sensor: format!("AR1335-class, 1080p @ 60 FPS, {sensor}"),
             isp: "768 MHz, 1080p @ 60 FPS, 153 mW (+2.5% motion estimation)".into(),
             nnx: "24x24 systolic MAC array @ 1 GHz, 1.5 MB double-buffered SRAM, \
                   3-channel 128-bit AXI4 DMA, 651 mW (1.77 TOPS/W)"
@@ -35,7 +46,7 @@ impl SocConfig {
                  2.2 mW, 0.035 mm2"
                 .into(),
             dram_desc: "4-channel LPDDR3, 25.6 GB/s peak".into(),
-            energy: EnergyModelConfig::default(),
+            energy,
         }
     }
 }

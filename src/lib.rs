@@ -165,8 +165,9 @@
 //! [`thaw`][serve::SessionServer::thaw] revives at any worker count —
 //! warm restart, bit-identical outcomes.
 //!
-//! See `examples/` for runnable end-to-end scenarios and
-//! `crates/bench/benches/` for the per-figure reproduction harness.
+//! See `examples/` for runnable end-to-end scenarios and the
+//! `euphrates-bench` crate's `paper` bench target for every figure and
+//! table of the paper from one evaluation run.
 //!
 //! ## Environment
 //!
