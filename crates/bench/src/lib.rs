@@ -1,59 +1,30 @@
 //! # euphrates-bench
 //!
-//! The experiment harness. The `paper` bench target prints every figure
-//! and table of the Euphrates paper in paper order, paper values next
-//! to measured ones, from one shared evaluation: the [`paper`] module
-//! declares which cells of the (task profile, suite, motion
-//! configuration, EW scheme) grid each figure reads, and
-//! [`paper::PaperRun`] evaluates each cell once. The other targets are
-//! ablations of the reproduction's design choices, an extension study
-//! and kernel micro-benchmarks:
-//! `cargo bench -p euphrates-bench --bench paper` runs one.
+//! The experiment harness. Its one bench target, `paper`, prints every
+//! figure and table of the Euphrates paper in paper order, paper values
+//! next to measured ones, then the ablations of the reproduction's
+//! design choices (§3.2, §3.3, §4.2, the Table 1 array, the SAD
+//! prefilter) and the §7/§8 extensions, from one shared evaluation: the
+//! [`paper`] module declares which cells of the (task profile, suite,
+//! motion configuration, EW scheme) grid each section reads, and
+//! [`paper::PaperRun`] evaluates each cell once.
+//! `cargo bench -p euphrates-bench --bench paper` runs it; the run
+//! `assert!`s the bounds its sections state and exits non-zero if one
+//! breaks. Its stdout is deterministic: the same bytes on every run and
+//! at every worker count, for a given scale. Host time per pipeline
+//! stage is `perfbench/`'s traced ledger, not this crate's.
 //!
 //! The dataset scale is `EUPHRATES_SCALE` (0–1, default
 //! [`DEFAULT_SCALE`]); `EUPHRATES_SCALE=1.0` reproduces the paper-sized
 //! datasets (~76k frames). Worker-thread count follows
 //! `EUPHRATES_THREADS` (see [`euphrates_common::par::default_threads`]).
 
-use euphrates_common::image::LumaFrame;
-use euphrates_common::rngx;
 use euphrates_core::prelude::*;
-use euphrates_nn::oracle::TrackerProfile;
 
 pub mod paper;
 
 /// Default dataset scale for `cargo bench`.
 pub const DEFAULT_SCALE: f64 = 0.25;
-
-/// Resolves the dataset scale and announces it.
-pub fn announce(experiment: &str, paper_ref: &str) -> DatasetScale {
-    let scale = DatasetScale::from_env(DEFAULT_SCALE);
-    println!("==========================================================");
-    println!("{experiment}");
-    println!("reproduces: {paper_ref}");
-    println!(
-        "dataset scale: {:.2} (set EUPHRATES_SCALE=1.0 for paper-sized runs)",
-        scale.sequence_fraction
-    );
-    println!("==========================================================");
-    scale
-}
-
-/// A deterministic lattice-textured luma frame (content block matching
-/// can lock onto), with its texture shifted right by `shift` pixels —
-/// the one workload generator shared by the kernel micro-benches, so
-/// cross-bench numbers compare like for like.
-pub fn textured_luma(width: u32, height: u32, seed: u64, shift: i64) -> LumaFrame {
-    let mut f = LumaFrame::new(width, height).expect("positive bench dimensions");
-    for y in 0..height {
-        for x in 0..width {
-            let v = (rngx::lattice_hash(seed, (i64::from(x) - shift) / 4, i64::from(y) / 4) * 255.0)
-                as u8;
-            f.set(x, y, v);
-        }
-    }
-    f
-}
 
 /// The every-frame-inference scheme, labelled `label`.
 pub fn baseline(label: &str) -> SchemeSpec {
@@ -84,24 +55,6 @@ pub fn ew_schemes(baseline_label: &str, windows: &[u32], adaptive: bool) -> Vec<
         schemes.push(ew_adaptive());
     }
     schemes
-}
-
-/// Runs the tracking task for a scheme list over the OTB+VOT suites.
-pub fn run_tracking_suite(
-    suite: &[Sequence],
-    motion: &MotionConfig,
-    schemes: &[SchemeSpec],
-    profile: TrackerProfile,
-) -> Vec<SchemeResult> {
-    Scenario::builder(TrackerTask::new(profile))
-        .suite(suite.to_vec())
-        .motion(*motion)
-        .schemes(schemes.iter().cloned())
-        .build()
-        .expect("scheme registry is valid")
-        .evaluate()
-        .expect("tracking evaluation succeeds")
-        .schemes
 }
 
 /// The combined OTB-100-like + VOT-2014-like tracking workload (125

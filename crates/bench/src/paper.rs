@@ -6,6 +6,11 @@
 //! the OTB prefix of Fig. 10c's suite, Fig. 11a's 16×16 row and Fig.
 //! 11b's hierarchical column are the default motion configuration's
 //! cells, and Fig. 1 reuses Fig. 9a's YOLOv2 and Tiny YOLO baselines.
+//! The ablations of the paper's design choices print after Fig. 12 and
+//! read the same grid: Ablation B's full algorithm is Fig. 10a's EW-8,
+//! and Ablation D's default policy, EW-2 and EW-4 are its EW-A, EW-2
+//! and EW-4. The remaining ablations and the §7/§8 extensions are
+//! model- or kernel-only sections that read no cells.
 //!
 //! Each [`Figure`] declares the cells it reads and a view that prints
 //! its rows. [`PaperRun::evaluate`] evaluates the union of those cells,
@@ -13,13 +18,15 @@
 //! scheme's outcome does not depend on which schemes share its
 //! scenario, so every view prints what the figure run alone would.
 
+mod ablations;
+mod extensions;
 mod figures;
 
 pub use figures::FIGURES;
 
 use crate::{detection_workload, tracking_workload};
 use euphrates_core::prelude::*;
-use euphrates_nn::oracle::{DetectorProfile, TrackerProfile};
+use euphrates_nn::oracle::{calib, DetectorProfile, TrackerProfile};
 
 /// The oracle (and so the task) a cell runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,7 +87,38 @@ impl Read {
     }
 }
 
-/// A figure or table of the paper.
+/// MDNet tracking cells of `suite` under `motion`.
+fn tracking(suite: Suite, motion: MotionConfig, schemes: Vec<SchemeSpec>) -> Read {
+    Read {
+        profile: Profile::Tracker(calib::mdnet()),
+        suite,
+        motion,
+        schemes,
+    }
+}
+
+/// Prints a section's banner.
+fn banner(title: &str) {
+    println!("==========================================================");
+    println!("{title}");
+    println!("==========================================================");
+}
+
+/// Success rate at IoU 0.5 over the frames of the sequences of `suite`
+/// that carry `attr`, pairing `suite` with `r`'s per-sequence outcomes
+/// in order (0 when no sequence carries it).
+fn attribute_rate(suite: &[Sequence], r: &SchemeResult, attr: VisualAttribute) -> f64 {
+    let (mut hits, mut total) = (0usize, 0usize);
+    for (seq, o) in suite.iter().zip(&r.per_sequence) {
+        if seq.has_attribute(attr) {
+            hits += o.ious.iter().filter(|&&i| i >= 0.5).count();
+            total += o.ious.len();
+        }
+    }
+    hits as f64 / total.max(1) as f64
+}
+
+/// A figure, table or section of the paper run.
 pub struct Figure {
     /// The cells the view reads (none for model-only figures).
     reads: fn() -> Vec<Read>,
@@ -213,13 +251,14 @@ fn evaluate<T: VisionTask + Clone + Sync>(
 mod tests {
     use super::*;
 
-    /// The figures' overlaps collapse onto shared cells: the twelve
-    /// figures read 47 distinct cells from 16 scenarios.
+    /// The sections' overlaps collapse onto shared cells: the twelve
+    /// figures and the ablations read 58 distinct cells from 16
+    /// scenarios.
     #[test]
     fn shared_cells_are_planned_once() {
         let plan = plan(&FIGURES);
         assert_eq!(plan.len(), 16);
-        assert_eq!(plan.iter().map(|s| s.backends.len()).sum::<usize>(), 47);
+        assert_eq!(plan.iter().map(|s| s.backends.len()).sum::<usize>(), 58);
         let cells = |figure: usize| -> Vec<((Profile, Suite, MotionConfig), BackendConfig)> {
             (FIGURES[figure].reads)()
                 .iter()
@@ -227,8 +266,19 @@ mod tests {
                 .collect()
         };
         let key = |figure: usize, read: usize| (FIGURES[figure].reads)()[read].key();
+        // The cell a figure prints under `label`.
+        let cell = |figure: usize, label: &str| {
+            (FIGURES[figure].reads)()
+                .iter()
+                .find_map(|r| {
+                    let spec = r.schemes.iter().find(|s| s.id.as_str() == label)?;
+                    Some((r.key(), spec.backend))
+                })
+                .expect("the figure reads this label")
+        };
         let (fig01, fig09a, fig10a, fig10b, fig10c, fig11a, fig11b, fig12) =
             (0, 3, 6, 7, 8, 9, 10, 11);
+        let (ablation_b, ablation_d) = (13, 15);
         // Fig. 10b reads Fig. 10a's cells.
         assert_eq!(cells(fig10a), cells(fig10b));
         // Fig. 12 reads Fig. 10c's all-sequence suite (its OTB prefix).
@@ -243,5 +293,11 @@ mod tests {
             let read = (FIGURES[fig01].reads)()[detector].clone();
             assert!(fig09a_cells.contains(&(read.key(), read.schemes[0].backend)));
         }
+        // Ablation B's full algorithm is Fig. 10a's EW-8; Ablation D's
+        // default policy, EW-2 and EW-4 are its EW-A, EW-2 and EW-4.
+        assert_eq!(cell(ablation_b, "full algorithm"), cell(fig10a, "EW-8"));
+        assert_eq!(cell(ablation_d, "thr=0.5 streak=2"), cell(fig10a, "EW-A"));
+        assert_eq!(cell(ablation_d, "EW-2"), cell(fig10a, "EW-2"));
+        assert_eq!(cell(ablation_d, "EW-4"), cell(fig10a, "EW-4"));
     }
 }

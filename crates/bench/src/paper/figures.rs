@@ -1,24 +1,27 @@
-//! The twelve figures and tables in paper order: the cells each reads
-//! and the view that prints it. Paper values are quoted from
-//! arXiv 1803.11232.
+//! The twelve figures and tables in paper order, then the ablation and
+//! extension sections: the cells each reads and the view that prints
+//! it. Paper values are quoted from arXiv 1803.11232.
 
-use super::{every_sequence, Figure, PaperRun, Profile, Read, Suite};
-use crate::{baseline, ew, ew_adaptive, ew_schemes, textured_luma};
-use euphrates_common::image::Resolution;
+use super::{ablations, extensions};
+use super::{attribute_rate, banner, every_sequence, tracking};
+use super::{Figure, PaperRun, Profile, Read, Suite};
+use crate::{baseline, ew, ew_adaptive, ew_schemes};
+use euphrates_common::image::{LumaFrame, Resolution};
+use euphrates_common::rngx;
 use euphrates_common::table::{fnum, percent, Table};
 use euphrates_common::units::{Bytes, MilliWatts, Picos};
 use euphrates_core::prelude::*;
 use euphrates_datasets::{detection_suite, otb100_like, total_frames, vot2014_like};
-use euphrates_isp::motion::{BlockMatcher, SearchStats};
+use euphrates_isp::motion::BlockMatcher;
 use euphrates_mc::McConfig;
 use euphrates_nn::classic::ClassicDetector;
 use euphrates_nn::oracle::{calib, DetectorProfile};
 use euphrates_nn::{zoo, NnxConfig};
 use euphrates_soc::{EnergyModel, IpBlock, SchemeParams, SchemeReport, SocConfig};
-use std::time::Instant;
 
-/// Every figure and table, in the order the paper presents them.
-pub const FIGURES: [Figure; 12] = [
+/// Every figure and table, in the order the paper presents them, then
+/// the ablations (A–D and the SAD prefilter) and the §7/§8 extensions.
+pub const FIGURES: [Figure; 18] = [
     Figure::new(fig01_reads, fig01),
     Figure::new(Vec::new, table1),
     Figure::new(Vec::new, table2),
@@ -31,23 +34,16 @@ pub const FIGURES: [Figure; 12] = [
     Figure::new(fig11a_reads, fig11a),
     Figure::new(fig11b_reads, fig11b),
     Figure::new(fig12_reads, fig12),
+    Figure::new(Vec::new, ablations::double_buffer),
+    Figure::new(
+        ablations::algorithm_pieces_reads,
+        ablations::algorithm_pieces,
+    ),
+    Figure::new(Vec::new, ablations::systolic_design),
+    Figure::new(ablations::adaptive_policy_reads, ablations::adaptive_policy),
+    Figure::new(Vec::new, ablations::sad_prefilter),
+    Figure::new(Vec::new, extensions::future_work),
 ];
-
-/// Prints a figure's banner.
-fn banner(title: &str) {
-    println!("==========================================================");
-    println!("{title}");
-    println!("==========================================================");
-}
-
-fn tracking(suite: Suite, motion: MotionConfig, schemes: Vec<SchemeSpec>) -> Read {
-    Read {
-        profile: Profile::Tracker(calib::mdnet()),
-        suite,
-        motion,
-        schemes,
-    }
-}
 
 fn detection(profile: DetectorProfile, schemes: Vec<SchemeSpec>) -> Read {
     Read {
@@ -56,6 +52,20 @@ fn detection(profile: DetectorProfile, schemes: Vec<SchemeSpec>) -> Read {
         motion: MotionConfig::default(),
         schemes,
     }
+}
+
+/// A deterministic lattice-textured luma frame (content block matching
+/// can lock onto), with its texture shifted right by `shift` pixels.
+fn textured_luma(width: u32, height: u32, seed: u64, shift: i64) -> LumaFrame {
+    let mut f = LumaFrame::new(width, height).expect("positive frame dimensions");
+    for y in 0..height {
+        for x in 0..width {
+            let v = (rngx::lattice_hash(seed, (i64::from(x) - shift) / 4, i64::from(y) / 4) * 255.0)
+                as u8;
+            f.set(x, y, v);
+        }
+    }
+    f
 }
 
 /// Sorted per-sequence success rates at IoU 0.5.
@@ -639,8 +649,8 @@ fn fig11b_reads() -> Vec<Read> {
 /// Fig. 11b: search-strategy sweep. The paper compares exhaustive search
 /// against three-step search (nearly identical success, 9× less
 /// arithmetic); the sweep adds diamond and two-level hierarchical search
-/// and reports accuracy, measured probes and wall-clock per estimated
-/// frame for each. The evaluated default (`MotionConfig::default()`) is
+/// and reports accuracy and the probes and SAD operations each measures
+/// per block. The evaluated default (`MotionConfig::default()`) is
 /// the hierarchical search on the strength of this sweep, so it asserts
 /// the band: every strategy stays within 0.008 success rate of
 /// exhaustive search at every scheme × threshold.
@@ -680,8 +690,9 @@ fn fig11b(run: &PaperRun, reads: &[Read]) {
     }
     println!("{table}");
 
-    // Compute table: model budget, measured probes, and wall-clock on a
-    // VGA translation (the §2.3 cost-model axis of the figure).
+    // Compute table: model budget against the probes and SAD operations
+    // measured on a VGA translation (the §2.3 cost-model axis of the
+    // figure).
     let prev = textured_luma(640, 480, 1, 0);
     let cur = textured_luma(640, 480, 1, 4);
     let mut compute = Table::new([
@@ -689,33 +700,20 @@ fn fig11b(run: &PaperRun, reads: &[Read]) {
         "model probes/blk",
         "measured probes/blk",
         "ops/blk model",
-        "ms/frame (VGA)",
-        "vs ES",
+        "sad_ops/blk measured",
     ])
     .with_title("search cost: model vs measured (d=7, 16x16 blocks)");
-    let mut es_ms = 0.0f64;
     for strategy in SearchStrategy::BUILTIN {
         let matcher = BlockMatcher::new(16, 7, strategy).expect("built-in strategy");
-        let t0 = Instant::now();
-        let reps = 5;
-        let mut stats = SearchStats::default();
-        for _ in 0..reps {
-            let (_, s) = matcher
-                .estimate_with_stats(&cur, &prev)
-                .expect("same shape");
-            stats = s;
-        }
-        let ms = t0.elapsed().as_secs_f64() * 1e3 / f64::from(reps);
-        if strategy == SearchStrategy::Exhaustive {
-            es_ms = ms;
-        }
+        let (_, stats) = matcher
+            .estimate_with_stats(&cur, &prev)
+            .expect("same shape");
         compute.row([
             strategy.to_string(),
             strategy.probes_per_block(7).to_string(),
             fnum(stats.probes_per_block(), 1),
             strategy.ops_per_block(16, 7).to_string(),
-            fnum(ms, 2),
-            format!("{:.1}x", es_ms / ms),
+            fnum(stats.sad_ops as f64 / stats.blocks as f64, 1),
         ]);
     }
     println!("{compute}");
@@ -754,16 +752,7 @@ fn fig12(run: &PaperRun, reads: &[Read]) {
         .with_title("Fig. 12 reproduction (success @ IoU 0.5 per attribute)");
     let mut deltas: Vec<(VisualAttribute, f64)> = Vec::new();
     for attr in VisualAttribute::ALL {
-        let rate = |scheme: usize| -> f64 {
-            let (mut hits, mut total) = (0usize, 0usize);
-            for (seq, o) in otb.iter().zip(&results[scheme].1.per_sequence) {
-                if seq.has_attribute(attr) {
-                    hits += o.ious.iter().filter(|&&i| i >= 0.5).count();
-                    total += o.ious.len();
-                }
-            }
-            hits as f64 / total.max(1) as f64
-        };
+        let rate = |scheme: usize| attribute_rate(&otb, results[scheme].1, attr);
         let (base, ew2, ew8) = (rate(0), rate(1), rate(2));
         deltas.push((attr, base - ew2));
         table.row([

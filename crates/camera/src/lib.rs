@@ -81,7 +81,8 @@
 //!   pass through the noise model into a stack tile), so the streaming
 //!   front-end never materializes an RGB frame it would immediately
 //!   discard — and never does more work than the unfused RGB + convert
-//!   path (asserted in `euphrates-bench`'s `ablation_render_path`).
+//!   path (`perfbench`'s `--trace 1` ledger times the fused stage as
+//!   `camera.render_luma_ms`).
 //! * **Shared canvases** — the sampled background canvas (and its
 //!   luma) is built once per [`scene::Scene`] and shared by every
 //!   renderer of that scene, so re-opening a sequence costs ~0.02 ms.

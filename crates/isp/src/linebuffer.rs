@@ -8,8 +8,8 @@
 //! Euphrates instead *double-buffers* that SRAM: write-back proceeds from
 //! one bank while ME fills the other, at a small area cost.
 //!
-//! [`TdSramModel::frame_timing`] quantifies both designs; the
-//! `ablation_double_buffer` bench sweeps it.
+//! [`TdSramModel::frame_timing`] quantifies both designs; Ablation A of
+//! `euphrates-bench`'s `paper` run sweeps it.
 
 use crate::motion::MotionField;
 use euphrates_common::image::Resolution;

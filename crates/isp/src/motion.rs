@@ -44,7 +44,8 @@
 //! because the SWAR early exit already floors a losing candidate at
 //! roughly the price of the bound walk itself, so host wall-clock is
 //! neutral while the bound adds work to every surviving candidate
-//! (measured, not hypothesized — see `ablation_motion_engine`).
+//! (measured, not hypothesized). The op-count cut is asserted by the
+//! SAD-prefilter section of `euphrates-bench`'s `paper` run.
 //! The best-match tie-break is a
 //! *total* order (SAD, then |v|², then `(vy, vx)`), which makes the
 //! winner independent of probe order and lets walks reorder probes for
@@ -1092,7 +1093,8 @@ impl BlockMatcher {
     /// non-early-exit kernel, or when modelling the hardware ISP, where
     /// every absolute-difference op is a pixel fetch and the op-count
     /// cut is the point (4.8× on noisy VGA exhaustive search, 1.55× hierarchical; see the module
-    /// docs and `ablation_motion_engine`). On the host's SWAR kernel
+    /// docs and the SAD-prefilter section of `euphrates-bench`'s `paper`
+    /// run). On the host's SWAR kernel
     /// the early exit already floors losing candidates at roughly the
     /// bound's own cost, so wall-clock stays neutral and the default
     /// is off.

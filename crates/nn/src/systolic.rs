@@ -44,7 +44,7 @@
 //! traffic are therefore strictly below the `N×` solo cost whenever any
 //! layer has fill/drain overhead or a ragged `M`-tile — the
 //! amortization the serving layer's batch collector charges, asserted
-//! on op counts in `ablation_systolic_design`.
+//! on op counts in Ablation C2 of `euphrates-bench`'s `paper` run.
 
 use crate::layer::{LayerKind, NetworkDescriptor};
 use euphrates_common::units::{Bytes, Clock, Cycles, Picos};

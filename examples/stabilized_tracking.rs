@@ -151,7 +151,7 @@ fn main() {
     println!("plain block matching can no longer see the world move. Note that");
     println!("per-block *prediction* makes things worse here: its constant-");
     println!("velocity assumption is exactly wrong for oscillating shake (it");
-    println!("helps for ballistic object motion — see extension_future_work).");
+    println!("helps for ballistic object motion — see the paper run's extensions).");
     println!("Only the gyro, which measures the reversal directly, re-centers");
     println!("the window correctly — the Pixel-2-style fusion the paper points");
     println!("to in §7.");
