@@ -16,9 +16,62 @@
 //! All operations are *saturating*: real datapaths clamp instead of wrapping,
 //! and saturation keeps extrapolated ROIs finite even with adversarial
 //! inputs.
+//!
+//! Two rounding helpers, [`round_half_away`] and [`round_to_u8`], give
+//! `f64::round`'s results without its libm call; the Motion Controller
+//! datapath and the ISP's pixel stages round through them.
 
 use std::fmt;
 use std::ops::{Add, Mul, Neg, Sub};
+
+/// 2⁵²: from here up every `f64` is an integer, and below it adding 2⁵²
+/// lands a non-negative value where the `f64` spacing is exactly 1.
+const TWO_52: f64 = 4_503_599_627_370_496.0;
+
+/// `x.round()` (halfway cases away from zero), bit for bit, without the
+/// libm `round` call baseline x86-64 makes for it (no `roundsd` before
+/// SSE4.1).
+///
+/// For `|x| < 2⁵²` the sum `|x| + 2⁵²` rounds `|x|` to the nearest
+/// integer, ties to even, and subtracting 2⁵² again is exact. That
+/// differs from `f64::round` only when the exact remainder is +½, which
+/// the exact subtraction `|x| − r` detects. Larger magnitudes and
+/// infinities are already integral and pass through, NaN stays NaN, and
+/// the sign is copied back so `-0.3` rounds to `-0.0` as `f64::round`
+/// does.
+#[inline]
+pub fn round_half_away(x: f64) -> f64 {
+    let a = x.abs();
+    if a >= TWO_52 {
+        return x;
+    }
+    let nearest_even = (a + TWO_52) - TWO_52;
+    let r = if a - nearest_even == 0.5 {
+        nearest_even + 1.0
+    } else {
+        nearest_even
+    };
+    r.copysign(x)
+}
+
+/// `x.round().clamp(0.0, 255.0) as u8`, exactly, without the libm
+/// `round` call or a float-to-int conversion — the pixel quantiser of
+/// the ISP's colour-correction and temporal-denoise stages.
+///
+/// The clamped value plus 2⁵² lands where the f64 spacing is 1, so the
+/// addition rounds it to the nearest integer (ties to even), which then
+/// sits in the sum's low mantissa bits. That differs from `f64::round`'s
+/// ties-away-from-zero only when the exact remainder is +½, which the
+/// exact subtraction `x − r` detects. The clamp maps NaN to 0, as the
+/// saturating cast does.
+#[inline]
+pub fn round_to_u8(x: f64) -> u8 {
+    let x = if x > 0.0 { x } else { 0.0 };
+    let x = if x < 255.0 { x } else { 255.0 };
+    let shifted = x + TWO_52;
+    let nearest_even = shifted - TWO_52;
+    shifted.to_bits() as u8 + u8::from(x - nearest_even == 0.5)
+}
 
 /// Number of fractional bits in [`Q16`].
 pub const Q16_FRAC_BITS: u32 = 8;
@@ -367,6 +420,73 @@ mod tests {
         let b = Q32::from_f64(-0.015625);
         let got = (a * b).to_f64();
         assert!((got - 123.456 * -0.015625).abs() < 1e-3);
+    }
+
+    #[test]
+    fn round_to_u8_matches_f64_round_at_every_half() {
+        let reference = |x: f64| x.round().clamp(0.0, 255.0) as u8;
+        for k in -10..=520 {
+            let half = f64::from(k) / 2.0;
+            for x in [half.next_down(), half, half.next_up()] {
+                assert_eq!(round_to_u8(x), reference(x), "diverged at {x:e}");
+            }
+        }
+        for x in [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            1e300,
+            -1e300,
+        ] {
+            assert_eq!(round_to_u8(x), reference(x), "diverged at {x:e}");
+        }
+    }
+
+    #[test]
+    fn round_half_away_matches_f64_round_bit_for_bit() {
+        let check = |x: f64| {
+            let (got, want) = (round_half_away(x), x.round());
+            assert!(
+                got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                "diverged at {x:e}: {got:e} vs {want:e}"
+            );
+        };
+        // Every half-integer up to 2^17 in magnitude and both neighbours,
+        // which covers every overlap area of a block up to 256×256 px and
+        // every scaled Q8.8 value.
+        for k in -(1i64 << 18)..=(1 << 18) {
+            let half = k as f64 / 2.0;
+            for x in [half.next_down(), half, half.next_up()] {
+                check(x);
+                check(-x);
+            }
+        }
+        // Around 2^52 and 2^53, where the spacing reaches 1 and 2.
+        for base in [TWO_52, 2.0 * TWO_52] {
+            let mut x = base;
+            for _ in 0..8 {
+                x = x.next_down();
+            }
+            for _ in 0..16 {
+                check(x);
+                check(-x);
+                x = x.next_up();
+            }
+        }
+        for x in [
+            0.0,
+            -0.0,
+            0.49999999999999994,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+        ] {
+            check(x);
+            check(-x);
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@ use euphrates_common::fixed::Q16;
 use euphrates_common::geom::Rect;
 use euphrates_common::units::Cycles;
 use euphrates_isp::motion::MotionField;
-use euphrates_mc::algorithm::{ExtrapolationConfig, Extrapolator, RoiState};
+use euphrates_mc::algorithm::{sub_roi_ops, ExtrapolationConfig, Extrapolator, RoiState};
 use euphrates_mc::datapath::SimdDatapath;
 use euphrates_mc::policy::{EwController, EwPolicy, FrameKind};
 use euphrates_mc::sequencer::McSequencer;
@@ -149,10 +149,11 @@ impl TrackState {
 /// One extrapolation step: moves `roi` forward by the motion field,
 /// returning the new ROI, datapath cycles, and arithmetic-op count.
 ///
-/// The hardware (fixed-datapath) path runs allocation-free: the sub-ROI
-/// grid goes into the state's scratch buffer and the op count is summed
-/// in the same pass (the identical per-sub-ROI arithmetic
-/// [`Extrapolator::ops_estimate`] performs).
+/// Each sub-ROI's blocks are walked once: the op count
+/// ([`Extrapolator::ops_estimate`]) comes from the same pass that
+/// averages them. The hardware (fixed-datapath) path runs
+/// allocation-free: the sub-ROI grid goes into the state's scratch
+/// buffer.
 pub fn extrapolate_roi(
     roi: &Rect,
     field: &MotionField,
@@ -160,10 +161,9 @@ pub fn extrapolate_roi(
     config: &ExtrapolationConfig,
     fixed_datapath: bool,
 ) -> (Rect, Cycles, u64) {
-    let extrapolator = Extrapolator::new(*config);
     if !fixed_datapath {
-        let ops = extrapolator.ops_estimate(roi, field);
-        let out = extrapolator.extrapolate(roi, field, &mut state.reference);
+        let (out, ops) =
+            Extrapolator::new(*config).extrapolate_counted(roi, field, &mut state.reference);
         // Reference path still charges datapath-equivalent cycles so the
         // energy model is datapath-choice-independent.
         let cycles = Cycles(ops / 2);
@@ -180,8 +180,8 @@ pub fn extrapolate_roi(
     let mut merged = Rect::default();
     let mut cycles = Cycles::ZERO;
     for (i, sub) in subs.iter().enumerate() {
-        ops += field.blocks_in_roi(sub).count() as u64 * 6 + 32;
         let result = dp.evaluate(field, sub, fixed[i], config);
+        ops += sub_roi_ops(u64::from(result.blocks));
         fixed[i] = (result.mv_x, result.mv_y);
         cycles += result.cycles;
         let mv = SimdDatapath::to_vec2f(&result);

@@ -6,6 +6,7 @@
 //! block matching sees, so the pipeline applies motion estimation before
 //! gamma (as real ISPs do — ME runs in the linear domain).
 
+use euphrates_common::fixed::round_to_u8;
 use euphrates_common::image::{Rgb, RgbFrame};
 
 /// A 3×3 color-correction matrix applied to linear RGB.
@@ -69,25 +70,6 @@ impl ColorCorrection {
     pub fn ops_per_pixel(&self) -> u64 {
         18
     }
-}
-
-/// `x.round().clamp(0.0, 255.0) as u8`, exactly, without the libm
-/// `round` call or a float-to-int conversion.
-///
-/// The clamped value plus 2⁵² lands where the f64 spacing is 1, so the
-/// addition rounds it to the nearest integer (ties to even), which then
-/// sits in the sum's low mantissa bits. That differs from `f64::round`'s
-/// ties-away-from-zero only when the exact remainder is +½, which the
-/// exact subtraction `x − r` detects. The clamp maps NaN to 0, as the
-/// saturating cast does.
-#[inline]
-pub(crate) fn round_to_u8(x: f64) -> u8 {
-    const TWO_52: f64 = 4_503_599_627_370_496.0;
-    let x = if x > 0.0 { x } else { 0.0 };
-    let x = if x < 255.0 { x } else { 255.0 };
-    let shifted = x + TWO_52;
-    let nearest_even = shifted - TWO_52;
-    shifted.to_bits() as u8 + u8::from(x - nearest_even == 0.5)
 }
 
 /// Display gamma encoding (power law over normalized channels).
@@ -196,27 +178,6 @@ mod tests {
             for (&inp, &out) in input.samples().iter().zip(plane.samples()) {
                 assert_eq!(out, reference_ccm(&ccm.matrix, inp), "diverged at {inp}");
             }
-        }
-    }
-
-    #[test]
-    fn round_to_u8_matches_f64_round_at_every_half() {
-        let reference = |x: f64| x.round().clamp(0.0, 255.0) as u8;
-        for k in -10..=520 {
-            let half = f64::from(k) / 2.0;
-            for x in [half.next_down(), half, half.next_up()] {
-                assert_eq!(round_to_u8(x), reference(x), "diverged at {x:e}");
-            }
-        }
-        for x in [
-            f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            -0.0,
-            1e300,
-            -1e300,
-        ] {
-            assert_eq!(round_to_u8(x), reference(x), "diverged at {x:e}");
         }
     }
 

@@ -951,15 +951,20 @@ impl MotionField {
         w * h
     }
 
-    /// Confidence of block `(bx, by)` per Equ. 2: `1 − SAD/(255·n)`,
-    /// clamped to `[0, 1]`.
+    /// Confidence of block `(bx, by)` per Equ. 2 ([`Self::block_confidence`]
+    /// of its SAD and pixel count).
     pub fn confidence(&self, bx: u32, by: u32) -> f64 {
-        let mv = self.at_block(bx, by);
-        let n = self.block_pixels(bx, by);
-        if n == 0 {
+        Self::block_confidence(self.at_block(bx, by).sad, self.block_pixels(bx, by))
+    }
+
+    /// Equ. 2 for a block of `pixels` pixels whose best match scored
+    /// `sad`: `1 − SAD/(255·n)`, clamped to `[0, 1]` (0 for an empty
+    /// block).
+    pub fn block_confidence(sad: u32, pixels: u32) -> f64 {
+        if pixels == 0 {
             return 0.0;
         }
-        (1.0 - f64::from(mv.sad) / (255.0 * f64::from(n))).clamp(0.0, 1.0)
+        (1.0 - f64::from(sad) / (255.0 * f64::from(pixels))).clamp(0.0, 1.0)
     }
 
     /// The pixel rectangle covered by block `(bx, by)`.
@@ -971,29 +976,76 @@ impl MotionField {
         Rect::new(x, y, w, h)
     }
 
-    /// Iterates over `(bx, by, MotionVector)` for blocks whose rectangle
-    /// intersects `roi`. This is the access pattern of the extrapolation
-    /// engine (Equ. 1 averages the MVs an ROI covers).
-    pub fn blocks_in_roi<'a>(
+    /// Iterates, in row-major order, over `(bx, by, MotionVector, area)`
+    /// for every block whose rectangle overlaps `roi` by a positive area.
+    /// This is the access pattern of the extrapolation engine: Equ. 1
+    /// weighs each block's MV by the pixels of the ROI it covers.
+    ///
+    /// `area` is `block_rect(bx, by).intersection(roi).area()` bit for
+    /// bit, but each axis overlap is formed once, not per block: the
+    /// y-overlap once per block row, the x-overlap once for the first and
+    /// once for the last column walked. Every column strictly between
+    /// those two lies inside `[roi.x, roi.right()]`: the walk's bounds are
+    /// the floor and ceil of the rounded quotients `roi.x / mb` and
+    /// `roi.right() / mb`, and rounding is monotone and exact on
+    /// integers, so it cannot carry a quotient across an integer. Such a
+    /// column is also a full `mb_size` wide (only the frame's last column
+    /// is narrower, and it can only be the last one walked), so its
+    /// overlap is exactly `mb_size`.
+    pub fn roi_overlaps<'a>(
         &'a self,
         roi: &Rect,
-    ) -> impl Iterator<Item = (u32, u32, MotionVector)> + 'a {
+    ) -> impl Iterator<Item = (u32, u32, MotionVector, f64)> + 'a {
         let mb = f64::from(self.mb_size);
         let bx0 = (roi.x / mb).floor().max(0.0) as u32;
         let by0 = (roi.y / mb).floor().max(0.0) as u32;
         let bx1 = ((roi.right() / mb).ceil() as i64).clamp(0, i64::from(self.blocks_x)) as u32;
         let by1 = ((roi.bottom() / mb).ceil() as i64).clamp(0, i64::from(self.blocks_y)) as u32;
-        let roi = *roi;
+        // Overlap of a block's span along one axis with the ROI's, in
+        // `Rect::intersection`'s operation order.
+        let span = |index: u32, extent: u32, lo: f64, hi: f64| {
+            let start = index * self.mb_size;
+            let len = (extent - start).min(self.mb_size);
+            let (x0, right) = (f64::from(start), f64::from(start) + f64::from(len));
+            (right.min(hi) - x0.max(lo)).max(0.0)
+        };
+        let (left, right) = (roi.x, roi.right());
+        let (top, bottom) = (roi.y, roi.bottom());
+        let last = bx1.saturating_sub(1);
+        let (first_wx, last_wx) = if bx0 < bx1 {
+            (
+                span(bx0, self.width, left, right),
+                span(last, self.width, left, right),
+            )
+        } else {
+            (0.0, 0.0)
+        };
         (by0..by1).flat_map(move |by| {
+            let wy = span(by, self.height, top, bottom);
+            let row = &self.vectors[(by * self.blocks_x) as usize..][..self.blocks_x as usize];
             (bx0..bx1).filter_map(move |bx| {
-                let r = self.block_rect(bx, by);
-                if r.intersection(&roi).area() > 0.0 {
-                    Some((bx, by, self.at_block(bx, by)))
+                let wx = if bx == bx0 {
+                    first_wx
+                } else if bx == last {
+                    last_wx
                 } else {
-                    None
-                }
+                    mb
+                };
+                // Both sides are finite and non-negative, so the product
+                // is positive exactly when `Rect::area` is, and equal to it.
+                let area = wx * wy;
+                (area > 0.0).then(|| (bx, by, row[bx as usize], area))
             })
         })
+    }
+
+    /// [`Self::roi_overlaps`] without the areas: the blocks `roi`
+    /// intersects.
+    pub fn blocks_in_roi<'a>(
+        &'a self,
+        roi: &Rect,
+    ) -> impl Iterator<Item = (u32, u32, MotionVector)> + 'a {
+        self.roi_overlaps(roi).map(|(bx, by, mv, _)| (bx, by, mv))
     }
 
     /// Bytes of frame-buffer metadata this field occupies at
@@ -1726,6 +1778,27 @@ mod tests {
         // Empty ROI yields nothing.
         let empty = Rect::new(10.0, 10.0, 0.0, 0.0);
         assert_eq!(field.blocks_in_roi(&empty).count(), 0);
+    }
+
+    #[test]
+    fn roi_overlaps_weigh_each_block_by_its_covered_pixels() {
+        // 100×70 at mb 16: the last column is 4 px wide, the last row 6.
+        let field = MotionField::zeroed(Resolution::new(100, 70), 16, 7).unwrap();
+        let roi = Rect::new(-3.5, 20.25, 110.0, 60.0);
+        let mut total = 0.0;
+        for (bx, by, _, area) in field.roi_overlaps(&roi) {
+            let want = field.block_rect(bx, by).intersection(&roi).area();
+            assert_eq!(area.to_bits(), want.to_bits(), "block ({bx}, {by})");
+            total += area;
+        }
+        // The ROI's part inside the frame: 100 × (70 − 20.25).
+        assert_eq!(total, 100.0 * 49.75);
+        // Interior columns are full blocks; the partial edge keeps its 4 px.
+        let row: Vec<f64> = field
+            .roi_overlaps(&Rect::new(8.5, 0.0, 200.0, 1.0))
+            .map(|(_, _, _, area)| area)
+            .collect();
+        assert_eq!(row, vec![7.5, 16.0, 16.0, 16.0, 16.0, 16.0, 4.0]);
     }
 
     #[test]

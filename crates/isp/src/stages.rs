@@ -9,9 +9,9 @@
 //! denoise stage's motion vectors (§4.2), which [`crate::pipeline`] wires
 //! up.
 
-use crate::color::round_to_u8;
 use crate::motion::MotionField;
 use euphrates_common::error::Result;
+use euphrates_common::fixed::round_to_u8;
 use euphrates_common::image::{rggb_color, BayerFrame, CfaColor, LumaFrame, Rgb, RgbFrame};
 
 /// Dead-pixel correction: replaces samples that deviate strongly from the

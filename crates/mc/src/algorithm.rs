@@ -115,23 +115,35 @@ impl RoiState {
 /// confidence of the blocks `roi` covers. Returns `(µ, α)`;
 /// `(Vec2f::ZERO, 0.0)` when the ROI covers no blocks.
 pub fn roi_average_motion(field: &MotionField, roi: &Rect) -> (Vec2f, f64) {
+    let (mu, alpha, _) = roi_average_and_blocks(field, roi);
+    (mu, alpha)
+}
+
+/// [`roi_average_motion`] plus the number of blocks `roi` intersects,
+/// from one walk over them.
+fn roi_average_and_blocks(field: &MotionField, roi: &Rect) -> (Vec2f, f64, u64) {
     let mut sum = Vec2f::ZERO;
     let mut conf_sum = 0.0;
     let mut weight = 0.0;
-    for (bx, by, mv) in field.blocks_in_roi(roi) {
-        let overlap = field.block_rect(bx, by).intersection(roi).area();
-        if overlap <= 0.0 {
-            continue;
-        }
+    let mut blocks = 0;
+    for (bx, by, mv, overlap) in field.roi_overlaps(roi) {
         sum += Vec2f::from(mv.v) * overlap;
-        conf_sum += field.confidence(bx, by) * overlap;
+        conf_sum += MotionField::block_confidence(mv.sad, field.block_pixels(bx, by)) * overlap;
         weight += overlap;
+        blocks += 1;
     }
     if weight <= 0.0 {
-        (Vec2f::ZERO, 0.0)
+        (Vec2f::ZERO, 0.0, blocks)
     } else {
-        (sum / weight, conf_sum / weight)
+        (sum / weight, conf_sum / weight, blocks)
     }
+}
+
+/// Fixed-point operation count of one sub-ROI step that covers `blocks`
+/// blocks: two MACs per block for each of the x, y and confidence chains,
+/// plus the filter/merge overhead.
+pub fn sub_roi_ops(blocks: u64) -> u64 {
+    blocks * 6 + 32
 }
 
 /// Equ. 3: the confidence-gated recursive motion filter.
@@ -161,14 +173,27 @@ impl Extrapolator {
     /// filter state. Returns the new ROI (`R_F = R_{F−1} + MV_F` per
     /// sub-ROI, merged).
     pub fn extrapolate(&self, roi: &Rect, field: &MotionField, state: &mut RoiState) -> Rect {
+        self.extrapolate_counted(roi, field, state).0
+    }
+
+    /// [`Self::extrapolate`] that also returns the step's
+    /// [`Self::ops_estimate`], counted in the same walk over the blocks.
+    pub fn extrapolate_counted(
+        &self,
+        roi: &Rect,
+        field: &MotionField,
+        state: &mut RoiState,
+    ) -> (Rect, u64) {
         let (gx, gy) = self.config.effective_grid();
         let subs = roi.grid(gx, gy);
         if state.prev_mv.len() != subs.len() {
             state.prev_mv = vec![Vec2f::ZERO; subs.len()];
         }
         let mut merged = Rect::default();
+        let mut ops = 0;
         for (i, sub) in subs.iter().enumerate() {
-            let (mu, alpha) = roi_average_motion(field, sub);
+            let (mu, alpha, blocks) = roi_average_and_blocks(field, sub);
+            ops += sub_roi_ops(blocks);
             let mv = if self.config.filter {
                 filter_mv(
                     mu,
@@ -182,20 +207,18 @@ impl Extrapolator {
             state.prev_mv[i] = mv;
             merged = merged.union_bbox(&sub.translated(mv));
         }
-        merged
+        (merged, ops)
     }
 
     /// Fixed-point operation count of one ROI extrapolation (the paper's
-    /// §3.2 estimate: ~10 K ops for a 100×50 ROI): two MACs per covered
-    /// block per sub-ROI plus the filter/merge overhead.
+    /// §3.2 estimate: ~10 K ops for a 100×50 ROI): [`sub_roi_ops`] of the
+    /// blocks each sub-ROI covers.
     pub fn ops_estimate(&self, roi: &Rect, field: &MotionField) -> u64 {
         let (gx, gy) = self.config.effective_grid();
-        let mut ops = 0u64;
-        for sub in roi.grid(gx, gy) {
-            let blocks = field.blocks_in_roi(&sub).count() as u64;
-            ops += blocks * 6 + 32;
-        }
-        ops
+        roi.grid(gx, gy)
+            .iter()
+            .map(|sub| sub_roi_ops(field.roi_overlaps(sub).count() as u64))
+            .sum()
     }
 }
 

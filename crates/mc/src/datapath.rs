@@ -1,14 +1,21 @@
 //! The Motion Controller's 4-wide SIMD fixed-point datapath (Fig. 8).
 //!
 //! The hardware evaluates Equations 1–3 in Q-format arithmetic: motion
-//! vectors arrive as packed 4+4-bit bytes from the MV SRAM, are widened
-//! into Q16.16 accumulators four blocks at a time, divided by the coverage
-//! count, and filtered in Q8.8. This module mirrors that datapath
-//! operation-for-operation, with a cycle count per call, and is verified
-//! against the `f64` reference in [`crate::algorithm`].
+//! vectors arrive as packed 4+4-bit bytes from the MV SRAM, are weighted
+//! by integer pixel-overlap counts and accumulated four blocks at a time,
+//! divided by the coverage count, and filtered in Q8.8. This module
+//! mirrors that datapath operation-for-operation, with a cycle count per
+//! call, and is verified against the `f64` reference in
+//! [`crate::algorithm`].
+//!
+//! Each sub-ROI is one pass over [`MotionField::roi_overlaps`]: the
+//! weighted sums accumulate as plain integers and become the Q16.16
+//! accumulator once, before the divide, and the same pass counts the
+//! blocks the op model charges. Rounding (overlap weights, Q8.8
+//! confidences) needs no libm call.
 
 use crate::algorithm::ExtrapolationConfig;
-use euphrates_common::fixed::{Q16, Q32};
+use euphrates_common::fixed::{round_half_away, Q16, Q16_FRAC_BITS, Q32, Q32_FRAC_BITS};
 use euphrates_common::geom::{Rect, Vec2f};
 use euphrates_common::units::Cycles;
 use euphrates_isp::motion::MotionField;
@@ -29,6 +36,15 @@ pub fn unpack_mv(b: u8) -> (i16, i16) {
     (i16::from(sx), i16::from(sy))
 }
 
+/// Q8.8 confidence of a block of `pixels` pixels whose best match scored
+/// `sad`: `Q16::from_f64(MotionField::block_confidence(sad, pixels))`
+/// bit for bit, rounded without libm (the confidence lies in `[0, 1]`,
+/// so the scaled value needs no clamp).
+fn confidence_q8(sad: u32, pixels: u32) -> Q16 {
+    let scaled = MotionField::block_confidence(sad, pixels) * f64::from(1u32 << Q16_FRAC_BITS);
+    Q16::from_raw(round_half_away(scaled) as i16)
+}
+
 /// Result of one sub-ROI datapath evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DatapathResult {
@@ -40,6 +56,9 @@ pub struct DatapathResult {
     pub confidence: Q16,
     /// Datapath cycles consumed.
     pub cycles: Cycles,
+    /// Blocks the sub-ROI intersects (the basis of the op count, which
+    /// also charges blocks whose overlap rounds to zero pixels).
+    pub blocks: u32,
 }
 
 /// The SIMD datapath model.
@@ -61,11 +80,21 @@ impl Default for SimdDatapath {
 }
 
 impl SimdDatapath {
-    /// Evaluates Equ. 1–3 for one sub-ROI in fixed point.
+    /// Evaluates Equ. 1–3 for one sub-ROI in fixed point, in one pass
+    /// over the blocks it covers.
     ///
     /// Block MVs pass through the 4-bit packing (exactly representable for
     /// d ≤ 7); weights are integer pixel-overlap counts; the average runs
     /// in Q16.16; the filter in Q8.8 — matching a realistic RTL datapath.
+    ///
+    /// The weighted sums are exact integers. A Q8.8 value `v` widened to
+    /// Q16.16 and multiplied by the Q16.16 weight `ov` is
+    /// `((v·2⁸)·(ov·2¹⁶) + 2¹⁵) >> 16 = v·ov·2⁸` exactly, so the datapath
+    /// sums `v·ov` in an `i64` and forms the Q16.16 accumulator once,
+    /// before the divide. That equals the per-block saturating Q16.16
+    /// sum because nothing saturates: `|v| ≤ 2¹⁵` and each weight is at
+    /// most its block's pixel count, so over a frame of up to 2³² pixels
+    /// `|Σ v·ov·2⁸| ≤ 2¹⁵·2³²·2⁸ = 2⁵⁵ < 2⁶³`.
     pub fn evaluate(
         &self,
         field: &MotionField,
@@ -73,47 +102,43 @@ impl SimdDatapath {
         prev_mv: (Q16, Q16),
         config: &ExtrapolationConfig,
     ) -> DatapathResult {
-        let mut sum_x = Q32::ZERO;
-        let mut sum_y = Q32::ZERO;
-        let mut sum_conf = Q32::ZERO;
+        let packed = field.search_range() <= 7;
+        let (mut sum_x, mut sum_y, mut sum_conf) = (0i64, 0i64, 0i64);
         let mut weight: u32 = 0;
         let mut blocks: u32 = 0;
-        for (bx, by, mv) in field.blocks_in_roi(sub_roi) {
+        let mut weighted_blocks: u32 = 0;
+        field.roi_overlaps(sub_roi).for_each(|(bx, by, mv, area)| {
+            blocks += 1;
             // Integer pixel-overlap weight (hardware counts covered pixels).
-            let overlap = field
-                .block_rect(bx, by)
-                .intersection(sub_roi)
-                .area()
-                .round() as u32;
+            let overlap = round_half_away(area) as u32;
             if overlap == 0 {
-                continue;
+                return;
             }
             // Pack/unpack models the 4-bit SRAM storage. For search ranges
             // beyond ±7 the datapath stores full bytes instead; we saturate
             // identically to hardware.
-            let (vx, vy) = if field.search_range() <= 7 {
+            let (vx, vy) = if packed {
                 unpack_mv(pack_mv(mv.v.x, mv.v.y))
             } else {
                 (mv.v.x, mv.v.y)
             };
-            let w = Q32::from_f64(f64::from(overlap));
-            sum_x = sum_x + Q16::from_int(i32::from(vx)).widen() * w;
-            sum_y = sum_y + Q16::from_int(i32::from(vy)).widen() * w;
-            let conf = Q16::from_f64(field.confidence(bx, by));
-            sum_conf = sum_conf + conf.widen() * w;
+            let ov = i64::from(overlap);
+            sum_x += i64::from(Q16::from_int(i32::from(vx)).raw()) * ov;
+            sum_y += i64::from(Q16::from_int(i32::from(vy)).raw()) * ov;
+            let conf = confidence_q8(mv.sad, field.block_pixels(bx, by));
+            sum_conf += i64::from(conf.raw()) * ov;
             weight += overlap;
-            blocks += 1;
-        }
+            weighted_blocks += 1;
+        });
 
-        let (mu_x, mu_y, alpha) = if weight == 0 {
-            (Q16::ZERO, Q16::ZERO, Q16::ZERO)
-        } else {
-            (
-                sum_x.div_count(weight).narrow(),
-                sum_y.div_count(weight).narrow(),
-                sum_conf.div_count(weight).narrow(),
-            )
+        // Q8.8·integer sums → Q16.16, then Equ. 1's divide (zero when the
+        // sub-ROI covers no pixel).
+        let average = |sum: i64| {
+            Q32::from_raw(sum << (Q32_FRAC_BITS - Q16_FRAC_BITS))
+                .div_count(weight)
+                .narrow()
         };
+        let (mu_x, mu_y, alpha) = (average(sum_x), average(sum_y), average(sum_conf));
 
         // Equ. 3 in Q8.8.
         let threshold = Q16::from_f64(config.confidence_threshold);
@@ -131,7 +156,7 @@ impl SimdDatapath {
         // Cycle model: blocks processed `lanes` at a time, two MAC chains
         // (x, y) plus the confidence chain share the SIMD unit over three
         // passes; plus fixed overhead.
-        let groups = u64::from(blocks).div_ceil(u64::from(self.lanes));
+        let groups = u64::from(weighted_blocks).div_ceil(u64::from(self.lanes));
         let cycles = Cycles(3 * groups + u64::from(self.overhead_cycles));
 
         DatapathResult {
@@ -139,6 +164,7 @@ impl SimdDatapath {
             mv_y,
             confidence: alpha,
             cycles,
+            blocks,
         }
     }
 
@@ -152,15 +178,46 @@ impl SimdDatapath {
 mod tests {
     use super::*;
     use crate::algorithm::{filter_mv, roi_average_motion};
-    use euphrates_common::image::LumaFrame;
+    use euphrates_common::geom::Vec2i;
+    use euphrates_common::image::{LumaFrame, Resolution};
     use euphrates_common::rngx;
-    use euphrates_isp::motion::{BlockMatcher, SearchStrategy};
+    use euphrates_isp::motion::{BlockMatcher, MotionVector, SearchStrategy};
 
     #[test]
     fn pack_unpack_roundtrips_search_range_7() {
         for vx in -7..=7i16 {
             for vy in -7..=7i16 {
                 assert_eq!(unpack_mv(pack_mv(vx, vy)), (vx, vy), "({vx},{vy})");
+            }
+        }
+    }
+
+    #[test]
+    fn confidence_q8_matches_q16_from_f64_at_every_reachable_sad() {
+        // Block (1, 1) of a (16 + w)×(16 + h) field at mb 16 is w×h pixels:
+        // every block size a 16-px field can hold, each SAD from a perfect
+        // match to past the 255·n ceiling.
+        for w in 1..=16 {
+            for h in 1..=16 {
+                let mut field =
+                    MotionField::zeroed(Resolution::new(16 + w, 16 + h), 16, 7).unwrap();
+                let n = field.block_pixels(1, 1);
+                assert_eq!(n, w * h);
+                for sad in 0..=255 * n + 2 {
+                    field.set_block(
+                        1,
+                        1,
+                        MotionVector {
+                            v: Vec2i::ZERO,
+                            sad,
+                        },
+                    );
+                    assert_eq!(
+                        confidence_q8(sad, n),
+                        Q16::from_f64(field.confidence(1, 1)),
+                        "sad {sad} n {n}"
+                    );
+                }
             }
         }
     }

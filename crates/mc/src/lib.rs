@@ -9,7 +9,15 @@
 //!   sub-ROI deformation handling.
 //! * [`datapath`] — the 4-wide SIMD fixed-point datapath (Q8.8/Q16.16,
 //!   4-bit packed MVs) with per-call cycle counts, verified against the
-//!   reference.
+//!   reference. Each sub-ROI is one pass over the motion field's shared
+//!   overlap walk ([`MotionField::roi_overlaps`]): overlap-weighted sums
+//!   accumulate as exact integers, become Q16.16 once before the divide,
+//!   and the same pass counts the blocks the op model charges.
+//!
+//! The reference [`algorithm`] reads the same walk, so both paths see
+//! the same blocks and overlap areas, bit for bit.
+//!
+//! [`MotionField::roi_overlaps`]: euphrates_isp::motion::MotionField::roi_overlaps
 //! * [`policy`] — extrapolation-window control: constant EW-N and the
 //!   adaptive mode (§3.3).
 //! * [`registers`] — the memory-mapped register file the CPU configures
