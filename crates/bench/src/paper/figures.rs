@@ -178,7 +178,7 @@ fn table1(_: &PaperRun, _: &[Read]) {
     table.row([
         "MC power".to_string(),
         "2.2 mW".to_string(),
-        format!("{}", mc.active_power),
+        format!("{}", model.config().mc_active),
     ]);
     table.row([
         "MC area".to_string(),

@@ -13,9 +13,10 @@
 //! motion-extrapolation experiments exercise the genuine algorithm code
 //! path end to end.
 //!
-//! The [`sensor::ImageSensor`] models an AR1335-class mobile sensor: RGGB
-//! Bayer mosaic readout with read noise, plus the power and MIPI CSI
-//! bandwidth numbers used by the SoC energy model (§5.1 of the paper).
+//! The [`sensor::ImageSensor`] models an AR1335-class mobile sensor's
+//! functional readout: RGGB Bayer mosaic with read noise. Its power and
+//! CSI traffic are charged by the SoC energy model (§5.1 of the paper),
+//! not here.
 //!
 //! ## Example
 //!

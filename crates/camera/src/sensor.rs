@@ -1,18 +1,13 @@
 //! Image sensor model (AR1335-class, §5.1 of the paper).
 //!
 //! The sensor converts rendered RGB frames to RAW Bayer mosaics with read
-//! noise — the format the ISP ingests — and provides the power and MIPI CSI
-//! bandwidth figures the SoC energy model charges to the frontend.
-//!
-//! Power calibration: the AR1335 datasheet figure used in the paper is
-//! 180 mW at 1080p60. We scale with pixel rate relative to that operating
-//! point, with a small static floor, which also covers the 480p evaluation
-//! setting.
+//! noise — the format the ISP ingests. It is functional only: the sensor
+//! power the SoC charges is `euphrates_soc::energy`'s frontend ledger, and
+//! the CSI traffic is the core `SystemModel`'s streaming traffic.
 
 use crate::noise::{FastGaussian, NoiseModelKind};
 use euphrates_common::error::Result;
 use euphrates_common::image::{rggb_color, BayerFrame, CfaColor, Resolution, RgbFrame};
-use euphrates_common::units::{Bytes, MilliWatts};
 
 /// The seed-derivation stream id of the sensor's read-noise stage.
 const READ_NOISE_STREAM: u64 = 0x5E45;
@@ -22,38 +17,25 @@ const READ_NOISE_STREAM: u64 = 0x5E45;
 pub struct SensorConfig {
     /// Capture resolution.
     pub resolution: Resolution,
-    /// Capture rate in frames per second.
-    pub fps: f64,
     /// Read-noise sigma on the 8-bit RAW samples.
     pub read_noise_sigma: f64,
     /// Selects nothing: [`FastGaussian`] always realizes
     /// `read_noise_sigma`. Kept only because the `perfbench/`
     /// benchmark sets it.
     pub noise_model: NoiseModelKind,
-    /// Bits per RAW sample on the CSI link (the AR1335 streams 10-bit; the
-    /// functional model quantizes to 8).
-    pub csi_bits_per_sample: u32,
-    /// Active power at the 1080p60 reference operating point.
-    pub reference_power: MilliWatts,
-    /// Static (pixel-rate-independent) power floor.
-    pub static_power: MilliWatts,
 }
 
 impl Default for SensorConfig {
     fn default() -> Self {
         SensorConfig {
             resolution: Resolution::FULL_HD,
-            fps: 60.0,
             read_noise_sigma: 1.5,
             noise_model: NoiseModelKind::FastGaussian,
-            csi_bits_per_sample: 10,
-            reference_power: MilliWatts(180.0),
-            static_power: MilliWatts(25.0),
         }
     }
 }
 
-/// The camera sensor: functional Bayer capture + power/bandwidth model.
+/// The camera sensor: functional Bayer capture with read noise.
 #[derive(Debug, Clone)]
 pub struct ImageSensor {
     config: SensorConfig,
@@ -136,25 +118,6 @@ impl ImageSensor {
         }
         Ok(())
     }
-
-    /// Active power at the configured operating point, scaled by pixel rate
-    /// from the 1080p60 reference.
-    pub fn power(&self) -> MilliWatts {
-        let ref_rate = Resolution::FULL_HD.pixels() as f64 * 60.0;
-        let rate = self.config.resolution.pixels() as f64 * self.config.fps;
-        MilliWatts(self.config.static_power.0 + self.config.reference_power.0 * rate / ref_rate)
-    }
-
-    /// RAW bytes per frame on the MIPI CSI link.
-    pub fn csi_bytes_per_frame(&self) -> Bytes {
-        let bits = self.config.resolution.pixels() * u64::from(self.config.csi_bits_per_sample);
-        Bytes(bits.div_ceil(8))
-    }
-
-    /// CSI link bandwidth in bytes/second at the configured rate.
-    pub fn csi_bandwidth(&self) -> f64 {
-        self.csi_bytes_per_frame().0 as f64 * self.config.fps
-    }
 }
 
 impl Default for ImageSensor {
@@ -172,7 +135,6 @@ mod tests {
         ImageSensor::new(
             SensorConfig {
                 resolution: Resolution::VGA,
-                fps: 60.0,
                 read_noise_sigma: noise,
                 ..SensorConfig::default()
             },
@@ -239,24 +201,5 @@ mod tests {
         let raw = sensor.capture(&rgb, 0).unwrap();
         let changed = raw.samples().iter().filter(|&&v| v != 128).count();
         assert!(changed > raw.len() / 4, "only {changed} samples perturbed");
-    }
-
-    #[test]
-    fn power_scales_with_pixel_rate() {
-        let hd = ImageSensor::default();
-        let vga = vga_sensor(0.0);
-        assert!((hd.power().0 - 205.0).abs() < 1.0); // 25 static + 180 dynamic
-                                                     // VGA at 60 FPS is ~14.8% of the 1080p pixel rate.
-        assert!(vga.power().0 < 60.0);
-        assert!(vga.power().0 > 25.0);
-    }
-
-    #[test]
-    fn csi_bandwidth_matches_datasheet_math() {
-        let s = ImageSensor::default();
-        // 1920*1080 * 10 bits = 2.59 MB/frame.
-        let per_frame = s.csi_bytes_per_frame().0;
-        assert_eq!(per_frame, 1920 * 1080 * 10 / 8);
-        assert!((s.csi_bandwidth() - per_frame as f64 * 60.0).abs() < 1.0);
     }
 }

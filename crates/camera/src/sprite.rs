@@ -7,7 +7,7 @@
 //! to handle.
 
 use crate::texture::Texture;
-use euphrates_common::geom::{Rect, Vec2f};
+use euphrates_common::geom::Vec2f;
 
 /// The geometric footprint of a part.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,18 +119,6 @@ impl Sprite {
             ],
         }
     }
-
-    /// The tight bounding box of the sprite at frame `t` (object units,
-    /// centered on the object origin, before world transform).
-    pub fn local_bbox(&self, t: f64) -> Rect {
-        let mut bbox = Rect::default();
-        for part in &self.parts {
-            let o = part.offset_at(t);
-            let r = Rect::from_center(o.x, o.y, part.size.x, part.size.y);
-            bbox = bbox.union_bbox(&r);
-        }
-        bbox
-    }
 }
 
 #[cfg(test)]
@@ -162,23 +150,5 @@ mod tests {
         p.swing_amplitude = Vec2f::new(0.2, 0.1);
         p.swing_period = 0.0;
         assert_eq!(p.offset_at(5.0), p.offset);
-    }
-
-    #[test]
-    fn rigid_sprite_bbox_is_unit() {
-        let s = Sprite::rigid(40.0, 20.0, Shape::Rectangle, Texture::flat_gray());
-        let b = s.local_bbox(0.0);
-        assert!((b.w - 1.0).abs() < 1e-12 && (b.h - 1.0).abs() < 1e-12);
-        assert!((b.x + 0.5).abs() < 1e-12 && (b.y + 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn walker_bbox_breathes_with_the_gait() {
-        let s = Sprite::walker(30.0, 60.0, 5);
-        assert_eq!(s.parts.len(), 3);
-        let areas: Vec<f64> = (0..24).map(|k| s.local_bbox(f64::from(k)).area()).collect();
-        let min = areas.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = areas.iter().cloned().fold(0.0, f64::max);
-        assert!(max > min, "deformation must change the bbox over time");
     }
 }

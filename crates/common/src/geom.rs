@@ -326,11 +326,6 @@ impl Rect {
             }
         }
     }
-
-    /// Distance between the centers of two rectangles.
-    pub fn center_distance(&self, other: &Rect) -> f64 {
-        (self.center() - other.center()).norm()
-    }
 }
 
 impl fmt::Display for Rect {

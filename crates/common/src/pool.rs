@@ -16,18 +16,11 @@
 //! method takes `&mut self`, so the compiler already enforces exclusive
 //! use, and the pool is `Send` — a serving worker can own one and carry
 //! it across its lifetime (the per-worker-pool pattern
-//! `euphrates-serve` uses). What a plain `FramePool` cannot do is be
-//! *shared*: two threads recycling into the same pool would need `Sync`,
-//! which it intentionally does not implement. When frames genuinely
-//! cross threads — a render thread producing, a consumer recycling —
-//! wrap the pool in a [`SharedFramePool`], which serializes access
-//! behind one mutex and hands out clones of the same underlying pool.
-//! Prefer one `FramePool` per worker whenever the frames come back to
-//! the thread that acquired them: it keeps the frame path free of
-//! atomics entirely.
+//! `euphrates-serve` uses). It is deliberately not shared between
+//! threads: one pool per worker keeps the frame path free of atomics
+//! entirely.
 
 use crate::image::{Plane, Resolution, Rgb};
-use std::sync::{Arc, Mutex};
 
 /// How many buffers a pool retains. Streaming uses at most a handful
 /// in flight; anything beyond this is freed rather than hoarded.
@@ -66,55 +59,16 @@ impl FramePool {
     }
 }
 
-/// A cloneable, thread-safe handle to one shared [`FramePool`].
-///
-/// All clones drain and feed the same buffer stock, so a frame acquired
-/// on one thread and recycled on another still comes back to the pool —
-/// the cross-worker sharing a bare `FramePool` (single-owner by design)
-/// cannot express. Each operation takes the mutex once; keep this off
-/// per-pixel paths and use it at frame granularity, or give each worker
-/// its own `FramePool` when frames never migrate.
-#[derive(Debug, Clone, Default)]
-pub struct SharedFramePool(Arc<Mutex<FramePool>>);
-
-impl SharedFramePool {
-    /// Creates an empty shared pool.
-    pub fn new() -> Self {
-        SharedFramePool::default()
-    }
-
-    /// Hands out an RGB frame (see [`FramePool::acquire_rgb`]).
-    pub fn acquire_rgb(&self, res: Resolution) -> Plane<Rgb> {
-        self.0
-            .lock()
-            .expect("pool mutex never poisons")
-            .acquire_rgb(res)
-    }
-
-    /// Returns an RGB frame's storage to the shared stock (see
-    /// [`FramePool::recycle_rgb`]).
-    pub fn recycle_rgb(&self, frame: Plane<Rgb>) {
-        self.0
-            .lock()
-            .expect("pool mutex never poisons")
-            .recycle_rgb(frame)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::par::parallel_map;
 
     /// The compile-time thread contract: a `FramePool` can move to a
-    /// worker, a `SharedFramePool` can be shared between workers.
+    /// worker.
     #[allow(dead_code)]
     fn thread_contract() {
         fn is_send<T: Send>() {}
-        fn is_sync<T: Sync>() {}
         is_send::<FramePool>();
-        is_send::<SharedFramePool>();
-        is_sync::<SharedFramePool>();
     }
 
     #[test]
@@ -155,45 +109,5 @@ mod tests {
             pool.recycle_rgb(f);
         }
         assert!(pool.rgb.len() <= MAX_POOLED);
-    }
-
-    #[test]
-    fn shared_pool_recycles_across_threads() {
-        let pool = SharedFramePool::new();
-        let res = Resolution::new(64, 48);
-        // Seed one buffer and note its storage address.
-        let seed = pool.acquire_rgb(res);
-        let ptr = seed.samples().as_ptr() as usize;
-        pool.recycle_rgb(seed);
-        // Workers take turns acquiring and recycling through clones of
-        // the same handle; with one buffer in stock and ≤ depth workers
-        // holding at once, storage keeps circulating.
-        let jobs: Vec<u32> = (0..16).collect();
-        let hits: Vec<bool> = parallel_map(&jobs, 4, |_, _| {
-            let f = pool.clone().acquire_rgb(res);
-            let hit = f.samples().as_ptr() as usize == ptr;
-            pool.recycle_rgb(f);
-            hit
-        });
-        assert!(
-            hits.iter().any(|&h| h),
-            "the seeded storage must be reused by some worker"
-        );
-    }
-
-    #[test]
-    fn shared_pool_clones_share_stock() {
-        let a = SharedFramePool::new();
-        let b = a.clone();
-        let res = Resolution::new(8, 8);
-        let f = a.acquire_rgb(res);
-        let ptr = f.samples().as_ptr() as usize;
-        b.recycle_rgb(f);
-        let again = a.acquire_rgb(res);
-        assert_eq!(
-            again.samples().as_ptr() as usize,
-            ptr,
-            "recycled through one clone, reacquired through another"
-        );
     }
 }

@@ -83,14 +83,6 @@ pub fn jitter(key: u64, counter: u64, span: u64) -> u64 {
     ((u128::from(counter_hash(key, counter)) * u128::from(span)) >> 64) as u64
 }
 
-/// [`QuantGauss`] samples carried per 64-bit [`counter_hash`] output on
-/// the noise path: four 16-bit lanes, each contributing its top 12 bits
-/// as a table index. The table only consumes `GAUSS_TABLE_BITS` bits,
-/// so a 64-bit hash funds four samples — the single biggest lever on
-/// per-sample hash cost (the baseline x86-64 target has no vector
-/// 64-bit multiply, so finalizer multiplies are the scarce resource).
-pub const GAUSS_HASH_LANES: u64 = 4;
-
 /// Hashes per [`QuantGauss::samples24`] window: 24 consecutive samples
 /// of the four-lane stream span at most ⌈(24 + 3) / 4⌉ = 7 groups at
 /// any alignment, so the batch always evaluates a fixed seven-counter
@@ -166,20 +158,8 @@ pub fn inverse_normal_cdf(p: f64) -> f64 {
     }
 }
 
-/// Bits of uniform input consumed per [`QuantGauss`] 21-bit lane; one
-/// [`counter_hash`] output carries three such lanes (3 × 21 = 63).
-/// This is the pre-refactor packing kept for [`QuantGauss::sample3`]
-/// (exact-enumeration tests and the ablation benches reconstruct the
-/// old pipeline from it); the hot path now draws four 16-bit lanes per
-/// hash via [`QuantGauss::sample_at`].
-pub const GAUSS_LANE_BITS: u32 = 21;
-/// Lane mask for extracting one sample's worth of bits.
-pub const GAUSS_LANE_MASK: u64 = (1 << GAUSS_LANE_BITS) - 1;
-
 /// log₂ of the inverse-CDF table cell count.
 const GAUSS_TABLE_BITS: u32 = 12;
-/// Lane bits below the table index (ignored by the direct lookup).
-const GAUSS_FRAC_BITS: u32 = GAUSS_LANE_BITS - GAUSS_TABLE_BITS;
 
 /// The shared Φ⁻¹ sample points: entry `i` is the *center* of cell `i`,
 /// Φ⁻¹((i + ½) / 4096), so the table is exactly antisymmetric
@@ -199,14 +179,11 @@ fn gauss_z_table() -> &'static [f64] {
 
 /// A Gaussian sampler for the integer pixel domain: a σ-scaled
 /// inverse-CDF table of *pre-rounded integer offsets*, indexed directly
-/// by the top 12 bits of a [`GAUSS_LANE_BITS`]-bit
-/// uniform lane — one i16 load per sample, no arithmetic and no libm
-/// anywhere on the hot path. (An earlier revision interpolated a
-/// fixed-point table from the 9 low lane bits; that refined the
-/// continuous sample by at most one cell ≈ 0.025σ, an order of
-/// magnitude below the 0.5-pixel integer output quantum, and cost ~30%
-/// of the σ=2 render stage. The exhaustive distribution test pins the
-/// moments either way.)
+/// by 12 uniform hash bits — one i16 load per sample, no arithmetic and
+/// no libm anywhere on the hot path. (Interpolating between cells would
+/// refine the continuous sample by at most one cell ≈ 0.025σ, an order
+/// of magnitude below the 0.5-pixel integer output quantum. The
+/// exhaustive distribution test pins the table's moments.)
 ///
 /// The distribution is Gaussian *by statistical contract*, not
 /// bit-compatible with the Box–Muller stream: cell centers mean the
@@ -255,39 +232,16 @@ impl QuantGauss {
         self.sigma
     }
 
-    /// Samples one integer noise offset from a [`GAUSS_LANE_BITS`]-bit
-    /// uniform lane (higher bits of `lane` are ignored).
-    #[inline(always)]
-    pub fn sample_lane(&self, lane: u32) -> i16 {
-        let lane = lane & (GAUSS_LANE_MASK as u32);
-        self.q[(lane >> GAUSS_FRAC_BITS) as usize]
-    }
-
-    /// Three independent samples from one [`counter_hash`] output
-    /// (bits 0–20, 21–41, 42–62) — one hash covers an RGB pixel.
-    #[inline]
-    pub fn sample3(&self, h: u64) -> [i16; 3] {
-        [
-            self.sample_lane((h & GAUSS_LANE_MASK) as u32),
-            self.sample_lane(((h >> GAUSS_LANE_BITS) & GAUSS_LANE_MASK) as u32),
-            self.sample_lane(((h >> (2 * GAUSS_LANE_BITS)) & GAUSS_LANE_MASK) as u32),
-        ]
-    }
-
     /// The canonical single-channel stream: sample `index` draws lane
     /// `index mod 4` of `counter_hash(key, index / 4)` — four samples
     /// per 64-bit hash, used by the sensor RAW path and the pixel-noise
     /// engine alike. Lane `l` is hash bits `16·l + 4 .. 16·(l+1)`, i.e.
     /// the top `GAUSS_TABLE_BITS` bits of each 16-bit field (the low
-    /// 4 bits of each field are spent entropy, exactly like the ignored
-    /// fraction bits of [`sample_lane`][Self::sample_lane]). Defined at
-    /// sample granularity so any row or chunk boundary reproduces the
-    /// same values.
-    ///
-    /// (Before the lane-parallel refactor this stream packed three
-    /// 21-bit lanes into one 64-bit hash keyed by the *pixel* index;
-    /// the mapping change is an intended realization change, re-pinned
-    /// statistically and by the re-recorded fast-model digests.)
+    /// 4 bits of each field are spent entropy). Four samples per hash is
+    /// the biggest lever on per-sample hash cost: the baseline x86-64
+    /// target has no vector 64-bit multiply, so finalizer multiplies are
+    /// the scarce resource. Defined at sample granularity so any row or
+    /// chunk boundary reproduces the same values.
     #[inline(always)]
     pub fn sample_at(&self, key: u64, index: u64) -> i16 {
         let h = counter_hash(key, index >> 2);
@@ -346,16 +300,9 @@ pub fn lattice_hash(seed: u64, x: i64, y: i64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// 64-bit FNV-1a hash over a byte stream — the digest the renderer's
-/// golden-output regression tests lock frames to. Stable across
-/// platforms and releases by construction (pure integer arithmetic).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write(bytes);
-    h.finish()
-}
-
-/// Incremental FNV-1a hasher for streaming digests over several frames.
+/// Incremental 64-bit FNV-1a hasher — the digest the golden-output
+/// regression tests lock frames and traces to. Stable across platforms
+/// and releases by construction (pure integer arithmetic).
 #[derive(Debug, Clone)]
 pub struct Fnv1a(u64);
 
@@ -426,6 +373,11 @@ mod tests {
 
     #[test]
     fn fnv1a_matches_reference_vectors() {
+        let fnv1a = |bytes: &[u8]| {
+            let mut h = Fnv1a::new();
+            h.write(bytes);
+            h.finish()
+        };
         // Published FNV-1a test vectors.
         assert_eq!(fnv1a(b""), 0xCBF2_9CE4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xAF63_DC4C_8601_EC8C);
@@ -506,29 +458,21 @@ mod tests {
     #[test]
     fn quant_gauss_zero_sigma_is_silent() {
         let q = QuantGauss::new(0.0);
-        for lane in [
-            0u32,
-            1,
-            12345,
-            (GAUSS_LANE_MASK as u32) / 2,
-            GAUSS_LANE_MASK as u32,
-        ] {
-            assert_eq!(q.sample_lane(lane), 0);
-        }
+        assert!(q.q.iter().all(|&v| v == 0));
     }
 
     #[test]
     fn quant_gauss_exact_distribution_moments() {
-        // The sampler is a pure function of a 21-bit lane, so its exact
-        // output distribution is enumerable: check the moments of the
-        // *distribution itself*, with no sampling error in the way.
+        // Every table cell is drawn with equal probability, so the exact
+        // output distribution is the table itself: check the moments of
+        // the *distribution*, with no sampling error in the way.
         let sigma = 2.0;
         let q = QuantGauss::new(sigma);
-        let n = 1u64 << GAUSS_LANE_BITS;
+        let n = q.q.len() as u64;
         let (mut sum, mut sum2, mut sum4) = (0f64, 0f64, 0f64);
         let (mut tail2, mut tail3) = (0u64, 0u64);
-        for lane in 0..n {
-            let v = f64::from(q.sample_lane(lane as u32));
+        for &cell in q.q.iter() {
+            let v = f64::from(cell);
             sum += v;
             sum2 += v * v;
             sum4 += v * v * v * v;

@@ -2,101 +2,6 @@
 //! plus the fixed-bucket [`LatencyHistogram`] the serving layer records
 //! per-frame latencies into.
 
-/// Streaming mean/variance accumulator (Welford's algorithm).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Welford {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Welford {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Welford {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean; `0.0` when empty.
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance; `0.0` with fewer than two observations.
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Minimum observation; `0.0` when empty.
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Maximum observation; `0.0` when empty.
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-}
-
-impl Extend<f64> for Welford {
-    fn extend<I: IntoIterator<Item = f64>>(&mut self, iter: I) {
-        for v in iter {
-            self.push(v);
-        }
-    }
-}
-
-impl FromIterator<f64> for Welford {
-    fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
-        let mut w = Welford::new();
-        w.extend(iter);
-        w
-    }
-}
-
 /// Returns the `q`-quantile (0 ≤ q ≤ 1) of `values` using linear
 /// interpolation between order statistics. Returns `0.0` for empty input.
 pub fn quantile(values: &[f64], q: f64) -> f64 {
@@ -274,35 +179,6 @@ impl LatencyHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn welford_matches_direct_computation() {
-        let data = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let w: Welford = data.iter().copied().collect();
-        assert!((w.mean() - 5.0).abs() < 1e-12);
-        assert!((w.variance() - 4.0).abs() < 1e-12);
-        assert!((w.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(w.min(), 2.0);
-        assert_eq!(w.max(), 9.0);
-        assert_eq!(w.count(), 8);
-    }
-
-    #[test]
-    fn welford_empty_is_zeroes() {
-        let w = Welford::new();
-        assert_eq!(w.mean(), 0.0);
-        assert_eq!(w.variance(), 0.0);
-        assert_eq!(w.min(), 0.0);
-        assert_eq!(w.max(), 0.0);
-    }
-
-    #[test]
-    fn welford_single_observation() {
-        let mut w = Welford::new();
-        w.push(3.5);
-        assert_eq!(w.mean(), 3.5);
-        assert_eq!(w.variance(), 0.0);
-    }
 
     #[test]
     fn quantile_interpolates() {

@@ -59,34 +59,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Renders the table as RFC-4180-style CSV (quoting cells that contain
-    /// commas or quotes) for downstream plotting.
-    pub fn to_csv(&self) -> String {
-        let quote = |cell: &str| -> String {
-            if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
-                format!("\"{}\"", cell.replace('"', "\"\""))
-            } else {
-                cell.to_string()
-            }
-        };
-        let mut out = String::new();
-        let emit = |out: &mut String, cells: &[String]| {
-            let line: Vec<String> = cells.iter().map(|c| quote(c)).collect();
-            out.push_str(&line.join(","));
-            out.push('\n');
-        };
-        emit(&mut out, &self.header);
-        for row in &self.rows {
-            emit(&mut out, row);
-        }
-        out
-    }
-
     fn widths(&self) -> Vec<usize> {
         let mut w: Vec<usize> = self.header.iter().map(String::len).collect();
         for row in &self.rows {
@@ -160,7 +132,6 @@ mod tests {
     fn short_rows_are_padded() {
         let mut t = Table::new(["a", "b", "c"]);
         t.row(["only-one"]);
-        assert_eq!(t.row_count(), 1);
         let s = t.to_string();
         assert!(s.contains("only-one"));
     }
@@ -175,19 +146,5 @@ mod tests {
     fn fnum_and_percent_format() {
         assert_eq!(fnum(1.23456, 2), "1.23");
         assert_eq!(percent(0.4567), "45.7%");
-    }
-
-    #[test]
-    fn csv_roundtrips_simple_rows() {
-        let mut t = Table::new(["a", "b"]);
-        t.row(["1", "2"]);
-        assert_eq!(t.to_csv(), "a,b\n1,2\n");
-    }
-
-    #[test]
-    fn csv_quotes_special_cells() {
-        let mut t = Table::new(["name", "note"]);
-        t.row(["x,y", "say \"hi\""]);
-        assert_eq!(t.to_csv(), "name,note\n\"x,y\",\"say \"\"hi\"\"\"\n");
     }
 }

@@ -46,11 +46,6 @@ impl Picos {
         self.0 as f64 / 1e12
     }
 
-    /// This span in fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e9
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(self, rhs: Picos) -> Picos {
         Picos(self.0.saturating_sub(rhs.0))
@@ -170,11 +165,6 @@ impl Clock {
     /// to whole picoseconds so latencies never round to zero).
     pub fn to_time(&self, cycles: Cycles) -> Picos {
         Picos(((cycles.0 as f64) * 1e12 / self.hz).ceil() as u64)
-    }
-
-    /// Number of whole cycles elapsed in `span` (rounded down).
-    pub fn to_cycles(&self, span: Picos) -> Cycles {
-        Cycles((span.as_secs_f64() * self.hz).floor() as u64)
     }
 }
 
@@ -368,10 +358,9 @@ mod tests {
     }
 
     #[test]
-    fn clock_cycle_time_roundtrip() {
+    fn clock_cycle_time_at_1ghz() {
         let clk = Clock::from_mhz(1000.0); // 1 GHz: 1 cycle = 1 ns
         assert_eq!(clk.to_time(Cycles(1)), Picos::from_nanos(1));
-        assert_eq!(clk.to_cycles(Picos::from_micros(1)), Cycles(1000));
     }
 
     #[test]

@@ -246,12 +246,6 @@ impl<T: VisionTask> Session<T> {
         self.poisoned
     }
 
-    /// The EW window currently governing the schedule (constant N, or
-    /// the adaptive controller's learned width).
-    pub fn current_window(&self) -> u32 {
-        self.ctrl.window()
-    }
-
     /// Swaps the session's EW policy **mid-stream**, preserving the
     /// schedule phase: frames already extrapolated since the last
     /// I-frame keep counting against the new window, so widening never
@@ -667,7 +661,6 @@ pub struct ScenarioBuilder<T> {
     motion: MotionConfig,
     platform: SystemModel,
     network: Option<NetworkDescriptor>,
-    nn_batch: u32,
     threads: Option<usize>,
     schemes: Vec<(String, BackendConfig, ExtrapolationExecutor)>,
 }
@@ -703,17 +696,6 @@ impl<T: VisionTask> ScenarioBuilder<T> {
     /// carries accuracy only.
     pub fn network(mut self, network: NetworkDescriptor) -> Self {
         self.network = Some(network);
-        self
-    }
-
-    /// Sets the cross-session NN batch size the platform model assumes
-    /// for I-frame inference (default 1 — the exact un-batched
-    /// evaluation path, so existing reports stay bit-stable). Values
-    /// above 1 charge each session its amortized share of a fused
-    /// `nn_batch`-request systolic job (see
-    /// [`SystemModel::evaluate_batched`]).
-    pub fn nn_batch(mut self, batch: u32) -> Self {
-        self.nn_batch = batch;
         self
     }
 
@@ -778,7 +760,6 @@ impl<T: VisionTask> ScenarioBuilder<T> {
             motion: self.motion,
             platform: self.platform,
             network: self.network,
-            nn_batch: self.nn_batch,
             threads: self.threads,
             schemes,
         })
@@ -794,7 +775,6 @@ pub struct Scenario<T> {
     motion: MotionConfig,
     platform: SystemModel,
     network: Option<NetworkDescriptor>,
-    nn_batch: u32,
     threads: Option<usize>,
     schemes: Vec<SchemeSpec>,
 }
@@ -808,7 +788,6 @@ impl<T: VisionTask> Scenario<T> {
             motion: MotionConfig::default(),
             platform: SystemModel::table1(),
             network: None,
-            nn_batch: 1,
             threads: None,
             schemes: Vec::new(),
         }
@@ -909,11 +888,10 @@ impl<T: VisionTask> Scenario<T> {
                 merged.merge(outcome);
             }
             let system = match &self.network {
-                Some(net) => Some(self.platform.evaluate_batched(
+                Some(net) => Some(self.platform.evaluate(
                     net,
                     merged.mean_window(),
                     spec.executor,
-                    self.nn_batch,
                 )?),
                 None => None,
             };

@@ -2,7 +2,6 @@
 //! ROI extrapolation step in both its reference (f64) and hardware
 //! (fixed-point SIMD) forms.
 
-use crate::frontend::FrameData;
 use euphrates_common::error::Result;
 use euphrates_common::fixed::Q16;
 use euphrates_common::geom::Rect;
@@ -12,7 +11,6 @@ use euphrates_mc::algorithm::{sub_roi_ops, ExtrapolationConfig, Extrapolator, Ro
 use euphrates_mc::datapath::SimdDatapath;
 use euphrates_mc::policy::{EwController, EwPolicy, FrameKind};
 use euphrates_mc::sequencer::McSequencer;
-use euphrates_nn::oracle::OracleTarget;
 
 /// Backend configuration shared by the tracking and detection tasks.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -213,13 +211,6 @@ pub fn retain_at_edge(roi: &Rect, bounds: &Rect, frac: f64) -> Rect {
         roi.w,
         roi.h,
     )
-}
-
-/// Converts scene ground truth to the oracle's view. The conversion is
-/// cached on the frame ([`FrameData::targets`]); prefer borrowing that
-/// directly — this shim clones it for callers that need ownership.
-pub fn oracle_targets(frame: &FrameData) -> Vec<OracleTarget> {
-    frame.targets().to_vec()
 }
 
 /// Creates the EW controller for a backend config.

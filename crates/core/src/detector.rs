@@ -57,13 +57,6 @@ pub struct DetectorState {
     tracks: Vec<Track>,
 }
 
-impl DetectorState {
-    /// The current live track boxes.
-    pub fn track_rects(&self) -> Vec<Rect> {
-        self.tracks.iter().map(|t| t.rect).collect()
-    }
-}
-
 impl VisionTask for DetectorTask {
     type State = DetectorState;
 

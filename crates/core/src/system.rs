@@ -15,7 +15,7 @@ use euphrates_isp::motion::MotionField;
 use euphrates_mc::ip::McConfig;
 use euphrates_mc::policy::FrameKind;
 use euphrates_mc::sequencer::McSequencer;
-use euphrates_nn::engine::{BatchPlan, InferencePlan, NnxEngine};
+use euphrates_nn::engine::{InferencePlan, NnxEngine};
 use euphrates_nn::layer::NetworkDescriptor;
 use euphrates_soc::energy::{EnergyModel, ExtrapolationExecutor, SchemeParams, SchemeReport};
 
@@ -55,12 +55,6 @@ impl SystemModel {
     /// Plans inference for a network on this platform.
     pub fn plan(&self, net: &NetworkDescriptor) -> InferencePlan {
         self.nnx.plan(net)
-    }
-
-    /// Plans a fused batch of `requests` same-network inferences (the
-    /// cross-session batching path of the serving layer).
-    pub fn plan_batch(&self, net: &NetworkDescriptor, requests: u32) -> BatchPlan {
-        self.nnx.plan_batch(net, requests)
     }
 
     /// Always-on frame streaming traffic at the capture resolution: the
@@ -136,38 +130,6 @@ impl SystemModel {
         let params = self.scheme(&plan, window, executor);
         self.energy.evaluate(&params, net.total_ops())
     }
-
-    /// Evaluates a network at a window with I-frame inferences fused
-    /// into `batch`-request batches across concurrent sessions.
-    ///
-    /// Each session is charged its *amortized share* of the batched
-    /// job: per-request latency and DRAM traffic from the
-    /// [`BatchPlan`], everything else (streaming, metadata, MC time)
-    /// identical to the solo path. `batch ≤ 1` delegates to
-    /// [`evaluate`][Self::evaluate] so un-batched reports stay
-    /// bit-stable.
-    ///
-    /// # Errors
-    ///
-    /// Propagates energy-model configuration errors.
-    pub fn evaluate_batched(
-        &self,
-        net: &NetworkDescriptor,
-        window: f64,
-        executor: ExtrapolationExecutor,
-        batch: u32,
-    ) -> Result<SchemeReport> {
-        if batch <= 1 {
-            return self.evaluate(net, window, executor);
-        }
-        let plan = self.plan_batch(net, batch);
-        let requests = u64::from(plan.requests());
-        let solo = self.plan(net);
-        let mut params = self.scheme(&solo, window, executor);
-        params.inference_latency = plan.per_request_latency();
-        params.inference_traffic = Bytes((plan.dram_read().0 + plan.dram_write().0) / requests);
-        self.energy.evaluate(&params, net.total_ops())
-    }
 }
 
 impl Default for SystemModel {
@@ -180,6 +142,18 @@ impl Default for SystemModel {
 mod tests {
     use super::*;
     use euphrates_nn::zoo;
+
+    #[test]
+    fn nnx_active_power_prices_plans_and_the_ledger_alike() {
+        // The NNX's active power lives in two places: `NnxConfig` prices
+        // plans and TOPS/W, and the energy model charges the ledger.
+        use euphrates_nn::engine::NnxConfig;
+        use euphrates_soc::energy::EnergyModelConfig;
+        assert_eq!(
+            NnxConfig::default().active_power,
+            EnergyModelConfig::default().nnx_active
+        );
+    }
 
     #[test]
     fn streaming_traffic_matches_hand_math() {
@@ -241,32 +215,6 @@ mod tests {
         // §6.2: ~21% (we land within a few points).
         assert!((0.13..0.30).contains(&s2), "tracking EW-2 saving {s2}");
         assert!(ew2.fps > 58.0, "tracking never drops below 60 FPS");
-    }
-
-    #[test]
-    fn batched_evaluation_beats_solo_and_batch_one_is_identical() {
-        let sys = SystemModel::table1();
-        let net = zoo::mdnet();
-        let solo = sys
-            .evaluate(&net, 2.0, ExtrapolationExecutor::MotionController)
-            .unwrap();
-        // batch ≤ 1 must take the exact un-batched path.
-        let b1 = sys
-            .evaluate_batched(&net, 2.0, ExtrapolationExecutor::MotionController, 1)
-            .unwrap();
-        assert_eq!(solo, b1);
-        for b in [4u32, 16] {
-            let batched = sys
-                .evaluate_batched(&net, 2.0, ExtrapolationExecutor::MotionController, b)
-                .unwrap();
-            assert!(
-                batched.energy_per_frame().0 < solo.energy_per_frame().0,
-                "B={b}: batched energy {} !< solo {}",
-                batched.energy_per_frame().0,
-                solo.energy_per_frame().0
-            );
-            assert!(batched.fps >= solo.fps, "B={b}: batched fps regressed");
-        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Sequences: named, attributed video clips with deterministic rendering.
 
 use crate::attributes::VisualAttribute;
-use euphrates_camera::scene::{GtObject, RenderedFrame, Scene};
+use euphrates_camera::scene::{GtObject, Scene};
 use euphrates_common::image::Resolution;
 
 pub use euphrates_camera::scene::FrameIter;
@@ -34,11 +34,6 @@ impl Sequence {
     /// borrowing the scene — the streaming front-end's entry point.
     pub fn render_iter(&self) -> FrameIter<'_> {
         self.scene.frames(0..self.frames)
-    }
-
-    /// Renders every frame (pixels + ground truth) eagerly.
-    pub fn render_all(&self) -> Vec<RenderedFrame> {
-        self.render_iter().collect()
     }
 
     /// Ground truth only (cheap; no pixel rendering).

@@ -935,14 +935,6 @@ impl MotionField {
         self.vectors[(by * self.blocks_x + bx) as usize] = mv;
     }
 
-    /// The motion vector inherited by pixel `(x, y)` — each pixel takes the
-    /// MV of the macroblock containing it (§3.2).
-    pub fn at_pixel(&self, x: u32, y: u32) -> MotionVector {
-        let bx = (x / self.mb_size).min(self.blocks_x - 1);
-        let by = (y / self.mb_size).min(self.blocks_y - 1);
-        self.at_block(bx, by)
-    }
-
     /// Number of pixels block `(bx, by)` actually covers (edge blocks may
     /// be partial).
     pub fn block_pixels(&self, bx: u32, by: u32) -> u32 {
@@ -1181,13 +1173,6 @@ impl BlockMatcher {
     pub fn ops_per_frame(&self, resolution: Resolution) -> u64 {
         let (bx, by) = resolution.macroblocks(self.mb_size);
         u64::from(bx) * u64::from(by) * self.strategy.ops_per_block(self.mb_size, self.search_range)
-    }
-
-    /// SAD probes per frame at `resolution` under the strategy's cost
-    /// model (an upper bound for adaptive walks).
-    pub fn probes_per_frame(&self, resolution: Resolution) -> u64 {
-        let (bx, by) = resolution.macroblocks(self.mb_size);
-        u64::from(bx) * u64::from(by) * self.strategy.probes_per_block(self.search_range)
     }
 
     /// Estimates the motion field of `cur` relative to `prev`.
@@ -1751,18 +1736,6 @@ mod tests {
             let c = field.confidence(4, 3);
             assert!((0.0..=1.0).contains(&c), "{strategy:?}");
         }
-    }
-
-    #[test]
-    fn at_pixel_inherits_block_mv() {
-        let prev = textured(64, 64, 7);
-        let cur = shifted(&prev, 3, 2);
-        let m = BlockMatcher::new(16, 7, SearchStrategy::Exhaustive).unwrap();
-        let field = m.estimate(&cur, &prev).unwrap();
-        assert_eq!(field.at_pixel(40, 40), field.at_block(2, 2));
-        assert_eq!(field.at_pixel(0, 0), field.at_block(0, 0));
-        // Clamp beyond-last-block pixels to the last block.
-        assert_eq!(field.at_pixel(63, 63), field.at_block(3, 3));
     }
 
     #[test]

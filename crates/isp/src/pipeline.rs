@@ -23,17 +23,6 @@ pub struct IspConfig {
     pub search_range: u32,
     /// Block-matching strategy (default TSS, the efficient choice).
     pub strategy: SearchStrategy,
-    /// Enable dead-pixel correction.
-    pub dead_pixel_correction: bool,
-    /// Enable gray-world white balance.
-    pub white_balance: bool,
-    /// Enable motion-compensated temporal denoising (the stage that
-    /// produces the motion vectors).
-    pub temporal_denoise: bool,
-    /// Enable the RGB-domain finishing stages (color-correction matrix +
-    /// gamma). Applied to the output frame only; motion estimation runs in
-    /// the linear domain before them, as in real ISPs.
-    pub finishing: bool,
 }
 
 impl IspConfig {
@@ -44,10 +33,6 @@ impl IspConfig {
             mb_size: 16,
             search_range: 7,
             strategy: SearchStrategy::ThreeStep,
-            dead_pixel_correction: true,
-            white_balance: true,
-            temporal_denoise: true,
-            finishing: true,
         }
     }
 }
@@ -111,13 +96,6 @@ impl IspPipeline {
         &self.config
     }
 
-    /// Number of frames processed since construction or [`reset`].
-    ///
-    /// [`reset`]: IspPipeline::reset
-    pub fn frames_processed(&self) -> u64 {
-        self.frame_count
-    }
-
     /// Drops temporal state (previous frame); the next frame becomes frame
     /// 0 of a new stream.
     pub fn reset(&mut self) {
@@ -145,33 +123,22 @@ impl IspPipeline {
 
         // Bayer domain.
         let mut raw = raw.clone();
-        let dead_pixels_corrected = if self.config.dead_pixel_correction {
-            self.dpc.process(&mut raw)
-        } else {
-            0
-        };
+        let dead_pixels_corrected = self.dpc.process(&mut raw);
 
         // Conversion + RGB domain.
         let mut rgb = self.demosaic.process(&raw)?; // stays mutable through finishing
-        if self.config.white_balance {
-            self.wb.process(&mut rgb);
-        }
+        self.wb.process(&mut rgb);
         let noisy_luma = rgb_to_luma(&rgb);
 
         // Temporal-denoise stage: motion estimation against the previous
         // denoised frame, then motion compensation (Fig. 7).
-        let (motion, luma) = match (&self.prev_luma, self.config.temporal_denoise) {
-            (Some(prev), true) => {
+        let (motion, luma) = match &self.prev_luma {
+            Some(prev) => {
                 let field = self.matcher.estimate(&noisy_luma, prev)?;
                 let denoised = self.td.process(&noisy_luma, prev, &field)?;
                 (field, denoised)
             }
-            (Some(prev), false) => {
-                // ME can run without MC (metadata export only).
-                let field = self.matcher.estimate(&noisy_luma, prev)?;
-                (field, noisy_luma)
-            }
-            (None, _) => (
+            None => (
                 MotionField::zeroed(
                     self.config.resolution,
                     self.config.mb_size,
@@ -183,10 +150,8 @@ impl IspPipeline {
 
         // RGB-domain finishing on the output frame (linear-domain data —
         // including the luma used for ME — is already captured above).
-        if self.config.finishing {
-            self.ccm.process(&mut rgb);
-            self.gamma.process(&mut rgb);
-        }
+        self.ccm.process(&mut rgb);
+        self.gamma.process(&mut rgb);
 
         self.prev_luma = Some(luma.clone());
         let frame_index = self.frame_count;
@@ -204,20 +169,13 @@ impl IspPipeline {
     /// stages at ops/pixel plus the block-matching cost (§2.3 formulas).
     pub fn ops_per_frame(&self) -> u64 {
         let px = self.config.resolution.pixels();
-        let mut ops = self.demosaic.ops_per_pixel() * px;
-        if self.config.dead_pixel_correction {
-            ops += self.dpc.ops_per_pixel() * px;
-        }
-        if self.config.white_balance {
-            ops += self.wb.ops_per_pixel() * px;
-        }
-        if self.config.temporal_denoise {
-            ops += self.td.ops_per_pixel() * px;
-        }
-        if self.config.finishing {
-            ops += (self.ccm.ops_per_pixel() + self.gamma.ops_per_pixel()) * px;
-        }
-        ops + self.matcher.ops_per_frame(self.config.resolution)
+        let per_pixel = self.demosaic.ops_per_pixel()
+            + self.dpc.ops_per_pixel()
+            + self.wb.ops_per_pixel()
+            + self.td.ops_per_pixel()
+            + self.ccm.ops_per_pixel()
+            + self.gamma.ops_per_pixel();
+        per_pixel * px + self.matcher.ops_per_frame(self.config.resolution)
     }
 }
 
@@ -270,9 +228,7 @@ mod tests {
         let mut isp = IspPipeline::new(IspConfig::standard(res)).unwrap();
         isp.process(&textured_raw(res, 3, 0)).unwrap();
         isp.process(&textured_raw(res, 3, 2)).unwrap();
-        assert_eq!(isp.frames_processed(), 2);
         isp.reset();
-        assert_eq!(isp.frames_processed(), 0);
         let out = isp.process(&textured_raw(res, 3, 4)).unwrap();
         assert_eq!(out.frame_index, 0);
         assert_eq!(out.motion.mean_magnitude(), 0.0);
@@ -283,22 +239,6 @@ mod tests {
         let mut isp = IspPipeline::new(IspConfig::standard(Resolution::new(64, 48))).unwrap();
         let raw = BayerFrame::new(32, 32).unwrap();
         assert!(isp.process(&raw).is_err());
-    }
-
-    #[test]
-    fn stages_can_be_disabled() {
-        let res = Resolution::new(64, 48);
-        let mut cfg = IspConfig::standard(res);
-        cfg.dead_pixel_correction = false;
-        cfg.white_balance = false;
-        cfg.temporal_denoise = false;
-        cfg.finishing = false;
-        let mut isp = IspPipeline::new(cfg).unwrap();
-        let out = isp.process(&textured_raw(res, 4, 0)).unwrap();
-        assert_eq!(out.dead_pixels_corrected, 0);
-        // ME still runs from the second frame even without denoise.
-        let out2 = isp.process(&textured_raw(res, 4, 3)).unwrap();
-        assert!(out2.motion.mean_magnitude() > 0.5);
     }
 
     #[test]

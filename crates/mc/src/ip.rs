@@ -1,15 +1,17 @@
 //! The Motion Controller as an SoC IP block: clock, SRAM capacity, and the
-//! calibrated power/area figures (§5.1).
+//! calibrated area (§5.1).
 //!
 //! Post-layout in 16 nm the paper reports 2.2 mW active power and a
 //! negligible 35,000 µm² (0.035 mm²) — "just slightly more than a typical
-//! micro-controller with SIMD support". The 8 KB local SRAM is sized to
+//! micro-controller with SIMD support". The power is charged by the SoC
+//! energy model (`EnergyModelConfig::mc_active`) and the lane count is the
+//! datapath's (`SimdDatapath::lanes`). The 8 KB local SRAM is sized to
 //! hold exactly one 1080p frame's packed motion vectors at a 16×16
 //! macroblock size (120 × 68 blocks ≈ 8.1 KB).
 
 use euphrates_common::error::{Error, Result};
 use euphrates_common::image::Resolution;
-use euphrates_common::units::{Bytes, Clock, Cycles, MilliWatts, Picos};
+use euphrates_common::units::{Bytes, Clock, Cycles, Picos};
 
 /// Static Motion Controller configuration (Table 1 defaults).
 #[derive(Debug, Clone, PartialEq)]
@@ -18,12 +20,6 @@ pub struct McConfig {
     pub clock: Clock,
     /// Local MV SRAM capacity (Table 1: 8 KB).
     pub sram: Bytes,
-    /// SIMD lane count (Table 1: 4).
-    pub simd_lanes: u32,
-    /// Active power (§5.1: 2.2 mW post-layout).
-    pub active_power: MilliWatts,
-    /// Idle (clock-gated) power.
-    pub idle_power: MilliWatts,
     /// Silicon area in mm² (§5.1: 0.035 mm²).
     pub area_mm2: f64,
 }
@@ -33,9 +29,6 @@ impl Default for McConfig {
         McConfig {
             clock: Clock::from_mhz(100.0),
             sram: Bytes::from_kib(8),
-            simd_lanes: 4,
-            active_power: MilliWatts(2.2),
-            idle_power: MilliWatts(0.2),
             area_mm2: 0.035,
         }
     }
@@ -66,11 +59,6 @@ impl McConfig {
             )));
         }
         Ok(())
-    }
-
-    /// Energy of the MC while active for `cycles` of its clock.
-    pub fn active_energy(&self, cycles: Cycles) -> euphrates_common::units::MilliJoules {
-        self.active_power.over(self.clock.to_time(cycles))
     }
 
     /// Wall-clock duration of `cycles` in the MC clock domain.
@@ -113,20 +101,15 @@ mod tests {
     }
 
     #[test]
-    fn power_and_area_match_paper_silicon() {
+    fn area_matches_paper_silicon() {
         let cfg = McConfig::default();
-        assert!((cfg.active_power.0 - 2.2).abs() < 1e-9);
         assert!((cfg.area_mm2 - 0.035).abs() < 1e-9);
-        // MC power is ~300x below the NNX's 651 mW — the autonomy argument.
-        assert!(cfg.active_power.0 < 651.0 / 100.0);
     }
 
     #[test]
-    fn energy_accounting_uses_the_100mhz_domain() {
+    fn duration_uses_the_100mhz_domain() {
         let cfg = McConfig::default();
-        // 100k cycles @ 100 MHz = 1 ms; at 2.2 mW = 2.2 µJ.
-        let e = cfg.active_energy(Cycles(100_000));
-        assert!((e.0 - 0.0022).abs() < 1e-9, "energy {e}");
+        // 100k cycles @ 100 MHz = 1 ms.
         assert_eq!(cfg.duration(Cycles(100_000)), Picos::from_millis(1));
     }
 }

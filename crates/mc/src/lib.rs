@@ -25,8 +25,9 @@
 //! * [`sequencer`] — the FSM that autonomously walks each frame through
 //!   fetch → extrapolate → (program NNX → wait → compare) → write-back,
 //!   keeping the CPU asleep.
-//! * [`ip`] — clock/SRAM/power/area parameters calibrated to the paper's
-//!   post-layout results (2.2 mW, 0.035 mm², 8 KB SRAM).
+//! * [`ip`] — clock/SRAM/area parameters calibrated to the paper's
+//!   post-layout results (0.035 mm², 8 KB SRAM); its 2.2 mW is charged by
+//!   the SoC energy model.
 //!
 //! ## Example
 //!

@@ -202,11 +202,6 @@ impl EwController {
             self.inferences as f64 / self.frames as f64
         }
     }
-
-    /// Total frames scheduled.
-    pub fn frames_scheduled(&self) -> u64 {
-        self.frames
-    }
 }
 
 #[cfg(test)]
@@ -336,7 +331,6 @@ mod tests {
             "frames 2..8 of the widened window must extrapolate: {kinds:?}"
         );
         assert_eq!(c.next_frame(), FrameKind::Inference, "frame 8 re-infers");
-        assert_eq!(c.frames_scheduled(), 9);
     }
 
     #[test]

@@ -1,5 +1,7 @@
-//! The NNX accelerator IP model: job-level interface, state machine, and
-//! power, wrapping the systolic performance model.
+//! The NNX accelerator IP as a planner: it prices an inference, or a
+//! fused batch, on the systolic performance model at the calibrated
+//! active power. Job timing lives in the SoC's discrete-event pipeline,
+//! and the charged idle power in the SoC energy model.
 //!
 //! Per the paper's design principle (§4.1), the CNN engine is *unmodified*
 //! by Euphrates: it exposes the same slave interface to the interconnect
@@ -10,7 +12,6 @@
 
 use crate::layer::NetworkDescriptor;
 use crate::systolic::{NetworkStats, SystolicConfig, SystolicModel};
-use euphrates_common::error::{Error, Result};
 use euphrates_common::units::{Bytes, MilliJoules, MilliWatts, Picos};
 
 /// Static NNX configuration: the systolic array plus calibrated power
@@ -21,8 +22,6 @@ pub struct NnxConfig {
     pub systolic: SystolicConfig,
     /// Power while running a job.
     pub active_power: MilliWatts,
-    /// Idle (clock-gated) power.
-    pub idle_power: MilliWatts,
 }
 
 impl Default for NnxConfig {
@@ -30,7 +29,6 @@ impl Default for NnxConfig {
         NnxConfig {
             systolic: SystolicConfig::table1(),
             active_power: MilliWatts(651.0),
-            idle_power: MilliWatts(33.0),
         }
     }
 }
@@ -156,32 +154,18 @@ impl BatchPlan {
     }
 }
 
-/// Runtime state of the engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum NnxState {
-    Idle,
-    Busy { until: Picos },
-}
-
-/// The CNN accelerator IP.
+/// The CNN accelerator IP: plans inferences on its systolic array.
 #[derive(Debug, Clone)]
 pub struct NnxEngine {
     config: NnxConfig,
     model: SystolicModel,
-    state: NnxState,
-    jobs_completed: u64,
 }
 
 impl NnxEngine {
     /// Creates an engine.
     pub fn new(config: NnxConfig) -> Self {
         let model = SystolicModel::new(config.systolic.clone());
-        NnxEngine {
-            config,
-            model,
-            state: NnxState::Idle,
-            jobs_completed: 0,
-        }
+        NnxEngine { config, model }
     }
 
     /// The engine configuration.
@@ -206,34 +190,6 @@ impl NnxEngine {
             stats: self.model.analyze_batch(net, requests),
             active_power: self.config.active_power,
         }
-    }
-
-    /// `true` if a job is in flight at time `now`.
-    pub fn is_busy(&self, now: Picos) -> bool {
-        match self.state {
-            NnxState::Idle => false,
-            NnxState::Busy { until } => now < until,
-        }
-    }
-
-    /// Starts a job at `now`; returns its completion time.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidState`] if a job is already in flight.
-    pub fn start(&mut self, plan: &InferencePlan, now: Picos) -> Result<Picos> {
-        if self.is_busy(now) {
-            return Err(Error::state("NNX already running a job"));
-        }
-        let done = now + plan.latency();
-        self.state = NnxState::Busy { until: done };
-        self.jobs_completed += 1;
-        Ok(done)
-    }
-
-    /// Number of jobs started since construction.
-    pub fn jobs_started(&self) -> u64 {
-        self.jobs_completed
     }
 }
 
@@ -273,19 +229,6 @@ mod tests {
             "energy {} mJ",
             plan.energy().0
         );
-    }
-
-    #[test]
-    fn engine_rejects_overlapping_jobs() {
-        let mut engine = NnxEngine::default();
-        let plan = engine.plan(&zoo::mdnet());
-        let done = engine.start(&plan, Picos::ZERO).unwrap();
-        assert!(engine.is_busy(Picos(done.0 / 2)));
-        assert!(engine.start(&plan, Picos(done.0 / 2)).is_err());
-        // After completion it accepts again.
-        assert!(!engine.is_busy(done));
-        assert!(engine.start(&plan, done).is_ok());
-        assert_eq!(engine.jobs_started(), 2);
     }
 
     #[test]

@@ -235,18 +235,6 @@ impl NetworkDescriptor {
     pub fn weight_bytes(&self) -> Bytes {
         self.layers.iter().map(Layer::weight_bytes).sum()
     }
-
-    /// Largest single activation (input or output) in bytes — a lower bound
-    /// on streaming buffer needs.
-    pub fn peak_activation_bytes(&self) -> Bytes {
-        let mut peak = 0;
-        for l in &self.layers {
-            peak = peak
-                .max(l.input.elements() * u64::from(self.batch))
-                .max(l.output().elements() * u64::from(self.batch));
-        }
-        Bytes(peak)
-    }
 }
 
 /// Incremental builder for chained networks.

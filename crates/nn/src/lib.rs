@@ -9,8 +9,10 @@
 //!   systolic-array accelerator of Table 1 (cycles, utilization, SRAM
 //!   refetch, DRAM traffic — including the ~646 MB-per-YOLOv2-inference
 //!   headline number).
-//! * [`engine`] — the NNX IP wrapper: job interface, busy/idle state, and
-//!   the calibrated 651 mW / 1.77 TOPS/W power model.
+//! * [`engine`] — the NNX planner: prices an inference (or a fused batch)
+//!   on the systolic model at the calibrated 651 mW / 1.77 TOPS/W. The
+//!   SoC's timing oracle (`euphrates_soc::sim`) and energy ledger
+//!   (`euphrates_soc::energy`) consume its plans.
 //! * [`oracle`] — functional accuracy models substituting for trained
 //!   weights (the [`oracle`] module docs say why this preserves the
 //!   paper's experiments); calibrated per network in [`oracle::calib`].
@@ -28,7 +30,6 @@
 //! ```
 
 pub mod classic;
-pub mod energy;
 pub mod engine;
 pub mod layer;
 pub mod oracle;

@@ -163,11 +163,6 @@ pub fn faster_rcnn() -> NetworkDescriptor {
         .expect("faster r-cnn descriptor is well-formed")
 }
 
-/// All Table 2 networks.
-pub fn table2_networks() -> Vec<NetworkDescriptor> {
-    vec![tiny_yolo(), yolov2(), mdnet()]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

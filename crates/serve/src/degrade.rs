@@ -189,12 +189,6 @@ impl SloConfig {
         }
     }
 
-    /// Replaces the ladder.
-    pub fn with_ladder(mut self, ladder: DegradationLadder) -> Self {
-        self.ladder = ladder;
-        self
-    }
-
     /// Sets the evaluation epoch (frames per pressure observation).
     pub fn with_epoch(mut self, eval_every: u64) -> Self {
         self.eval_every = eval_every;
@@ -378,16 +372,6 @@ pub struct DegradationReport {
 }
 
 impl DegradationReport {
-    /// The deepest rung the walk reached.
-    pub fn max_rung(&self) -> usize {
-        self.timeline
-            .iter()
-            .map(|t| t.to)
-            .max()
-            .unwrap_or(self.final_rung)
-            .max(self.final_rung)
-    }
-
     /// Number of transitions taken.
     pub fn transitions(&self) -> usize {
         self.timeline.len()

@@ -335,6 +335,14 @@ mod tests {
     }
 
     #[test]
+    fn mc_power_matches_paper_silicon() {
+        let cfg = EnergyModelConfig::default();
+        assert!((cfg.mc_active.0 - 2.2).abs() < 1e-9);
+        // MC power is ~300x below the NNX's 651 mW — the autonomy argument.
+        assert!(cfg.mc_active.0 < 651.0 / 100.0);
+    }
+
+    #[test]
     fn frontend_energy_is_scheme_invariant() {
         let model = EnergyModel::default();
         let a = model.evaluate(&yolov2_params(1.0), YOLOV2_OPS).unwrap();

@@ -9,9 +9,9 @@
 //! * [`energy`] — the analytical SoC energy/throughput model behind
 //!   Fig. 9b/9c/10b: per-frame ledgers split into frontend / memory /
 //!   backend / CPU, extrapolation-window amortization, real-time FPS.
-//! * [`sim`] — a discrete-event engine plus the Fig. 5 pipeline wiring
-//!   (sensor → ISP → MC → NNX) with frame-drop semantics; cross-checks
-//!   the analytical FPS and powers the `soc_trace` example.
+//! * [`sim`] — the Fig. 5 pipeline (sensor → ISP → MC → NNX) as one
+//!   discrete-event loop with frame-drop semantics; cross-checks the
+//!   analytical FPS and powers the `soc_trace` example.
 //! * [`dram`] — LPDDR3 energy (DRAMPower-lite, calibrated to ≈230 mW at
 //!   1080p60 streaming), charged by [`energy`].
 //! * [`cpu`] — the wake/ramp/hold CPU episode model that quantifies why
@@ -53,4 +53,4 @@ pub use energy::{
     EnergyModel, EnergyModelConfig, ExtrapolationExecutor, SchemeParams, SchemeReport,
 };
 pub use power::{EnergyBreakdown, EnergyLedger, IpBlock, NormalizedBreakdown};
-pub use sim::{run_vision_pipeline, PipelineRun, PipelineTimings, Simulator};
+pub use sim::{run_vision_pipeline, PipelineRun, PipelineTimings};

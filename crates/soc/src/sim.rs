@@ -2,77 +2,15 @@
 //! the performance-model half of the paper's GemDroid-style in-house
 //! simulator (§5.1).
 //!
-//! The generic engine ([`Simulator`], [`Component`]) delivers time-ordered
-//! events to components, which react by posting more events. On top of it,
-//! [`run_vision_pipeline`] wires the IPs of Fig. 5 — sensor → ISP →
-//! motion controller → NNX — with parametric latencies
-//! ([`PipelineTimings`]), and reports per-frame completion times, achieved
-//! FPS, and drop statistics under real-time capture.
+//! [`run_vision_pipeline`] runs the IPs of Fig. 5 — sensor → ISP →
+//! motion controller → NNX — as one event loop over a time-ordered queue,
+//! with parametric latencies ([`PipelineTimings`]), and reports per-frame
+//! completion times, achieved FPS, and drop statistics under real-time
+//! capture.
 
 use euphrates_common::units::Picos;
-use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::rc::Rc;
-
-/// Index of a component within a simulator.
-pub type ComponentId = usize;
-
-/// Event payloads exchanged between vision-pipeline components. The
-/// `Custom` variant lets external components define their own protocols on
-/// the same engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EventKind {
-    /// The sensor finished exposing a frame.
-    FrameCaptured {
-        /// Frame index.
-        frame: u64,
-    },
-    /// The ISP finished processing; pixels + MV metadata are in DRAM.
-    IspFrameDone {
-        /// Frame index.
-        frame: u64,
-    },
-    /// The MC finished an E-frame (or the pre-inference extrapolation).
-    McFrameDone {
-        /// Frame index.
-        frame: u64,
-        /// Whether this frame also triggered an inference.
-        inference: bool,
-    },
-    /// The NNX finished an inference job.
-    NnxJobDone {
-        /// Frame index of the I-frame.
-        frame: u64,
-    },
-    /// User-defined event.
-    Custom(u32),
-}
-
-/// A scheduled event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Event {
-    /// Delivery time.
-    pub time: Picos,
-    /// Tie-break sequence number (FIFO among same-time events).
-    pub seq: u64,
-    /// Receiving component.
-    pub target: ComponentId,
-    /// Payload.
-    pub kind: EventKind,
-}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
 
 /// One line of the simulation trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,177 +22,6 @@ pub struct TraceEntry {
     /// Message.
     pub message: String,
 }
-
-/// The interface a component uses to interact with the engine during
-/// event delivery.
-#[derive(Debug)]
-pub struct SimContext<'a> {
-    now: Picos,
-    outbox: &'a mut Vec<(Picos, ComponentId, EventKind)>,
-    trace: &'a mut Vec<TraceEntry>,
-    component_name: &'a str,
-    tracing: bool,
-}
-
-impl SimContext<'_> {
-    /// Current simulation time.
-    pub fn now(&self) -> Picos {
-        self.now
-    }
-
-    /// Posts an event `delay` after now.
-    pub fn post(&mut self, delay: Picos, target: ComponentId, kind: EventKind) {
-        self.outbox.push((self.now + delay, target, kind));
-    }
-
-    /// Appends a trace line (no-op when tracing is disabled).
-    pub fn trace(&mut self, message: impl Into<String>) {
-        if self.tracing {
-            self.trace.push(TraceEntry {
-                time: self.now,
-                component: self.component_name.to_string(),
-                message: message.into(),
-            });
-        }
-    }
-}
-
-/// A simulated component.
-pub trait Component {
-    /// Display name for traces.
-    fn name(&self) -> &str;
-    /// Reacts to an event.
-    fn handle(&mut self, event: &Event, ctx: &mut SimContext<'_>);
-}
-
-/// The discrete-event engine.
-pub struct Simulator {
-    components: Vec<Box<dyn Component>>,
-    heap: BinaryHeap<Reverse<Event>>,
-    now: Picos,
-    seq: u64,
-    trace: Vec<TraceEntry>,
-    tracing: bool,
-    events_processed: u64,
-}
-
-impl std::fmt::Debug for Simulator {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Simulator")
-            .field("components", &self.components.len())
-            .field("now", &self.now)
-            .field("pending", &self.heap.len())
-            .field("events_processed", &self.events_processed)
-            .finish()
-    }
-}
-
-impl Simulator {
-    /// Creates an empty simulator.
-    pub fn new() -> Self {
-        Simulator {
-            components: Vec::new(),
-            heap: BinaryHeap::new(),
-            now: Picos::ZERO,
-            seq: 0,
-            trace: Vec::new(),
-            tracing: false,
-            events_processed: 0,
-        }
-    }
-
-    /// Enables trace collection (off by default; traces grow linearly with
-    /// events).
-    pub fn enable_tracing(&mut self) {
-        self.tracing = true;
-    }
-
-    /// Registers a component, returning its id.
-    pub fn add_component(&mut self, c: Box<dyn Component>) -> ComponentId {
-        self.components.push(c);
-        self.components.len() - 1
-    }
-
-    /// Schedules an event at absolute `time`.
-    pub fn post_at(&mut self, time: Picos, target: ComponentId, kind: EventKind) {
-        let ev = Event {
-            time,
-            seq: self.seq,
-            target,
-            kind,
-        };
-        self.seq += 1;
-        self.heap.push(Reverse(ev));
-    }
-
-    /// Current simulation time.
-    pub fn now(&self) -> Picos {
-        self.now
-    }
-
-    /// Number of events delivered so far.
-    pub fn events_processed(&self) -> u64 {
-        self.events_processed
-    }
-
-    /// The collected trace.
-    pub fn trace(&self) -> &[TraceEntry] {
-        &self.trace
-    }
-
-    /// Runs until the event queue empties or `deadline` passes. Returns
-    /// the number of events delivered.
-    pub fn run_until(&mut self, deadline: Picos) -> u64 {
-        let mut delivered = 0;
-        let mut outbox: Vec<(Picos, ComponentId, EventKind)> = Vec::new();
-        while let Some(Reverse(ev)) = self.heap.peek().copied() {
-            if ev.time > deadline {
-                break;
-            }
-            self.heap.pop();
-            self.now = ev.time;
-            if ev.target >= self.components.len() {
-                continue; // dangling target: drop
-            }
-            let component = &mut self.components[ev.target];
-            let name_owned = component.name().to_string();
-            {
-                let mut ctx = SimContext {
-                    now: self.now,
-                    outbox: &mut outbox,
-                    trace: &mut self.trace,
-                    component_name: &name_owned,
-                    tracing: self.tracing,
-                };
-                component.handle(&ev, &mut ctx);
-            }
-            for (time, target, kind) in outbox.drain(..) {
-                let e = Event {
-                    time,
-                    seq: self.seq,
-                    target,
-                    kind,
-                };
-                self.seq += 1;
-                self.heap.push(Reverse(e));
-            }
-            delivered += 1;
-            self.events_processed += 1;
-        }
-        self.now = self.now.max(deadline.min(self.now));
-        delivered
-    }
-}
-
-impl Default for Simulator {
-    fn default() -> Self {
-        Simulator::new()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The concrete vision pipeline (Fig. 5) on top of the engine.
-// ---------------------------------------------------------------------------
 
 /// Parametric latencies of the vision pipeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -298,159 +65,109 @@ impl PipelineRun {
     }
 }
 
-struct SensorComp {
-    isp: ComponentId,
-    period: Picos,
-    latency: Picos,
-    frames_left: u64,
-    next_frame: u64,
+/// A pipeline step for one frame, in the order the frame meets them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Step {
+    /// The sensor strobes the frame's capture.
+    Capture(u64),
+    /// The sensor's readout reaches the ISP.
+    Isp(u64),
+    /// The ISP's pixels and MV metadata reach the MC.
+    Mc(u64),
+    /// The NNX finished the I-frame's inference.
+    Inferred(u64),
+    /// The MC finished the E-frame's extrapolation.
+    Extrapolated(u64),
 }
 
-impl Component for SensorComp {
-    fn name(&self) -> &str {
-        "sensor"
-    }
-    fn handle(&mut self, event: &Event, ctx: &mut SimContext<'_>) {
-        if let EventKind::FrameCaptured { frame } = event.kind {
-            ctx.trace(format!("frame {frame} captured"));
-            ctx.post(self.latency, self.isp, EventKind::IspFrameDone { frame });
-            if self.frames_left > 0 {
-                self.frames_left -= 1;
-                self.next_frame += 1;
-                let f = self.next_frame;
-                // Sensors self-schedule: the next capture strobe.
-                // The event's target is this component: self-schedule.
-                ctx.post(
-                    self.period,
-                    event.target,
-                    EventKind::FrameCaptured { frame: f },
-                );
-            }
-        }
-    }
+/// The time-ordered event queue; `seq` keeps same-time events in FIFO
+/// order.
+#[derive(Debug, Default)]
+struct Queue {
+    heap: BinaryHeap<Reverse<(Picos, u64, Step)>>,
+    seq: u64,
 }
 
-struct IspComp {
-    mc: ComponentId,
-    latency: Picos,
-}
-
-impl Component for IspComp {
-    fn name(&self) -> &str {
-        "isp"
+impl Queue {
+    fn post(&mut self, time: Picos, step: Step) {
+        self.heap.push(Reverse((time, self.seq, step)));
+        self.seq += 1;
     }
-    fn handle(&mut self, event: &Event, ctx: &mut SimContext<'_>) {
-        if let EventKind::IspFrameDone { frame } = event.kind {
-            ctx.trace(format!("frame {frame} processed; MVs exported"));
-            ctx.post(self.latency, self.mc, EventKind::FrameCaptured { frame });
-        }
+
+    fn pop(&mut self) -> Option<(Picos, Step)> {
+        self.heap.pop().map(|Reverse((time, _, step))| (time, step))
     }
 }
 
-struct McComp {
-    self_id: ComponentId,
-    timings: PipelineTimings,
-    nnx_busy_until: Picos,
-    frames_since_inference: u32,
-    run: Rc<RefCell<PipelineRun>>,
-}
-
-impl Component for McComp {
-    fn name(&self) -> &str {
-        "mc"
-    }
-    fn handle(&mut self, event: &Event, ctx: &mut SimContext<'_>) {
-        match event.kind {
-            // A frame (with MV metadata) is ready for the backend.
-            EventKind::FrameCaptured { frame } => {
-                let due_inference = self.frames_since_inference == 0
-                    || self.frames_since_inference >= self.timings.window;
-                if due_inference {
-                    if ctx.now() < self.nnx_busy_until {
-                        // NNX still busy: real-time frame drop (§6.1 —
-                        // this is what limits the baseline to ~17 FPS).
-                        self.run.borrow_mut().dropped += 1;
-                        ctx.trace(format!("frame {frame} dropped (NNX busy)"));
-                        return;
-                    }
-                    self.frames_since_inference = 1;
-                    self.run.borrow_mut().inferences += 1;
-                    let done = ctx.now() + self.timings.mc_i_frame + self.timings.nnx_latency;
-                    self.nnx_busy_until = done;
-                    ctx.trace(format!("frame {frame}: I-frame, NNX job started"));
-                    ctx.post(
-                        self.timings.mc_i_frame + self.timings.nnx_latency,
-                        self.self_id,
-                        EventKind::NnxJobDone { frame },
-                    );
-                } else {
-                    self.frames_since_inference += 1;
-                    ctx.trace(format!("frame {frame}: E-frame extrapolated"));
-                    ctx.post(
-                        self.timings.mc_e_frame,
-                        self.self_id,
-                        EventKind::McFrameDone {
-                            frame,
-                            inference: false,
-                        },
-                    );
-                }
-            }
-            EventKind::NnxJobDone { frame } => {
-                ctx.trace(format!("frame {frame}: inference complete"));
-                self.run.borrow_mut().results.push((frame, ctx.now()));
-            }
-            EventKind::McFrameDone { frame, .. } => {
-                self.run.borrow_mut().results.push((frame, ctx.now()));
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Builds and runs the Fig. 5 pipeline for `frames` captured frames;
-/// returns the run statistics and, when `tracing`, the event trace.
+/// Runs the Fig. 5 pipeline for `frames` captured frames (frame 0 is
+/// always captured); returns the run statistics and, when `tracing`, the
+/// event trace.
 pub fn run_vision_pipeline(
-    timings: PipelineTimings,
+    t: PipelineTimings,
     frames: u64,
     tracing: bool,
 ) -> (PipelineRun, Vec<TraceEntry>) {
-    let mut sim = Simulator::new();
-    if tracing {
-        sim.enable_tracing();
+    // Events past one simulated hour are not delivered.
+    let horizon = Picos::from_secs_f64(3600.0);
+    let mut run = PipelineRun::default();
+    let mut trace = Vec::new();
+    let mut log = |time, component: &str, message: String| {
+        if tracing {
+            trace.push(TraceEntry {
+                time,
+                component: component.to_string(),
+                message,
+            });
+        }
+    };
+    let mut nnx_busy_until = Picos::ZERO;
+    let mut since_inference = 0u32;
+    let mut queue = Queue::default();
+    queue.post(Picos::ZERO, Step::Capture(0));
+    while let Some((now, step)) = queue.pop() {
+        if now > horizon {
+            break;
+        }
+        match step {
+            Step::Capture(f) => {
+                log(now, "sensor", format!("frame {f} captured"));
+                queue.post(now + t.sensor_latency, Step::Isp(f));
+                // The sensor self-schedules its next capture strobe.
+                if f + 1 < frames {
+                    queue.post(now + t.frame_period, Step::Capture(f + 1));
+                }
+            }
+            Step::Isp(f) => {
+                log(now, "isp", format!("frame {f} processed; MVs exported"));
+                queue.post(now + t.isp_latency, Step::Mc(f));
+            }
+            Step::Mc(f) if since_inference == 0 || since_inference >= t.window => {
+                if now < nnx_busy_until {
+                    // NNX still busy: real-time frame drop (§6.1 — this is
+                    // what limits the baseline to ~17 FPS).
+                    run.dropped += 1;
+                    log(now, "mc", format!("frame {f} dropped (NNX busy)"));
+                } else {
+                    since_inference = 1;
+                    run.inferences += 1;
+                    nnx_busy_until = now + (t.mc_i_frame + t.nnx_latency);
+                    log(now, "mc", format!("frame {f}: I-frame, NNX job started"));
+                    queue.post(nnx_busy_until, Step::Inferred(f));
+                }
+            }
+            Step::Mc(f) => {
+                since_inference += 1;
+                log(now, "mc", format!("frame {f}: E-frame extrapolated"));
+                queue.post(now + t.mc_e_frame, Step::Extrapolated(f));
+            }
+            Step::Inferred(f) => {
+                log(now, "mc", format!("frame {f}: inference complete"));
+                run.results.push((f, now));
+            }
+            Step::Extrapolated(f) => run.results.push((f, now)),
+        }
     }
-    // Wire backwards: MC id is known last, so pre-compute ids.
-    let sensor_id = 0;
-    let isp_id = 1;
-    let mc_id = 2;
-    sim.add_component(Box::new(SensorComp {
-        isp: isp_id,
-        period: timings.frame_period,
-        latency: timings.sensor_latency,
-        frames_left: frames.saturating_sub(1),
-        next_frame: 0,
-    }));
-    sim.add_component(Box::new(IspComp {
-        mc: mc_id,
-        latency: timings.isp_latency,
-    }));
-    let run = Rc::new(RefCell::new(PipelineRun::default()));
-    sim.add_component(Box::new(McComp {
-        self_id: mc_id,
-        timings,
-        nnx_busy_until: Picos::ZERO,
-        frames_since_inference: 0,
-        run: Rc::clone(&run),
-    }));
-    sim.post_at(
-        Picos::ZERO,
-        sensor_id,
-        EventKind::FrameCaptured { frame: 0 },
-    );
-    sim.run_until(Picos::from_secs_f64(3600.0));
-
-    let result = run.borrow().clone();
-    (result, sim.trace)
+    (run, trace)
 }
 
 #[cfg(test)]
@@ -470,53 +187,14 @@ mod tests {
     }
 
     #[test]
-    fn events_are_delivered_in_time_order() {
-        struct Recorder {
-            seen: Rc<RefCell<Vec<u32>>>,
-        }
-        impl Component for Recorder {
-            fn name(&self) -> &str {
-                "recorder"
-            }
-            fn handle(&mut self, event: &Event, _ctx: &mut SimContext<'_>) {
-                if let EventKind::Custom(v) = event.kind {
-                    self.seen.borrow_mut().push(v);
-                }
-            }
-        }
-        let seen = Rc::new(RefCell::new(Vec::new()));
-        let mut sim = Simulator::new();
-        let id = sim.add_component(Box::new(Recorder {
-            seen: Rc::clone(&seen),
-        }));
-        sim.post_at(Picos(300), id, EventKind::Custom(3));
-        sim.post_at(Picos(100), id, EventKind::Custom(1));
-        sim.post_at(Picos(200), id, EventKind::Custom(2));
-        // Same-time events keep FIFO order.
-        sim.post_at(Picos(300), id, EventKind::Custom(4));
-        let n = sim.run_until(Picos::from_millis(1));
-        assert_eq!(n, 4);
-        assert_eq!(*seen.borrow(), vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn deadline_stops_the_run() {
-        struct Echo {
-            id: ComponentId,
-        }
-        impl Component for Echo {
-            fn name(&self) -> &str {
-                "echo"
-            }
-            fn handle(&mut self, _event: &Event, ctx: &mut SimContext<'_>) {
-                ctx.post(Picos::from_millis(1), self.id, EventKind::Custom(0));
-            }
-        }
-        let mut sim = Simulator::new();
-        let id = sim.add_component(Box::new(Echo { id: 0 }));
-        sim.post_at(Picos::ZERO, id, EventKind::Custom(0));
-        let delivered = sim.run_until(Picos::from_millis(10));
-        assert!(delivered <= 11, "delivered {delivered}");
+    fn queue_pops_in_time_order_and_fifo_among_ties() {
+        let mut q = Queue::default();
+        q.post(Picos(300), Step::Capture(3));
+        q.post(Picos(100), Step::Capture(1));
+        q.post(Picos(200), Step::Capture(2));
+        q.post(Picos(300), Step::Capture(0));
+        let order: Vec<Step> = std::iter::from_fn(|| q.pop()).map(|(_, s)| s).collect();
+        assert_eq!(order, [1, 2, 3, 0].map(Step::Capture));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Consistency checks between the analytical SoC model, the
 //! discrete-event simulator, and the paper's headline numbers.
 
+use euphrates::common::rngx::Fnv1a;
 use euphrates::common::units::Picos;
 use euphrates::core::prelude::*;
 use euphrates::nn::zoo;
@@ -154,4 +155,54 @@ fn cpu_scheme_undoes_most_savings_at_ew8() {
         .unwrap();
     let ratio = ew8cpu.energy_per_frame().0 / ew4.energy_per_frame().0;
     assert!((0.75..1.3).contains(&ratio), "EW-8@CPU / EW-4 = {ratio}");
+}
+
+/// Folds a DES run and its trace into one FNV-1a digest: every trace
+/// line's time, component and message, then each result, the drop count
+/// and the inference count.
+fn des_digest(timings: PipelineTimings, frames: u64) -> u64 {
+    let (run, trace) = run_vision_pipeline(timings, frames, true);
+    let mut h = Fnv1a::new();
+    for entry in &trace {
+        h.write(&entry.time.0.to_le_bytes());
+        h.write(entry.component.as_bytes());
+        h.write(&[0]);
+        h.write(entry.message.as_bytes());
+        h.write(&[0]);
+    }
+    for (frame, time) in &run.results {
+        h.write(&frame.to_le_bytes());
+        h.write(&time.0.to_le_bytes());
+    }
+    h.write(&run.dropped.to_le_bytes());
+    h.write(&run.inferences.to_le_bytes());
+    h.finish()
+}
+
+#[test]
+fn des_trace_and_run_match_recorded_digests() {
+    let system = SystemModel::table1();
+    let yolo = system.plan(&zoo::yolov2()).latency();
+    // (window, NNX latency, digest) over 120 traced frames.
+    let cases: [(u32, Picos, u64); 8] = [
+        (1, Picos::from_millis(12), 0xdf6d_d968_b0de_023b),
+        (2, Picos::from_millis(12), 0x6bba_24a9_ad07_7efb),
+        (4, Picos::from_millis(12), 0xe231_34fd_8531_913c),
+        (8, Picos::from_millis(12), 0xeea8_9afa_a6b7_f3c4),
+        (1, yolo, 0x7d5f_0dcd_15db_96dc),
+        (2, yolo, 0x9c55_4c61_3ae6_a382),
+        (4, yolo, 0xea24_7ce1_5164_349c),
+        (8, yolo, 0xe604_d9bb_d2b5_1358),
+    ];
+    for (window, nnx_latency, want) in cases {
+        let t = PipelineTimings {
+            nnx_latency,
+            ..timings(&system, window)
+        };
+        assert_eq!(
+            des_digest(t, 120),
+            want,
+            "window {window}, NNX {nnx_latency}"
+        );
+    }
 }
