@@ -66,11 +66,6 @@ impl ImuSensor {
         ImuSensor { config, seed }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &ImuConfig {
-        &self.config
-    }
-
     /// Produces the frame-`index` reading for a scene's camera motion:
     /// the true shake delta plus noise and accumulated bias.
     ///

@@ -48,11 +48,6 @@ impl ImageSensor {
         ImageSensor { config, seed }
     }
 
-    /// The sensor configuration.
-    pub fn config(&self) -> &SensorConfig {
-        &self.config
-    }
-
     /// Captures an RGB scene rendering into a RAW Bayer frame, applying the
     /// RGGB color filter array and read noise.
     ///

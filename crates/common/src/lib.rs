@@ -6,10 +6,8 @@
 //! [`image::RgbFrame`], [`image::BayerFrame`]), accuracy metrics
 //! ([`metrics`]), descriptive statistics ([`stats`]), physical-unit newtypes
 //! ([`units`]), deterministic parallel-execution plumbing ([`par`]),
-//! recyclable frame buffers ([`pool::FramePool`]), a parked-producer
-//! capacity gate for bounded ingress queues ([`gate::CapacityGate`]),
-//! and plain-text table rendering ([`table`]) used by the experiment
-//! harness.
+//! recyclable frame buffers ([`pool::FramePool`]), and plain-text table
+//! rendering ([`table`]) used by the experiment harness.
 //!
 //! Every other crate in the workspace depends on this one; it has no
 //! dependencies of its own outside the standard library.
@@ -26,7 +24,6 @@
 
 pub mod error;
 pub mod fixed;
-pub mod gate;
 pub mod geom;
 pub mod image;
 pub mod metrics;

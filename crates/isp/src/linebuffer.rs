@@ -82,11 +82,6 @@ impl TdSramModel {
         TdSramModel { config }
     }
 
-    /// The model configuration.
-    pub fn config(&self) -> &TdSramConfig {
-        &self.config
-    }
-
     /// SRAM bytes needed to hold one frame's motion vectors.
     pub fn mv_sram_bytes(resolution: Resolution, mb_size: u32) -> Bytes {
         let (bx, by) = resolution.macroblocks(mb_size);

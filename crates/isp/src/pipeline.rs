@@ -91,11 +91,6 @@ impl IspPipeline {
         })
     }
 
-    /// The pipeline configuration.
-    pub fn config(&self) -> &IspConfig {
-        &self.config
-    }
-
     /// Drops temporal state (previous frame); the next frame becomes frame
     /// 0 of a new stream.
     pub fn reset(&mut self) {

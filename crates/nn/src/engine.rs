@@ -168,11 +168,6 @@ impl NnxEngine {
         NnxEngine { config, model }
     }
 
-    /// The engine configuration.
-    pub fn config(&self) -> &NnxConfig {
-        &self.config
-    }
-
     /// Plans inference for a network (run once, reuse per frame).
     pub fn plan(&self, net: &NetworkDescriptor) -> InferencePlan {
         InferencePlan {

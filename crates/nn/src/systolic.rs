@@ -205,11 +205,6 @@ impl SystolicModel {
         SystolicModel { config }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &SystolicConfig {
-        &self.config
-    }
-
     /// Analyzes a network, producing per-layer and aggregate statistics.
     pub fn analyze(&self, net: &NetworkDescriptor) -> NetworkStats {
         let per_layer = net

@@ -12,12 +12,11 @@
 //!   running the same frames through a standalone [`Session`] (or the
 //!   offline `Scenario::evaluate`, which is built on sessions): workers
 //!   only decide *where* a session runs, never *what* it computes.
-//! * **Backpressure** — each worker has a bounded ingress queue guarded
-//!   by a [`CapacityGate`]. [`try_submit`][SessionServer::try_submit]
-//!   never blocks and never buffers beyond the bound: a full lane
-//!   returns [`Submit::Busy`] handing the frame back to the caller
-//!   (admission control instead of unbounded growth — memory is
-//!   `O(workers × queue_depth)` frames).
+//! * **Backpressure** — each worker has one bounded ingress lane.
+//!   [`try_submit`][SessionServer::try_submit] never blocks and never
+//!   buffers beyond the bound: a full lane returns [`Submit::Busy`]
+//!   handing the frame back to the caller (admission control instead of
+//!   unbounded growth — memory is `O(workers × queue_depth)` frames).
 //! * **Shared read-only state** — one scheme registry (the validated
 //!   [`SchemeSpec`] list, the same registry an offline
 //!   `Scenario::evaluate` opens one session per scheme from) lives
@@ -36,36 +35,44 @@
 //!
 //! # Batching & backpressure
 //!
-//! **Parked producers, not spin loops.** Each lane pairs its bounded
-//! channel with a [`CapacityGate`] whose permits mirror the channel's
-//! bound: *every* message — open, frame, close — takes a permit before
-//! it is sent, and the worker returns the permit as it dequeues. A
-//! holder of a permit therefore always completes its send without
-//! blocking, and a producer that finds the lane full has three choices:
+//! **Parked producers, not spin loops.** Each lane is one bounded FIFO
+//! under one mutex, with a condvar producers park on while it is full
+//! and one its worker parks on while it is empty. *Every* message —
+//! open, frame, close — is one push, and a producer that finds the lane
+//! full has three choices:
 //!
 //! * [`try_submit`][SessionServer::try_submit] — never waits; hands the
 //!   frame back as [`Submit::Busy`] (admission control).
 //! * [`submit_blocking`][SessionServer::submit_blocking] — sleeps on the
-//!   gate's condvar and is woken exactly when its lane drains a slot
-//!   (counted in [`IngressReport::parked`]).
+//!   lane's condvar and is woken when its worker dequeues a message.
 //! * [`submit_deadline`][SessionServer::submit_deadline] — parks for at
 //!   most a deadline, then hands the frame back.
+//!
+//! The lane keeps the [`IngressReport`] counters under its lock:
+//! `immediate` counts pushes that found space, `parked` pushes that
+//! slept, `woken` parked pushes that then got a slot (a deadline that
+//! expires counts in `parked` but not `woken`), and `busy_rejections`
+//! frames handed back. A frame's submit stamp is taken once its slot is
+//! secured, so time spent parked counts in neither `queue_wait` nor
+//! `latency`. [`drain`][SessionServer::drain] closes every lane: each
+//! worker handles what is already queued, then exits. Dropping the
+//! server closes them too, and a worker that exits any other way closes
+//! its own, so producers get `Busy` or an error instead of parking.
 //!
 //! **Cross-session NN batching.** On silicon, the systolic array earns
 //! its efficiency by amortizing weight loads and array fill/drain
 //! across work; one session's I-frame at a time cannot exploit that.
-//! With [`ServeConfig::with_nn_batching`] each worker runs a
-//! `BatchCollector`: I-frame inference jobs from *different sessions*
-//! sharded onto the worker are gathered within a bounded window
-//! (`max_batch` jobs or `max_wait`, whichever first) and charged as one
-//! fused job via `SystolicModel::analyze_batch` — weights stream once,
-//! fill/drain is paid per weight block instead of per request. The
-//! batch is an *accounting* fusion: the NN itself is a modeled oracle
-//! whose functional decisions are produced synchronously inside
-//! `Session::push_frame`, so batching defers only the cycle/energy
-//! attribution and per-session outcomes (decisions, accuracy, fields)
-//! stay **bit-identical** to the unbatched path — the equivalence tests
-//! assert exactly that. The amortized cost lands in
+//! With [`ServeConfig::with_nn_batching`] each worker gathers I-frame
+//! inference jobs from *different sessions* sharded onto it within a
+//! bounded window (`max_batch` jobs or `max_wait`, whichever first) and
+//! charges them as one fused job via `SystolicModel::analyze_batch` —
+//! weights stream once, fill/drain is paid per weight block instead of
+//! per request. The batch is an *accounting* fusion: the NN itself is a
+//! modeled oracle whose functional decisions are produced synchronously
+//! inside `Session::push_frame`, so batching defers only the
+//! cycle/energy attribution and per-session outcomes (decisions,
+//! accuracy, fields) stay **bit-identical** to the unbatched path — the
+//! equivalence tests assert exactly that. The amortized cost lands in
 //! [`DrainReport::nn`]: batched vs `N×` solo cycles, energy, DRAM
 //! traffic, and the realized batch-size histogram.
 //!
@@ -190,6 +197,7 @@
 
 pub mod chaos;
 pub mod degrade;
+mod lane;
 pub mod supervise;
 
 pub use chaos::{ChaosConfig, ChaosReport, PressurePlan};
@@ -198,9 +206,9 @@ pub use degrade::{
 };
 pub use supervise::{IncidentKind, RecoveryIncident, RecoveryReport, SuperviseConfig};
 
+use crate::lane::{Lane, LaneEnd, Pop, Wait};
 use crate::supervise::{Ledger, SlotCheckpoint};
 use euphrates_common::error::{Error, Result};
-use euphrates_common::gate::CapacityGate;
 use euphrates_common::image::Resolution;
 use euphrates_common::par::default_threads;
 use euphrates_common::rngx;
@@ -216,7 +224,6 @@ use euphrates_nn::layer::NetworkDescriptor;
 use std::collections::{BTreeSet, HashMap};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -348,7 +355,7 @@ enum Msg {
         scheme: usize,
         resolution: Resolution,
     },
-    /// One frame for session `id`; `at` is its submit timestamp.
+    /// One frame for session `id`; `at` is when its lane took it.
     Frame {
         id: SessionId,
         frame: Arc<FrameData>,
@@ -369,6 +376,18 @@ impl Msg {
             | Msg::Frame { id, .. }
             | Msg::Close { id }
             | Msg::Fail { id, .. } => *id,
+        }
+    }
+}
+
+/// A frame submission becomes a message once its lane has space, so the
+/// `at` stamp keeps time spent parked out of `queue_wait` and `latency`.
+impl From<(SessionId, Arc<FrameData>)> for Msg {
+    fn from((id, frame): (SessionId, Arc<FrameData>)) -> Self {
+        Msg::Frame {
+            id,
+            frame,
+            at: Instant::now(),
         }
     }
 }
@@ -531,22 +550,12 @@ enum Slot<T: VisionTask> {
 pub struct WorkerStats {
     /// Frames this shard received (served + dropped + shed).
     pub frames: u64,
-    /// Frames pushed through a live session successfully.
-    pub served: u64,
-    /// Frames discarded (dead or never-opened session).
-    pub dropped: u64,
-    /// Frames shed by the degradation ladder's last-resort rung.
-    pub shed: u64,
-    /// Submit→dequeue wait per frame, nanoseconds.
-    pub queue_wait: LatencyHistogram,
     /// Nanoseconds spent processing messages.
     pub busy_ns: u64,
     /// Nanoseconds from worker start to drain completion.
     pub wall_ns: u64,
-    /// Producers that parked on this shard's gate.
+    /// Producers that parked on this shard's lane.
     pub parked: u64,
-    /// Wake-ups this shard's drains delivered.
-    pub woken: u64,
 }
 
 impl WorkerStats {
@@ -616,15 +625,25 @@ impl NnServeReport {
 /// summed over all lanes.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct IngressReport {
-    /// Producers that slept on a full lane.
+    /// Messages whose producer slept on a full lane.
     pub parked: u64,
-    /// Wake-ups delivered by worker dequeues.
+    /// Parked messages that went onto the lane once a dequeue freed a
+    /// slot (the rest timed out or met a closed lane).
     pub woken: u64,
-    /// Sends that found capacity immediately.
+    /// Messages that found space without sleeping.
     pub immediate: u64,
     /// Frames handed back by [`try_submit`][SessionServer::try_submit]
     /// or an expired [`submit_deadline`][SessionServer::submit_deadline].
     pub busy_rejections: u64,
+}
+
+impl IngressReport {
+    fn merge(&mut self, other: &IngressReport) {
+        self.parked += other.parked;
+        self.woken += other.woken;
+        self.immediate += other.immediate;
+        self.busy_rejections += other.busy_rejections;
+    }
 }
 
 /// The merged result of [`SessionServer::drain`]: every session's
@@ -752,10 +771,7 @@ impl DrainReport {
         self.dropped += other.dropped;
         self.shed += other.shed;
         self.per_worker.extend(other.per_worker);
-        self.ingress.parked += other.ingress.parked;
-        self.ingress.woken += other.ingress.woken;
-        self.ingress.immediate += other.ingress.immediate;
-        self.ingress.busy_rejections += other.ingress.busy_rejections;
+        self.ingress.merge(&other.ingress);
         merge_section(&mut self.nn, other.nn, NnServeReport::merge);
         merge_section(
             &mut self.degradation,
@@ -781,13 +797,6 @@ fn merge_section<R>(into: &mut Option<R>, from: Option<R>, merge: fn(&mut R, &R)
     }
 }
 
-/// One worker's ingress lane: the bounded transport plus the capacity
-/// gate whose permits mirror its bound.
-struct Lane {
-    tx: SyncSender<Msg>,
-    gate: Arc<CapacityGate>,
-}
-
 /// A sharded, backpressured session server over `N` worker threads.
 ///
 /// See the [crate docs](self) for the serving model. The server is
@@ -796,17 +805,16 @@ struct Lane {
 /// [`submit_blocking`][SessionServer::submit_blocking] and
 /// [`close`][SessionServer::close] take `&self` and may be called from
 /// any number of producer threads concurrently (each call resolves one
-/// lane, takes one permit, and performs one channel operation).
+/// lane and makes one push onto it).
 /// [`drain`][SessionServer::drain] consumes the server.
 pub struct SessionServer<T: VisionTask> {
     shared: Arc<Shared<T>>,
-    lanes: Vec<Lane>,
+    lanes: Vec<LaneEnd<Msg>>,
     /// One thread per lane, in lane order.
     workers: Vec<JoinHandle<Drained<T>>>,
     /// Pre-freeze statistics carried through [`thaw`][Self::thaw],
     /// merged into the final drain.
     carry: Option<Box<DrainReport>>,
-    busy_rejections: AtomicU64,
     /// Admission sequence number (only advanced while the chaos
     /// rejection channel is armed — keeps the fault schedule a pure
     /// function of the submit order).
@@ -819,8 +827,8 @@ where
     T: VisionTask + Clone + Send + Sync + 'static,
     T::State: Send + Clone,
 {
-    /// Starts a server: `config.workers` threads, each with a bounded,
-    /// gated lane, all sharing one read-only scheme registry (and, when
+    /// Starts a server: `config.workers` threads, each with a bounded
+    /// lane, all sharing one read-only scheme registry (and, when
     /// batching is enabled, one table of pre-planned batch costs).
     ///
     /// # Errors
@@ -937,15 +945,11 @@ where
         let mut lanes = Vec::with_capacity(config.workers);
         let mut workers = Vec::with_capacity(config.workers);
         for (windex, table) in tables.into_iter().enumerate() {
-            let (tx, rx) = sync_channel(config.queue_depth);
-            let gate = Arc::new(CapacityGate::new(config.queue_depth));
-            lanes.push(Lane {
-                tx,
-                gate: Arc::clone(&gate),
-            });
+            let lane = Arc::new(Lane::new(config.queue_depth));
+            lanes.push(LaneEnd(Arc::clone(&lane)));
             let shared = Arc::clone(&shared);
             workers.push(std::thread::spawn(move || {
-                worker_loop(Worker::new(shared, windex as u64, table), rx, gate)
+                worker_loop(Worker::new(shared, windex as u64, table), LaneEnd(lane))
             }));
         }
         Ok(SessionServer {
@@ -953,7 +957,6 @@ where
             lanes,
             workers,
             carry,
-            busy_rejections: AtomicU64::new(0),
             submit_seq: AtomicU64::new(0),
             chaos_rejections: AtomicU64::new(0),
         })
@@ -990,8 +993,8 @@ where
             .iter()
             .position(|s| s.id.as_str() == scheme)
             .ok_or_else(|| Error::config(format!("unknown scheme id `{scheme}`")))?;
-        self.send_parked(
-            self.shard(id),
+        self.send(
+            id,
             Msg::Open {
                 id,
                 scheme: idx,
@@ -1006,35 +1009,26 @@ where
     /// never opened are accepted here and counted as dropped by the
     /// worker — admission control is per-lane, not per-session.
     pub fn try_submit(&self, id: SessionId, frame: Arc<FrameData>) -> Submit {
-        if self.chaos_reject() {
-            return Submit::Busy(frame);
-        }
-        let lane = self.shard(id);
-        if !self.lanes[lane].gate.try_acquire() {
-            self.busy_rejections.fetch_add(1, Ordering::Relaxed);
-            return Submit::Busy(frame);
-        }
-        self.send_frame_with_permit(lane, id, frame)
+        self.offer(id, frame, Wait::Never)
     }
 
-    /// The chaos forced-saturation channel: pretends the lane is full
-    /// for a deterministic subset of non-blocking/deadline admissions.
+    /// The non-blocking and deadline-bounded submits: one push, after
+    /// the chaos forced-saturation channel, which pretends the lane is
+    /// full for a deterministic subset of these admissions.
     /// [`submit_blocking`][SessionServer::submit_blocking] is exempt —
     /// it has no `Busy` verdict to fake.
-    fn chaos_reject(&self) -> bool {
-        let Some(chaos) = self.shared.chaos.as_ref() else {
-            return false;
-        };
-        if chaos.reject_every == 0 {
-            return false;
+    fn offer(&self, id: SessionId, frame: Arc<FrameData>, wait: Wait) -> Submit {
+        let lane = &self.lanes[self.shard(id)].0;
+        if let Some(chaos) = self.shared.chaos.as_ref().filter(|c| c.reject_every != 0) {
+            if chaos.reject_at(self.submit_seq.fetch_add(1, Ordering::Relaxed)) {
+                self.chaos_rejections.fetch_add(1, Ordering::Relaxed);
+                lane.reject();
+                return Submit::Busy(frame);
+            }
         }
-        let seq = self.submit_seq.fetch_add(1, Ordering::Relaxed);
-        if chaos.reject_at(seq) {
-            self.chaos_rejections.fetch_add(1, Ordering::Relaxed);
-            self.busy_rejections.fetch_add(1, Ordering::Relaxed);
-            true
-        } else {
-            false
+        match lane.push((id, frame), wait) {
+            Ok(()) => Submit::Enqueued,
+            Err((_, frame)) => Submit::Busy(frame),
         }
     }
 
@@ -1047,12 +1041,7 @@ where
     /// Returns an error only if the worker has vanished (a server bug;
     /// workers isolate session panics).
     pub fn submit_blocking(&self, id: SessionId, frame: Arc<FrameData>) -> Result<()> {
-        let lane = self.shard(id);
-        self.lanes[lane].gate.acquire();
-        match self.send_frame_with_permit(lane, id, frame) {
-            Submit::Enqueued => Ok(()),
-            Submit::Busy(_) => Err(Error::config(format!("serve worker {lane} is gone"))),
-        }
+        self.send(id, (id, frame))
     }
 
     /// Submits one frame, parking for at most `timeout`:
@@ -1064,37 +1053,7 @@ where
         frame: Arc<FrameData>,
         timeout: Duration,
     ) -> Submit {
-        if self.chaos_reject() {
-            return Submit::Busy(frame);
-        }
-        let lane = self.shard(id);
-        if !self.lanes[lane].gate.acquire_timeout(timeout) {
-            self.busy_rejections.fetch_add(1, Ordering::Relaxed);
-            return Submit::Busy(frame);
-        }
-        self.send_frame_with_permit(lane, id, frame)
-    }
-
-    /// Completes a frame send under an already-held permit. A held
-    /// permit guarantees a free channel slot (permits mirror the
-    /// bound), so the send never blocks; a vanished worker hands the
-    /// frame back.
-    fn send_frame_with_permit(&self, lane: usize, id: SessionId, frame: Arc<FrameData>) -> Submit {
-        let msg = Msg::Frame {
-            id,
-            frame,
-            at: Instant::now(),
-        };
-        match self.lanes[lane].tx.send(msg) {
-            Ok(()) => Submit::Enqueued,
-            Err(back) => {
-                self.lanes[lane].gate.release();
-                let Msg::Frame { frame, .. } = back.0 else {
-                    unreachable!("frame sends only carry frames")
-                };
-                Submit::Busy(frame)
-            }
-        }
+        self.offer(id, frame, Wait::Until(Instant::now() + timeout))
     }
 
     /// Finishes session `id`: its outcome (or the error that killed it)
@@ -1107,7 +1066,7 @@ where
     /// Currently infallible for live servers; returns an error only if
     /// the worker has vanished.
     pub fn close(&self, id: SessionId) -> Result<()> {
-        self.send_parked(self.shard(id), Msg::Close { id })
+        self.send(id, Msg::Close { id })
     }
 
     /// Trips the circuit breaker on session `id`: the session is
@@ -1121,8 +1080,8 @@ where
     ///
     /// Returns an error only if the worker has vanished.
     pub fn break_session(&self, id: SessionId, reason: impl Into<String>) -> Result<()> {
-        self.send_parked(
-            self.shard(id),
+        self.send(
+            id,
             Msg::Fail {
                 id,
                 error: Error::state(reason.into()),
@@ -1208,17 +1167,20 @@ where
     /// their reports and the thaw carry, then derive the degradation
     /// walk once.
     fn shutdown(self) -> Drained<T> {
-        drop(self.lanes);
+        for lane in &self.lanes {
+            lane.0.close();
+        }
         let mut report = DrainReport::empty(&self.shared);
         let mut frozen = Vec::new();
-        for handle in self.workers {
-            let (part, slots) = handle
+        for (handle, lane) in self.workers.into_iter().zip(&self.lanes) {
+            let (mut part, slots) = handle
                 .join()
                 .expect("serve workers isolate session panics and never die");
+            part.ingress = lane.0.counters();
+            part.per_worker[0].parked = part.ingress.parked;
             report.merge(part);
             frozen.extend(slots);
         }
-        report.ingress.busy_rejections += self.busy_rejections.load(Ordering::Relaxed);
         if let Some(chaos) = report.chaos.as_mut() {
             chaos.rejections += self.chaos_rejections.load(Ordering::Relaxed);
         }
@@ -1263,67 +1225,22 @@ where
     /// lets saturation tests and monitors observe parking as it
     /// happens.
     pub fn ingress_snapshot(&self) -> IngressReport {
-        let mut report = IngressReport {
-            busy_rejections: self.busy_rejections.load(Ordering::Relaxed),
-            ..IngressReport::default()
-        };
+        let mut report = IngressReport::default();
         for lane in &self.lanes {
-            let gs = lane.gate.stats();
-            report.parked += gs.parked;
-            report.woken += gs.woken;
-            report.immediate += gs.immediate;
+            report.merge(&lane.0.counters());
         }
         report
     }
 
-    /// Parked send for rare control messages; maps a vanished worker to
-    /// a clean error instead of a panic (drain will surface it).
-    fn send_parked(&self, lane: usize, msg: Msg) -> Result<()> {
-        self.lanes[lane].gate.acquire();
-        self.lanes[lane].tx.send(msg).map_err(|_| {
-            self.lanes[lane].gate.release();
-            Error::config(format!("serve worker {lane} is gone"))
-        })
-    }
-}
-
-/// Per-worker accumulator for the cross-session batch window: counts
-/// pending I-frame jobs (decisions are produced synchronously by the
-/// session — only *cost attribution* is deferred) and remembers when
-/// the window opened.
-struct BatchCollector {
-    pending: usize,
-    opened_at: Option<Instant>,
-}
-
-impl BatchCollector {
-    fn new() -> Self {
-        BatchCollector {
-            pending: 0,
-            opened_at: None,
-        }
-    }
-
-    /// Registers one inference job; returns `true` when the batch hit
-    /// `max_batch` and must flush now.
-    fn add(&mut self, max_batch: usize) -> bool {
-        if self.pending == 0 {
-            self.opened_at = Some(Instant::now());
-        }
-        self.pending += 1;
-        self.pending >= max_batch
-    }
-
-    /// The instant the open window expires, if one is open.
-    fn deadline(&self, max_wait: Duration) -> Option<Instant> {
-        self.opened_at.map(|at| at + max_wait)
-    }
-
-    /// Closes the window, returning the fused batch size.
-    fn take(&mut self) -> Option<usize> {
-        self.opened_at = None;
-        let n = std::mem::take(&mut self.pending);
-        (n > 0).then_some(n)
+    /// Parks until `id`'s lane takes `item`. A closed lane means its
+    /// worker is gone: a clean error instead of a panic (drain will
+    /// surface it).
+    fn send(&self, id: SessionId, item: impl Into<Msg>) -> Result<()> {
+        let lane = self.shard(id);
+        self.lanes[lane]
+            .0
+            .push(item, Wait::Forever)
+            .map_err(|_| Error::config(format!("serve worker {lane} is gone")))
     }
 }
 
@@ -1344,11 +1261,11 @@ fn charge_batch(report: &mut NnServeReport, runtime: &BatchRuntime, jobs: usize)
 /// kept for the image when the server is freezing.
 type Drained<T> = (DrainReport, Vec<(SessionId, Slot<T>)>);
 
-/// One worker thread: the receive with the batch deadline, the permit
-/// release — the other half of the parked-producer protocol — the
-/// dequeue tick, and busy-time accounting. Everything else is the
-/// [`Worker`]'s. Runs until every sender is dropped.
-fn worker_loop<T>(mut worker: Worker<T>, rx: Receiver<Msg>, gate: Arc<CapacityGate>) -> Drained<T>
+/// One worker thread: the pop with the batch deadline, the dequeue
+/// tick, and busy-time accounting. Everything else is the [`Worker`]'s.
+/// Runs until its lane is closed and drained, and closes the lane on the
+/// way out, unwinding included.
+fn worker_loop<T>(mut worker: Worker<T>, lane: LaneEnd<Msg>) -> Drained<T>
 where
     T: VisionTask + Clone,
     T::State: Clone,
@@ -1358,41 +1275,35 @@ where
     let mut dequeues = 0u64;
     loop {
         // While a batch window is open, wait only until its deadline;
-        // otherwise block for the next message.
-        let msg = match worker.batch_deadline() {
-            Some(deadline) => {
-                match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
-                    Ok(msg) => msg,
-                    Err(RecvTimeoutError::Timeout) => {
-                        worker.flush();
-                        continue;
-                    }
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
+        // otherwise park for the next message.
+        let msg = match lane.0.pop(worker.batch_deadline()) {
+            Pop::Msg(msg) => msg,
+            Pop::Timeout => {
+                worker.flush();
+                continue;
             }
-            None => match rx.recv() {
-                Ok(msg) => msg,
-                Err(_) => break,
-            },
+            Pop::Closed => break,
         };
-        gate.release();
         worker.inject_faults(&msg, dequeues);
         dequeues += 1;
         let busy_from = Instant::now();
         worker.handle(msg);
         busy_ns += busy_from.elapsed().as_nanos() as u64;
     }
-    worker.finish(started, busy_ns, &gate)
+    worker.finish(started, busy_ns)
 }
 
 /// Everything one worker owns: its session table (each live slot with
-/// its own recovery ledger), its batch collector, and its counters in
+/// its own recovery ledger), its batch window, and its counters in
 /// the shape of a one-worker [`DrainReport`].
 struct Worker<T: VisionTask> {
     shared: Arc<Shared<T>>,
     windex: u64,
     sessions: HashMap<SessionId, Slot<T>>,
-    collector: BatchCollector,
+    /// The open cross-session batch window: when it opened and the
+    /// I-frame jobs pending in it (decisions are produced synchronously
+    /// by the session — only *cost attribution* is deferred).
+    batch: Option<(Instant, usize)>,
     /// The chaos corruption channel's substitute: a tiny frame of the
     /// wrong resolution, so the corruption travels the same validation
     /// (and poison) path a malformed client frame would.
@@ -1430,7 +1341,7 @@ where
             shared,
             windex,
             sessions,
-            collector: BatchCollector::new(),
+            batch: None,
             corrupt_frame,
         }
     }
@@ -1439,6 +1350,7 @@ where
     /// opened, shrunk by the current rung's shift (degraded servers
     /// trade amortization for latency). `None` while no window is open.
     fn batch_deadline(&self) -> Option<Instant> {
+        let (opened, _) = self.batch?;
         let batching = self.shared.batching.as_ref()?;
         let max_wait = match self.shared.overload.as_ref() {
             Some(rt) => {
@@ -1448,7 +1360,7 @@ where
             }
             None => batching.max_wait,
         };
-        self.collector.deadline(max_wait)
+        Some(opened + max_wait)
     }
 
     /// The worker-level chaos faults drawn at dequeue `tick`: a stall
@@ -1611,8 +1523,10 @@ where
                 slot.restart_ledger(true);
             }
         }
-        if let Some(rt) = shared.batching.as_ref() {
-            if inference && self.collector.add(rt.max_batch) {
+        if let Some(rt) = shared.batching.as_ref().filter(|_| inference) {
+            let (_, jobs) = self.batch.get_or_insert_with(|| (Instant::now(), 0));
+            *jobs += 1;
+            if *jobs >= rt.max_batch {
                 self.flush();
             }
         }
@@ -1621,10 +1535,11 @@ where
     /// Flushes the open batch window into the NN report (on a window
     /// timeout, a full batch, a recovery, and drain).
     fn flush(&mut self) {
-        if let Some(rt) = self.shared.batching.as_ref() {
-            if let (Some(nn), Some(jobs)) = (self.report.nn.as_mut(), self.collector.take()) {
-                charge_batch(nn, rt, jobs);
-            }
+        let rt = self.shared.batching.as_ref();
+        if let (Some(rt), Some(nn), Some((_, jobs))) =
+            (rt, self.report.nn.as_mut(), self.batch.take())
+        {
+            charge_batch(nn, rt, jobs);
         }
     }
 
@@ -1722,7 +1637,7 @@ where
     /// still open — as outcomes normally, as slots for the image when
     /// the server is freezing for a warm restart — and returns the
     /// worker's one-entry report.
-    fn finish(mut self, started: Instant, busy_ns: u64, gate: &CapacityGate) -> Drained<T> {
+    fn finish(mut self, started: Instant, busy_ns: u64) -> Drained<T> {
         self.flush();
         let wall_ns = started.elapsed().as_nanos() as u64;
         let mut report = self.report;
@@ -1734,23 +1649,15 @@ where
             }
             Vec::new()
         };
-        let gs = gate.stats();
-        report.ingress.parked = gs.parked;
-        report.ingress.woken = gs.woken;
-        report.ingress.immediate = gs.immediate;
         if let Some(walk) = report.degradation.as_mut() {
             walk.shed = report.shed;
         }
+        // `parked` is the lane's, filled in at shutdown.
         report.per_worker.push(WorkerStats {
             frames: report.frames,
-            served: report.served,
-            dropped: report.dropped,
-            shed: report.shed,
-            queue_wait: report.queue_wait.clone(),
             busy_ns,
             wall_ns,
-            parked: gs.parked,
-            woken: gs.woken,
+            parked: 0,
         });
         (report, frozen)
     }

@@ -18,8 +18,6 @@ pub struct CpuConfig {
     /// Power while awake and executing (a single big core with its L2 and
     /// fabric share; §2.1 notes the cluster alone can exceed 3 W).
     pub active_power: MilliWatts,
-    /// Deep-idle power (not charged to vision tasks; kept for reference).
-    pub idle_power: MilliWatts,
     /// Wake-up + DVFS ramp latency before useful work starts.
     pub wake_latency: Picos,
     /// Governor hold time after the work completes (the core stays up).
@@ -32,7 +30,6 @@ impl Default for CpuConfig {
     fn default() -> Self {
         CpuConfig {
             active_power: MilliWatts(2000.0),
-            idle_power: MilliWatts(30.0),
             wake_latency: Picos::from_millis(2),
             hold_time: Picos::from_micros(2_400),
             ops_per_second: 2.0e9,

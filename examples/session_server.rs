@@ -65,7 +65,7 @@ fn main() -> euphrates::common::Result<()> {
 
     // Stream every sequence through the server. `feed_sequence` renders
     // client-side via the O(1)-memory frame source and parks (sleeps on
-    // the lane's capacity gate, no spinning) when its session's lane is
+    // the lane's condvar, no spinning) when its session's lane is
     // at the bound. Session id doubles as the oracle stream index, so
     // the offline re-run below can reproduce the exact same noise
     // streams.

@@ -111,7 +111,7 @@
 //! session ids onto worker threads (each session's frames processed in
 //! order by one worker — outcomes stay bit-identical to a solo
 //! [`Session`][core::api::Session] or the offline evaluate), bounded
-//! ingress lanes park blocked producers on a capacity gate (no
+//! ingress lanes park blocked producers on a condvar (no
 //! spin-yield; [`try_submit`][serve::SessionServer::try_submit]
 //! returns [`Busy`][serve::Submit] for callers that would rather not
 //! wait), and concurrent sessions' NN inferences can be fused into
