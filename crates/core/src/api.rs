@@ -239,6 +239,12 @@ impl<T: VisionTask> Session<T> {
         self.resolution
     }
 
+    /// The EW policy scheduling the next frame: the configured one, or
+    /// the last [`reconfigure_policy`][Session::reconfigure_policy].
+    pub fn policy(&self) -> euphrates_mc::policy::EwPolicy {
+        self.config.policy
+    }
+
     /// `true` once a push has failed: the session rejects all further
     /// frames (the outcome up to the failure remains readable and
     /// [`finish`][Session::finish]able).

@@ -1,4 +1,5 @@
-//! SLO-aware graceful degradation: the overload-control state machine.
+//! SLO-aware graceful degradation: the overload-control state machine
+//! and the one degradation walk a server runs on it.
 //!
 //! Euphrates' central observation — the EW window is a *knob* trading
 //! accuracy for compute (§3.3) — makes the window the natural actuator
@@ -11,8 +12,7 @@
 //!   budget, the evaluation epoch, and the hysteresis streaks.
 //! * [`DegradationLadder`] / [`Rung`] — the ordered list of states the
 //!   server may degrade through. Each rung can widen the EW window,
-//!   shrink the NN batching window, recommend a cheaper motion search
-//!   to producers, and (last resort) shed frames.
+//!   shrink the NN batching window, and (last resort) shed frames.
 //! * [`OverloadController`] — a **pure, deterministic** state machine:
 //!   it consumes one pressure observation per epoch (the fraction of
 //!   frames whose queue wait exceeded the budget, derived from the same
@@ -20,16 +20,29 @@
 //!   ladder with two-sided hysteresis. Every transition is recorded
 //!   into a timeline that [`DegradationReport`] surfaces at drain.
 //!
+//! A server runs **one** walk: one controller behind a mutex, shared by
+//! every worker. This module owns it — pressure pooling, each
+//! arrival's rung, the shed rule, the batch-window shift and settling
+//! the report — so no other module tells its two modes apart. Measured
+//! (no plan): the frame that closes an epoch of pooled queue waits makes
+//! the controller observe it, so epoch composition depends on thread
+//! interleaving. Planned (a chaos [`PressurePlan`]): an arrival whose
+//! epoch the walk has not reached extends it over the plan, and the
+//! arrival's rung is [`OverloadController::rung_at`] that epoch.
+//!
 //! Determinism is the load-bearing property: the controller holds no
 //! clock and no randomness, so the rung sequence is a function of the
-//! observation sequence alone. Under a chaos
-//! [`PressurePlan`][crate::chaos::PressurePlan] the observations
-//! themselves are a pure function of `(seed, epoch)`, which is what
-//! lets the chaos suite assert *identical* rung timelines and
-//! per-session outcomes at any worker count.
+//! observation sequence alone. Under a plan each arrival's rung is then
+//! a pure function of the server's SLO, its plan and the session's
+//! arrival index — never of state carried in a session slot — which is
+//! what lets the chaos suite assert *identical* rung timelines and
+//! per-session outcomes at any worker count, and what makes a thawed
+//! session follow the new server's SLO and plan.
 
+use crate::chaos::PressurePlan;
 use euphrates_common::error::{Error, Result};
-use euphrates_isp::motion::SearchStrategy;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 /// One state of the degradation ladder. Rung 0 is the nominal state;
@@ -45,10 +58,6 @@ pub struct Rung {
     /// shift 1 halves the batching window (lower latency, less
     /// amortization), shift 0 leaves it nominal.
     pub max_wait_shift: u32,
-    /// A cheaper block-matching search recommended to producers at this
-    /// rung (motion estimation runs client-side; see
-    /// [`SessionServer::degraded_motion`][crate::SessionServer::degraded_motion]).
-    pub motion_hint: Option<SearchStrategy>,
     /// Shed frames at this rung instead of processing them: under a
     /// live (measured) controller only frames already over the
     /// per-frame budget are shed; under a chaos pressure plan every
@@ -57,14 +66,13 @@ pub struct Rung {
 }
 
 impl Rung {
-    /// A no-op rung: scheme policy, nominal batching window, no hint,
-    /// no shedding.
+    /// A no-op rung: scheme policy, nominal batching window, no
+    /// shedding.
     pub fn nominal(name: &'static str) -> Self {
         Rung {
             name,
             ew_window: None,
             max_wait_shift: 0,
-            motion_hint: None,
             shed: false,
         }
     }
@@ -79,31 +87,28 @@ pub struct DegradationLadder {
 
 impl DegradationLadder {
     /// The default four-rung ladder: nominal → EW-8 + half batching
-    /// window + three-step search → EW-16 + quarter window + diamond
-    /// search → the same plus shedding.
+    /// window → EW-16 + quarter window → EW-16 + eighth window +
+    /// shedding.
     pub fn standard() -> Self {
         DegradationLadder {
             rungs: vec![
                 Rung::nominal("nominal"),
                 Rung {
-                    name: "ew8-tss",
+                    name: "ew8",
                     ew_window: Some(8),
                     max_wait_shift: 1,
-                    motion_hint: Some(SearchStrategy::ThreeStep),
                     shed: false,
                 },
                 Rung {
-                    name: "ew16-diamond",
+                    name: "ew16",
                     ew_window: Some(16),
                     max_wait_shift: 2,
-                    motion_hint: Some(SearchStrategy::Diamond),
                     shed: false,
                 },
                 Rung {
                     name: "shed",
                     ew_window: Some(16),
                     max_wait_shift: 3,
-                    motion_hint: Some(SearchStrategy::Diamond),
                     shed: true,
                 },
             ],
@@ -294,6 +299,16 @@ impl OverloadController {
         &self.timeline
     }
 
+    /// The rung in force once `epoch` has been observed, read from the
+    /// timeline: rung 0 before the first transition. For an epoch not
+    /// yet observed this is the current rung.
+    pub fn rung_at(&self, epoch: u64) -> usize {
+        match self.timeline.partition_point(|t| t.epoch <= epoch) {
+            0 => 0,
+            n => self.timeline[n - 1].to,
+        }
+    }
+
     /// Consumes one epoch's pressure observation — the fraction of the
     /// epoch's frames whose queue wait exceeded the budget — and
     /// returns the (possibly new) rung.
@@ -379,18 +394,155 @@ impl DegradationReport {
 
     /// Adds `other`'s counters into this report. `epochs` takes the
     /// larger count: workers and incarnations share one planned walk.
-    /// The timeline and final rung are left alone — the server derives
-    /// them once, at shutdown, from the merged epochs.
+    /// Counts at rungs past this report's ladder (a thaw carry from a
+    /// longer ladder) land on its last rung, so `frames_per_rung`
+    /// indexes the settling server's ladder. The timeline and final
+    /// rung are left alone: [`OverloadRuntime::settle`] reads them off
+    /// the server's controller at shutdown.
     pub(crate) fn merge(&mut self, other: &DegradationReport) {
-        if self.frames_per_rung.len() < other.frames_per_rung.len() {
-            self.frames_per_rung.resize(other.frames_per_rung.len(), 0);
-        }
-        for (total, n) in self.frames_per_rung.iter_mut().zip(&other.frames_per_rung) {
-            *total += n;
+        let last = self.frames_per_rung.len() - 1;
+        for (rung, n) in other.frames_per_rung.iter().enumerate() {
+            self.frames_per_rung[rung.min(last)] += n;
         }
         self.shed += other.shed;
         self.reconfigs += other.reconfigs;
         self.epochs = self.epochs.max(other.epochs);
+    }
+}
+
+/// A server's one degradation walk (see the [module docs](self)).
+pub(crate) struct OverloadRuntime {
+    slo: SloConfig,
+    plan: Option<PressurePlan>,
+    /// Frames pooled in measured mode (monotonic; an epoch closes every
+    /// `eval_every`-th frame).
+    epoch_frames: AtomicU64,
+    /// Over-budget frames in the current measured epoch.
+    epoch_over: AtomicU64,
+    walk: Mutex<OverloadController>,
+}
+
+impl OverloadRuntime {
+    /// The walk of a server with `slo`, driven by `plan` when one is
+    /// given and by measured queue waits otherwise.
+    pub(crate) fn new(slo: SloConfig, plan: Option<PressurePlan>) -> Result<Self> {
+        let walk = Mutex::new(OverloadController::new(slo.clone())?);
+        Ok(OverloadRuntime {
+            slo,
+            plan,
+            epoch_frames: AtomicU64::new(0),
+            epoch_over: AtomicU64::new(0),
+            walk,
+        })
+    }
+
+    fn walk(&self) -> MutexGuard<'_, OverloadController> {
+        self.walk
+            .lock()
+            .expect("nothing panics while holding the degradation walk")
+    }
+
+    fn over_budget(&self, wait_ns: u64) -> bool {
+        wait_ns > self.slo.frame_budget.as_nanos() as u64
+    }
+
+    /// An empty report with one counter per rung.
+    pub(crate) fn empty_report(&self) -> DegradationReport {
+        DegradationReport {
+            timeline: Vec::new(),
+            frames_per_rung: vec![0; self.slo.ladder.len()],
+            shed: 0,
+            reconfigs: 0,
+            epochs: 0,
+            final_rung: 0,
+        }
+    }
+
+    /// The rung the walk stands on now.
+    pub(crate) fn rung(&self) -> usize {
+        self.walk().rung()
+    }
+
+    /// Pools one received frame's queue wait (measured mode; a no-op
+    /// under a plan). The frame that completes an epoch makes the
+    /// controller observe it, once per epoch, never per frame.
+    pub(crate) fn pool(&self, wait_ns: u64) {
+        if self.plan.is_some() {
+            return;
+        }
+        if self.over_budget(wait_ns) {
+            self.epoch_over.fetch_add(1, Ordering::Relaxed);
+        }
+        let n = self.epoch_frames.fetch_add(1, Ordering::Relaxed) + 1;
+        if n.is_multiple_of(self.slo.eval_every) {
+            let over = self.epoch_over.swap(0, Ordering::Relaxed);
+            self.walk()
+                .observe(over as f64 / self.slo.eval_every as f64);
+        }
+    }
+
+    /// The rung of a session's `arrival`-th frame, and whether the frame
+    /// is shed; counts the frame at its rung in `report` when given.
+    /// Under a plan the rung is the timeline's at the arrival's epoch
+    /// (so replays and thawed sessions land where a fault-free run
+    /// would), and every frame at a shedding rung is shed. A measured
+    /// frame takes the current rung and is shed only when its `wait_ns`
+    /// is over budget, so a replay (`wait_ns == None`) never sheds.
+    pub(crate) fn schedule(
+        &self,
+        arrival: u64,
+        wait_ns: Option<u64>,
+        report: Option<&mut DegradationReport>,
+    ) -> (usize, bool) {
+        let rung = match &self.plan {
+            Some(plan) => {
+                let epoch = arrival / self.slo.eval_every;
+                let mut walk = self.walk();
+                extend(&mut walk, plan, epoch + 1);
+                walk.rung_at(epoch)
+            }
+            None => self.rung(),
+        };
+        if let Some(report) = report {
+            report.frames_per_rung[rung] += 1;
+        }
+        let shed = self.slo.ladder.rungs[rung].shed
+            && (self.plan.is_some() || wait_ns.is_some_and(|w| self.over_budget(w)));
+        (rung, shed)
+    }
+
+    /// The EW window `rung` pins; `None` keeps the scheme's policy.
+    pub(crate) fn ew_window(&self, rung: usize) -> Option<u32> {
+        self.slo.ladder.rungs[rung].ew_window
+    }
+
+    /// The NN batching window at the current rung: `nominal` shifted
+    /// right by the rung's `max_wait_shift`.
+    pub(crate) fn batch_window(&self, nominal: Duration) -> Duration {
+        let shift = self.slo.ladder.rungs[self.rung()].max_wait_shift.min(63);
+        Duration::from_nanos((nominal.as_nanos() as u64) >> shift)
+    }
+
+    /// Settles the merged report at shutdown. Under a plan the walk is
+    /// first extended to the merged `epochs`, which covers a thaw
+    /// carry; then the timeline, epoch count and final rung are the
+    /// controller's, and `shed` is the drain's total.
+    pub(crate) fn settle(&self, report: &mut DegradationReport, shed: u64) {
+        let mut walk = self.walk();
+        if let Some(plan) = &self.plan {
+            extend(&mut walk, plan, report.epochs);
+        }
+        report.timeline = walk.timeline().to_vec();
+        report.epochs = walk.epochs();
+        report.final_rung = walk.rung();
+        report.shed = shed;
+    }
+}
+
+/// Observes `plan` until `walk` has seen `epochs` epochs.
+fn extend(walk: &mut OverloadController, plan: &PressurePlan, epochs: u64) {
+    while walk.epochs() < epochs {
+        walk.observe(plan.over_frac(walk.epochs()));
     }
 }
 
@@ -468,6 +620,19 @@ mod tests {
             .map(|t| t.to)
             .collect();
         assert_eq!(downs, vec![1, 0]);
+    }
+
+    #[test]
+    fn rung_at_reads_the_rung_in_force_after_each_epoch() {
+        let mut c = OverloadController::new(slo(1, 2)).unwrap();
+        for over_frac in [0.0, 1.0, 1.0, 0.0, 0.0] {
+            c.observe(over_frac);
+        }
+        // Steps 0→1 at epoch 1, 1→2 at epoch 2, 2→1 at epoch 4; epoch 5
+        // is not observed yet and reads the current rung.
+        let rungs: Vec<usize> = (0..6).map(|e| c.rung_at(e)).collect();
+        assert_eq!(rungs, vec![0, 1, 2, 2, 1, 1]);
+        assert_eq!(c.rung_at(5), c.rung());
     }
 
     #[test]

@@ -86,20 +86,24 @@
 //! [`DegradationLadder`] with two-sided hysteresis (the
 //! [`OverloadController`] in [`degrade`]): widen live sessions' EW
 //! windows (via the core runtime re-config `Session::reconfigure_policy`),
-//! shrink the NN batching window, recommend a cheaper motion search to
-//! producers ([`degraded_motion`][SessionServer::degraded_motion]), and
-//! — last resort — shed frames that have already blown their budget.
-//! Every transition lands in the [`DegradationReport`] merged into
-//! [`DrainReport::degradation`], and shed frames get their own counter:
-//! `frames == served + dropped + shed`, exactly.
+//! shrink the NN batching window, and — last resort — shed frames that
+//! have already blown their budget. Every transition lands in the
+//! [`DegradationReport`] merged into [`DrainReport::degradation`], and
+//! shed frames get their own counter: `frames == served + dropped +
+//! shed`, exactly.
+//!
+//! A server runs **one** degradation walk, owned by [`degrade`]: no
+//! session slot or checkpoint carries a copy, and the report's timeline,
+//! epochs and final rung are read off it at shutdown.
 //!
 //! [`ServeConfig::with_chaos`] arms a seeded, bit-reproducible fault
 //! plan ([`ChaosConfig`] in [`chaos`]): worker stalls, injected session
 //! panics, corrupted (wrong-resolution) frames, and forced admission
 //! rejections, all derived from [`rngx::counter_hash`] over logical
-//! counters — never wall-clock. A chaos
-//! [`PressurePlan`] replaces the measured pressure signal with a pure
-//! function of the epoch, advanced per-session by arrival index, which
+//! counters — never wall-clock. A chaos [`PressurePlan`] replaces the
+//! measured pressure signal with a pure function of the epoch: the walk
+//! is extended over the plan as arrivals reach new epochs, and each
+//! frame's rung is the walk's rung at its session's arrival epoch. That
 //! makes the entire degradation walk — rung timeline *and* per-session
 //! outcomes — a deterministic function of `(seed, config)` at any
 //! worker count. The chaos suite asserts exactly that, plus exact frame
@@ -156,7 +160,10 @@
 //! into a [`ServerImage`], and [`SessionServer::thaw`] rebuilds a
 //! running server — at any worker count — whose sessions continue
 //! bit-exactly where they froze; under supervision each live slot
-//! restarts its ledger from a fresh checkpoint. Every worker's counters
+//! restarts its ledger from a fresh checkpoint. A thawed session follows
+//! the new server's SLO and plan: its rungs come from the new server's
+//! walk at its own arrival index, whether or not the frozen server had
+//! an SLO or the same ladder. Every worker's counters
 //! take the shape of a one-worker [`DrainReport`], and one merge folds
 //! the workers at shutdown and the pre-freeze report carried through
 //! the image, so the final [`DrainReport`] — degradation accounting
@@ -206,6 +213,7 @@ pub use degrade::{
 };
 pub use supervise::{IncidentKind, RecoveryIncident, RecoveryReport, SuperviseConfig};
 
+use crate::degrade::OverloadRuntime;
 use crate::lane::{Lane, LaneEnd, Pop, Wait};
 use crate::supervise::{Ledger, SlotCheckpoint};
 use euphrates_common::error::{Error, Result};
@@ -223,8 +231,8 @@ use euphrates_nn::engine::{BatchPlan, InferencePlan, NnxEngine};
 use euphrates_nn::layer::NetworkDescriptor;
 use std::collections::{BTreeSet, HashMap};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -403,55 +411,6 @@ struct BatchRuntime {
     solo: InferencePlan,
 }
 
-/// The overload-control state shared by all workers when an SLO is
-/// configured. Two operating modes:
-///
-/// * **Measured** (`plan: None`): workers pool per-epoch pressure in
-///   the atomics; whichever worker closes an epoch locks the global
-///   controller, observes, and publishes the new rung in `current`.
-///   Real, but epoch composition depends on thread interleaving.
-/// * **Planned** (`plan: Some`): each session carries its own clone of
-///   `template` advanced by *arrival index* against the pure pressure
-///   plan, so per-session rung schedules (and outcomes) are identical
-///   at any worker count; `current` mirrors the latest advance for the
-///   worker-level knobs (batch window, motion hint).
-struct OverloadRuntime {
-    slo: SloConfig,
-    plan: Option<PressurePlan>,
-    template: OverloadController,
-    /// The rung driving worker-level knobs right now.
-    current: AtomicUsize,
-    /// Frames observed in measured mode (monotonic; an epoch closes
-    /// every `eval_every`-th frame).
-    epoch_frames: AtomicU64,
-    /// Over-budget frames in the current measured epoch.
-    epoch_over: AtomicU64,
-    /// The measured-mode controller (locked once per epoch, never per
-    /// frame).
-    controller: Mutex<OverloadController>,
-}
-
-impl OverloadRuntime {
-    /// Measured-mode pressure pooling: every received frame contributes;
-    /// the worker that completes an epoch locks the controller once and
-    /// publishes the rung. A no-op under a pressure plan.
-    fn pool_pressure(&self, wait_ns: u64) {
-        if self.plan.is_some() {
-            return;
-        }
-        if wait_ns > self.slo.frame_budget.as_nanos() as u64 {
-            self.epoch_over.fetch_add(1, Ordering::Relaxed);
-        }
-        let n = self.epoch_frames.fetch_add(1, Ordering::Relaxed) + 1;
-        if n.is_multiple_of(self.slo.eval_every) {
-            let over = self.epoch_over.swap(0, Ordering::Relaxed);
-            let mut ctl = self.controller.lock().unwrap_or_else(|p| p.into_inner());
-            let rung = ctl.observe(over as f64 / self.slo.eval_every as f64);
-            self.current.store(rung, Ordering::Relaxed);
-        }
-    }
-}
-
 /// Read-only state shared by all workers (plus the one write-once
 /// `freeze` latch the warm-restart path flips before shutdown).
 struct Shared<T> {
@@ -522,14 +481,13 @@ impl FailureBreakdown {
 /// A live session plus the serving-side state that rides along: its
 /// scheme index (to restore the declared EW policy at rung 0), the
 /// arrival counter the deterministic fault/pressure schedules key on,
-/// the rung currently applied to it, under a pressure plan its own
-/// controller replica, and under supervision its recovery ledger.
+/// the rung whose EW policy the session has, and under supervision its
+/// recovery ledger.
 struct LiveSlot<T: VisionTask> {
     session: Session<T>,
     scheme: usize,
     arrivals: u64,
     applied_rung: usize,
-    walk: Option<OverloadController>,
     /// The write-ahead recovery state: the last checkpoint plus the
     /// frames since. `None` when supervision is off.
     ledger: Option<Ledger<T>>,
@@ -745,14 +703,7 @@ impl DrainReport {
             per_worker: Vec::new(),
             ingress: IngressReport::default(),
             nn: shared.batching.as_ref().map(|_| NnServeReport::default()),
-            degradation: shared.overload.as_ref().map(|rt| DegradationReport {
-                timeline: Vec::new(),
-                frames_per_rung: vec![0; rt.slo.ladder.len()],
-                shed: 0,
-                reconfigs: 0,
-                epochs: 0,
-                final_rung: 0,
-            }),
+            degradation: shared.overload.as_ref().map(OverloadRuntime::empty_report),
             chaos: shared.chaos.as_ref().map(|_| ChaosReport::default()),
             recovery: shared.supervise.as_ref().map(|_| RecoveryReport::default()),
         }
@@ -909,21 +860,11 @@ where
         if let Some(sup) = &config.supervise {
             sup.validate()?;
         }
-        let overload = match config.slo {
-            Some(slo) => {
-                let template = OverloadController::new(slo.clone())?;
-                Some(OverloadRuntime {
-                    slo,
-                    plan: config.chaos.as_ref().and_then(|c| c.pressure),
-                    controller: Mutex::new(template.clone()),
-                    template,
-                    current: AtomicUsize::new(0),
-                    epoch_frames: AtomicU64::new(0),
-                    epoch_over: AtomicU64::new(0),
-                })
-            }
-            None => None,
-        };
+        let plan = config.chaos.as_ref().and_then(|c| c.pressure);
+        let overload = config
+            .slo
+            .map(|slo| OverloadRuntime::new(slo, plan))
+            .transpose()?;
         let shared = Arc::new(Shared {
             task,
             schemes,
@@ -1095,23 +1036,7 @@ where
         self.shared
             .overload
             .as_ref()
-            .map_or(0, |rt| rt.current.load(Ordering::Relaxed))
-    }
-
-    /// `base` with the current rung's cheaper motion-search
-    /// recommendation applied (identity at nominal or without an SLO).
-    /// Motion estimation runs client-side, so the server can only
-    /// advise: producers that re-render under pressure should route
-    /// their [`MotionConfig`] through this before building frames.
-    pub fn degraded_motion(&self, base: &MotionConfig) -> MotionConfig {
-        let mut config = *base;
-        if let Some(rt) = self.shared.overload.as_ref() {
-            let rung = &rt.slo.ladder.rungs[rt.current.load(Ordering::Relaxed)];
-            if let Some(hint) = rung.motion_hint {
-                config.strategy = hint;
-            }
-        }
-        config
+            .map_or(0, OverloadRuntime::rung)
     }
 
     /// Shuts down gracefully: closes every lane, lets each worker
@@ -1147,7 +1072,8 @@ where
     /// [`freeze`][Self::freeze] image under a fresh `config` (any
     /// worker count — sessions re-shard by id). Scheme registry and
     /// task come from the image; pre-freeze statistics carry into the
-    /// final [`DrainReport`].
+    /// final [`DrainReport`]. Thawed sessions follow `config`'s SLO and
+    /// pressure plan from their next arrival on.
     ///
     /// # Errors
     ///
@@ -1164,8 +1090,8 @@ where
 
     /// The common teardown behind [`drain`][Self::drain] and
     /// [`freeze`][Self::freeze]: close lanes, join the workers, fold
-    /// their reports and the thaw carry, then derive the degradation
-    /// walk once.
+    /// their reports and the thaw carry, then settle the degradation
+    /// report from the server's one walk.
     fn shutdown(self) -> Drained<T> {
         for lane in &self.lanes {
             lane.0.close();
@@ -1193,29 +1119,7 @@ where
         }
         if let (Some(rt), Some(walk)) = (self.shared.overload.as_ref(), report.degradation.as_mut())
         {
-            // Planned mode: the canonical (thread-count-independent)
-            // walk is the template replayed over the pure pressure plan
-            // for as many epochs as any session reached, in any
-            // incarnation. Measured mode: the global controller's own
-            // history (a poisoned lock just means a worker died
-            // mid-epoch; its state is still valid).
-            let ctl = match &rt.plan {
-                Some(plan) => {
-                    let mut ctl = rt.template.clone();
-                    for epoch in 0..walk.epochs {
-                        ctl.observe(plan.over_frac(epoch));
-                    }
-                    ctl
-                }
-                None => rt
-                    .controller
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .clone(),
-            };
-            walk.timeline = ctl.timeline().to_vec();
-            walk.epochs = ctl.epochs();
-            walk.final_rung = ctl.rung();
+            rt.settle(walk, report.shed);
         }
         (report, frozen)
     }
@@ -1353,11 +1257,7 @@ where
         let (opened, _) = self.batch?;
         let batching = self.shared.batching.as_ref()?;
         let max_wait = match self.shared.overload.as_ref() {
-            Some(rt) => {
-                let rung = rt.current.load(Ordering::Relaxed);
-                let shift = rt.slo.ladder.rungs[rung].max_wait_shift.min(63);
-                Duration::from_nanos((batching.max_wait.as_nanos() as u64) >> shift)
-            }
+            Some(rt) => rt.batch_window(batching.max_wait),
             None => batching.max_wait,
         };
         Some(opened + max_wait)
@@ -1419,11 +1319,6 @@ where
                     scheme,
                     arrivals: 0,
                     applied_rung: 0,
-                    walk: shared
-                        .overload
-                        .as_ref()
-                        .filter(|rt| rt.plan.is_some())
-                        .map(|rt| rt.template.clone()),
                     ledger: None,
                 };
                 live.restart_ledger(shared.supervise.is_some());
@@ -1461,7 +1356,7 @@ where
         self.report.queue_wait.record(wait_ns);
         let shared = &*self.shared;
         if let Some(rt) = shared.overload.as_ref() {
-            rt.pool_pressure(wait_ns);
+            rt.pool(wait_ns);
         }
         let Some(Slot::Live(slot)) = self.sessions.get_mut(&id) else {
             self.report.dropped += 1;
@@ -1649,9 +1544,6 @@ where
             }
             Vec::new()
         };
-        if let Some(walk) = report.degradation.as_mut() {
-            walk.shed = report.shed;
-        }
         // `parked` is the lane's, filled in at shutdown.
         report.per_worker.push(WorkerStats {
             frames: report.frames,
@@ -1679,25 +1571,47 @@ where
     T::State: Clone,
 {
     /// One arrival, the single path of live frames and recovery replay:
-    /// advances the arrival counter, resolves the degradation decision
-    /// ([`schedule_arrival`]), and unless shed pushes the frame — or
-    /// the chaos `substitute` — with an injected panic when
+    /// advances the arrival counter, takes the arrival's rung from the
+    /// server's walk ([`OverloadRuntime::schedule`]) and applies its EW
+    /// policy when the slot's rung changes, and unless shed pushes the
+    /// frame — or the chaos `substitute` — with an injected panic when
     /// `inject_panic`. The push runs under an unwind guard: one
     /// session's panic, organic or injected, must not take down the
     /// worker or the other sessions on its shard.
+    ///
+    /// The live path passes `Some` for both `wait_ns` and
+    /// `degradation`; replay passes `None` for both, since every
+    /// replayed frame was counted when it was first processed.
     fn arrive(
         &mut self,
         shared: &Shared<T>,
         frame: &FrameData,
         wait_ns: Option<u64>,
-        degradation: Option<&mut DegradationReport>,
+        mut degradation: Option<&mut DegradationReport>,
         inject_panic: bool,
         substitute: Option<&FrameData>,
     ) -> Arrival {
         let arrival = self.arrivals;
         self.arrivals += 1;
-        if schedule_arrival(shared, self, arrival, wait_ns, degradation) {
-            return Arrival::Shed;
+        if let Some(rt) = shared.overload.as_ref() {
+            let (rung, shed) = rt.schedule(arrival, wait_ns, degradation.as_deref_mut());
+            let policy = match rt.ew_window(rung) {
+                Some(n) => EwPolicy::Constant(n),
+                None => shared.schemes[self.scheme].backend.policy,
+            };
+            // A thaw under another ladder can leave the session on a
+            // policy its rung index no longer names.
+            if rung != self.applied_rung || policy != self.session.policy() {
+                if self.session.reconfigure_policy(policy).is_ok() {
+                    if let Some(report) = degradation {
+                        report.reconfigs += 1;
+                    }
+                }
+                self.applied_rung = rung;
+            }
+            if shed {
+                return Arrival::Shed;
+            }
         }
         let pushed = substitute.unwrap_or(frame);
         match std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -1736,7 +1650,6 @@ where
             scheme: self.scheme,
             arrivals: self.arrivals,
             applied_rung: self.applied_rung,
-            walk: self.walk.clone(),
         }
     }
 
@@ -1747,7 +1660,6 @@ where
             scheme: cp.scheme,
             arrivals: cp.arrivals,
             applied_rung: cp.applied_rung,
-            walk: cp.walk,
             ledger: None,
         }
     }
@@ -1757,70 +1669,6 @@ where
     fn restart_ledger(&mut self, supervised: bool) {
         self.ledger = supervised.then(|| Ledger::new(self.checkpoint()));
     }
-}
-
-/// Resolves one arrival's degradation decision for a session slot: in
-/// planned mode advances the slot's own controller replica on the
-/// arrival index, in measured mode reads the global rung; applies the
-/// rung's EW policy via `Session::reconfigure_policy` when it changes,
-/// and returns whether the frame is shed.
-///
-/// The live path passes `Some` for both `wait_ns` and `report`; the
-/// recovery **replay** path passes `None` for both — replay rebuilds
-/// session *state* (walk, policy, arrivals) without touching any
-/// counter or the global rung, because every replayed frame was already
-/// counted when it was first processed. Under a planned pressure plan
-/// the shed decision is a pure function of the arrival index, so replay
-/// re-sheds exactly the frames the live path shed; in measured mode
-/// replay never sheds (documented best-effort — measured rungs are
-/// wall-clock-driven and not replayable).
-fn schedule_arrival<T>(
-    shared: &Shared<T>,
-    slot: &mut LiveSlot<T>,
-    arrival: u64,
-    wait_ns: Option<u64>,
-    mut report: Option<&mut DegradationReport>,
-) -> bool
-where
-    T: VisionTask + Clone,
-{
-    let Some(rt) = shared.overload.as_ref() else {
-        return false;
-    };
-    let rung = match (&rt.plan, slot.walk.as_mut()) {
-        (Some(plan), Some(walk)) => {
-            if arrival.is_multiple_of(rt.slo.eval_every) {
-                let epoch = arrival / rt.slo.eval_every;
-                let r = walk.observe(plan.over_frac(epoch));
-                if let Some(report) = report.as_deref_mut() {
-                    report.epochs = report.epochs.max(epoch + 1);
-                    rt.current.store(r, Ordering::Relaxed);
-                }
-            }
-            walk.rung()
-        }
-        _ => rt.current.load(Ordering::Relaxed),
-    };
-    if let Some(report) = report.as_deref_mut() {
-        report.frames_per_rung[rung] += 1;
-    }
-    if rung != slot.applied_rung {
-        let policy = match rt.slo.ladder.rungs[rung].ew_window {
-            Some(n) => EwPolicy::Constant(n),
-            None => shared.schemes[slot.scheme].backend.policy,
-        };
-        if slot.session.reconfigure_policy(policy).is_ok() {
-            if let Some(report) = report {
-                report.reconfigs += 1;
-            }
-        }
-        slot.applied_rung = rung;
-    }
-    // Last-resort rung: planned mode sheds every frame (deterministic);
-    // measured mode sheds only frames already over budget (a stale
-    // frame's result is worthless).
-    rt.slo.ladder.rungs[rung].shed
-        && (rt.plan.is_some() || wait_ns.is_some_and(|w| w > rt.slo.frame_budget.as_nanos() as u64))
 }
 
 /// A frozen server: the task, the scheme registry, every session's

@@ -26,8 +26,9 @@
 //!   [`RecoveryIncident`], and rebuilds its table where it stands.
 //!   Tombstones stay as they are. Each live slot is restored from its
 //!   own checkpoint and its log replayed through the same arrival path
-//!   live frames take (rung walk included) to rebuild the exact
-//!   pre-fault state; then the worker processes the faulting message.
+//!   live frames take (rungs and EW re-configurations included) to
+//!   rebuild the exact pre-fault state; then the worker processes the
+//!   faulting message.
 //!   Replayed frames touch **no** counters: every frame is counted
 //!   once. A session whose replay log outgrew
 //!   [`replay_budget`][SuperviseConfig::replay_budget] becomes a
@@ -41,7 +42,6 @@
 //! the chaos suite asserts bit-equal recovery timelines at 1 and 4
 //! workers.
 
-use crate::degrade::OverloadController;
 use crate::SessionId;
 use euphrates_common::error::{Error, Result};
 use euphrates_core::api::{SessionCheckpoint, VisionTask};
@@ -110,15 +110,13 @@ impl SuperviseConfig {
 
 /// A checkpoint of one *serving slot*: the core session checkpoint plus
 /// the serve-side state that must survive a resurrection — the scheme
-/// index, the arrival counter every deterministic schedule keys on, the
-/// rung currently applied, and (under a pressure plan) the session's
-/// own controller replica.
+/// index, the arrival counter every deterministic schedule keys on, and
+/// the rung whose EW policy the session has.
 pub(crate) struct SlotCheckpoint<T: VisionTask> {
     pub(crate) session: SessionCheckpoint<T>,
     pub(crate) scheme: usize,
     pub(crate) arrivals: u64,
     pub(crate) applied_rung: usize,
-    pub(crate) walk: Option<OverloadController>,
 }
 
 impl<T> Clone for SlotCheckpoint<T>
@@ -132,7 +130,6 @@ where
             scheme: self.scheme,
             arrivals: self.arrivals,
             applied_rung: self.applied_rung,
-            walk: self.walk.clone(),
         }
     }
 }

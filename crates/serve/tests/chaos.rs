@@ -398,6 +398,49 @@ fn planned_overload_walks_the_declared_ladder_and_sheds() {
 }
 
 // ---------------------------------------------------------------------------
+// Measured overload: with no pressure plan the server's one controller
+// observes the pooled queue waits. A 1 ns budget puts every frame over
+// it, so the walk does not depend on timing.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn measured_overload_walks_the_ladder_on_pooled_queue_waits() {
+    const FRAMES: u64 = 16;
+    let server = SessionServer::new(
+        CalmTask,
+        vec![SchemeSpec::new("ew1", BackendConfig::new(EwPolicy::Constant(1))).unwrap()],
+        ServeConfig::sized(1, 64).with_slo(
+            SloConfig::new(Duration::from_nanos(1))
+                .with_epoch(4)
+                .with_hysteresis(1, 8),
+        ),
+    )
+    .unwrap();
+    server.open(0, "ew1", RES).unwrap();
+    for _ in 0..FRAMES {
+        server.submit_blocking(0, frame_at(RES)).unwrap();
+    }
+    server.close(0).unwrap();
+    let report = server.drain();
+    assert_eq!(report.frames, FRAMES);
+    assert_eq!(report.frames, report.served + report.dropped + report.shed);
+    let walk = report.degradation.as_ref().expect("slo armed");
+    let timeline: Vec<(u64, usize, usize)> = walk
+        .timeline
+        .iter()
+        .map(|t| (t.epoch, t.from, t.to))
+        .collect();
+    assert_eq!(timeline, vec![(0, 0, 1), (1, 1, 2), (2, 2, 3)]);
+    // Each epoch's fourth frame closes it, and that frame already runs
+    // at the new rung: 3 nominal frames, then 4, 4 and 5.
+    assert_eq!(walk.frames_per_rung, vec![3, 4, 4, 5]);
+    assert_eq!((walk.shed, report.shed), (5, 5));
+    assert_eq!(walk.reconfigs, 3);
+    assert_eq!((walk.epochs, walk.final_rung), (4, 3));
+    assert!(report.outcome(0).expect("closed").is_ok());
+}
+
+// ---------------------------------------------------------------------------
 // Circuit breaker: forced saturation trips the producer's breaker and
 // tombstones the session with a typed reason.
 // ---------------------------------------------------------------------------

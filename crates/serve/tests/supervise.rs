@@ -19,7 +19,8 @@
 //!   through every worker fault that follows;
 //! * freeze/thaw round-trips hundreds of concurrent sessions
 //!   bit-identically, including across a worker-count change, and
-//!   carries the degradation accounting across the restart.
+//!   carries the degradation accounting across the restart;
+//! * a thawed session follows the new server's SLO, ladder and plan.
 
 use euphrates_camera::scene::SceneBuilder;
 use euphrates_camera::texture::Texture;
@@ -814,4 +815,151 @@ fn degradation_accounting_carries_across_freeze_and_thaw() {
         "the split run's degradation report must cover both incarnations"
     );
     assert_eq!(carried.shed, split.shed);
+}
+
+// ---------------------------------------------------------------------------
+// The thaw rule: a thawed session follows the new server's SLO and plan.
+// Its rung at every arrival comes from that server's walk, never from
+// state carried in its slot.
+// ---------------------------------------------------------------------------
+
+/// An EW-1 server under `config` with sessions `ids` open.
+fn ew1_server(config: ServeConfig, ids: std::ops::Range<u64>) -> SessionServer<CalmTask> {
+    let server = SessionServer::new(
+        CalmTask,
+        vec![SchemeSpec::new("ew1", BackendConfig::new(EwPolicy::Constant(1))).unwrap()],
+        config,
+    )
+    .unwrap();
+    for id in ids {
+        server.open(id, "ew1", RES).unwrap();
+    }
+    server
+}
+
+/// Feeds `frames` rounds of one frame to each of `ids`.
+fn feed(server: &SessionServer<CalmTask>, ids: std::ops::Range<u64>, frames: u64) {
+    for _ in 0..frames {
+        for id in ids.clone() {
+            server.submit_blocking(id, frame_at(RES)).unwrap();
+        }
+    }
+}
+
+#[test]
+fn thaw_into_a_shorter_ladder_reads_only_the_new_ladder() {
+    // Frozen at arrival 14, mid-epoch and on the standard ladder's
+    // shedding rung 3, which the two-rung ladder does not have.
+    let server = ew1_server(burst_config(2), 0..1);
+    feed(&server, 0..1, 14);
+    let mut config = burst_config(2);
+    config
+        .slo
+        .as_mut()
+        .expect("slo armed")
+        .ladder
+        .rungs
+        .truncate(2);
+    let server = SessionServer::thaw(server.freeze(), config).unwrap();
+    feed(&server, 0..1, 8);
+    server.close(0).unwrap();
+    let report = server.drain();
+
+    assert_eq!(report.frames, 22);
+    assert_exact_accounting(&report);
+    // Arrivals 8..14 were shed on the old ladder; the new one sheds
+    // nothing.
+    assert_eq!((report.served, report.shed), (16, 6));
+    let walk = report.degradation.as_ref().expect("slo armed");
+    // The carried 4 + 4 + 6 arrivals at old rungs 1-3 land on the new
+    // last rung, with the 8 thawed arrivals at rung 1.
+    assert_eq!(walk.frames_per_rung, vec![0, 22]);
+    assert_eq!(walk.final_rung, 1);
+    assert_eq!(walk.shed, report.shed);
+    assert!(report.outcome(0).expect("closed").is_ok());
+}
+
+#[test]
+fn session_frozen_without_an_slo_walks_the_plan_after_thaw() {
+    let run = |workers: usize| {
+        let server = ew1_server(ServeConfig::sized(2, 64), 0..1);
+        feed(&server, 0..1, 4);
+        let server = SessionServer::thaw(server.freeze(), burst_config(workers)).unwrap();
+        // A fresh session beside the thawed one: each follows its own
+        // arrival index, not the other's progress.
+        server.open(1, "ew1", RES).unwrap();
+        feed(&server, 0..2, 16);
+        for id in 0..2 {
+            server.close(id).unwrap();
+        }
+        server.drain()
+    };
+    let one = run(1);
+    let three = run(3);
+    for report in [&one, &three] {
+        assert_eq!(report.frames, 36);
+        assert_exact_accounting(report);
+        assert!(report.iter().all(|(_, outcome)| outcome.is_ok()));
+    }
+    assert_eq!(counts(&one), counts(&three));
+    assert_eq!(outcome_map(&one), outcome_map(&three));
+    let walk = one.degradation.as_ref().expect("slo armed");
+    assert_eq!(
+        Some(walk),
+        three.degradation.as_ref(),
+        "the thawed walk diverged across worker counts"
+    );
+    // A session planned from the start sits at rung 1 for arrivals
+    // 0..4, rung 2 for 4..8 and the shedding rung 3 from 8 on. The
+    // thawed session's arrivals 4..20 land as that session's do: 4 at
+    // rung 2, 12 shed at rung 3. The fresh one's 16 arrivals: 4, 4, 8.
+    assert_eq!(walk.frames_per_rung, vec![0, 4, 8, 20]);
+    assert_eq!((one.shed, walk.shed), (12 + 8, 12 + 8));
+    let timeline: Vec<(u64, usize, usize)> = walk
+        .timeline
+        .iter()
+        .map(|t| (t.epoch, t.from, t.to))
+        .collect();
+    assert_eq!(timeline, vec![(0, 0, 1), (1, 1, 2), (2, 2, 3)]);
+    assert_eq!((walk.epochs, walk.final_rung), (5, 3));
+    // Thawed: rung 0 → 2 → 3; fresh: 0 → 1 → 2 → 3.
+    assert_eq!(walk.reconfigs, 2 + 3);
+}
+
+#[test]
+fn thaw_under_another_ladder_applies_the_new_rungs_policy() {
+    // Rung 1 pins EW-8 on the standard ladder and EW-2 on this one.
+    let mut ew2 = SloConfig::new(Duration::from_millis(1))
+        .with_epoch(4)
+        .with_hysteresis(1, 8);
+    ew2.ladder.rungs.truncate(2);
+    ew2.ladder.rungs[1].ew_window = Some(2);
+    let burst = ChaosConfig::seeded(1).with_pressure(PressurePlan::Burst {
+        from: 0,
+        until: 1_000,
+    });
+    let ew2_config = ServeConfig::sized(2, 64).with_slo(ew2).with_chaos(burst);
+
+    // Frozen at arrival 2, on rung 1 of both ladders.
+    let server = ew1_server(burst_config(2), 0..1);
+    feed(&server, 0..1, 2);
+    let server = SessionServer::thaw(server.freeze(), ew2_config.clone()).unwrap();
+    feed(&server, 0..1, 16);
+    server.close(0).unwrap();
+    let thawed = server.drain();
+
+    let server = ew1_server(ew2_config, 0..1);
+    feed(&server, 0..1, 18);
+    server.close(0).unwrap();
+    let fresh = server.drain();
+
+    let inferences = |r: &DrainReport| r.outcome(0).unwrap().as_ref().unwrap().inferences;
+    assert_eq!(inferences(&fresh), 9, "EW-2 infers every other frame");
+    assert_eq!(
+        inferences(&thawed),
+        inferences(&fresh),
+        "the thawed session kept the old ladder's EW-8"
+    );
+    let reconfigs = |r: &DrainReport| r.degradation.as_ref().unwrap().reconfigs;
+    assert_eq!((reconfigs(&thawed), reconfigs(&fresh)), (2, 1));
 }

@@ -131,8 +131,8 @@
 //! [`OverloadController`][serve::OverloadController] that walks a
 //! declared [`DegradationLadder`][serve::DegradationLadder] with
 //! hysteresis — widening the extrapolation window (trading the paper's
-//! accuracy knob for compute), shrinking the batching window, switching
-//! to cheaper motion search, and shedding at the last rung — with
+//! accuracy knob for compute), shrinking the batching window, and
+//! shedding at the last rung — with
 //! every transition recorded in the drain report's
 //! [`DegradationReport`][serve::DegradationReport]. A seeded
 //! [`ChaosConfig`][serve::ChaosConfig] fault plan (worker stalls,
