@@ -24,6 +24,13 @@
 //!   gets stuck with the message in hand and loses its session table
 //!   the same way. Wedges take no wall-clock time.
 //!
+//! [`ChaosReport`] counts the faults that touch one session or one
+//! admission. Worker kills and wedges need supervision, and each one is
+//! exactly one [`RecoveryIncident`][crate::RecoveryIncident] in
+//! [`RecoveryReport::incidents`][crate::RecoveryReport::incidents],
+//! told apart by its [`IncidentKind`][crate::IncidentKind]; nothing
+//! else counts them.
+//!
 //! Every decision derives from [`rngx::counter_hash`] over *logical*
 //! counters — session id, per-session arrival index, per-worker dequeue
 //! index, admission sequence number — never wall-clock. Same seed, same
@@ -263,9 +270,10 @@ impl ChaosConfig {
     }
 }
 
-/// Counters of the faults actually injected, merged over all workers
-/// and the admission path; part of [`DrainReport`][crate::DrainReport]
-/// when chaos is armed.
+/// Counters of the session and admission faults actually injected,
+/// merged over all workers and the admission path; part of
+/// [`DrainReport`][crate::DrainReport] when chaos is armed. Worker kills
+/// and wedges are [`RecoveryReport::incidents`][crate::RecoveryReport::incidents].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ChaosReport {
     /// Worker stalls taken.
@@ -276,16 +284,12 @@ pub struct ChaosReport {
     pub corrupted: u64,
     /// Admissions forcibly rejected as `Busy`.
     pub rejections: u64,
-    /// Worker kills taken (each cost a whole shard its session table).
-    pub kills: u64,
-    /// Worker wedges taken (each cost a whole shard its session table).
-    pub wedges: u64,
 }
 
 impl ChaosReport {
-    /// Total faults injected.
+    /// Total session and admission faults injected.
     pub fn total(&self) -> u64 {
-        self.stalls + self.panics + self.corrupted + self.rejections + self.kills + self.wedges
+        self.stalls + self.panics + self.corrupted + self.rejections
     }
 
     pub(crate) fn merge(&mut self, other: &ChaosReport) {
@@ -293,8 +297,6 @@ impl ChaosReport {
         self.panics += other.panics;
         self.corrupted += other.corrupted;
         self.rejections += other.rejections;
-        self.kills += other.kills;
-        self.wedges += other.wedges;
     }
 }
 

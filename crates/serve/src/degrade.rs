@@ -373,11 +373,9 @@ pub struct DegradationReport {
     /// plan this is the canonical (thread-count-independent) walk.
     pub timeline: Vec<RungTransition>,
     /// Frames *scheduled* at each rung (indexed like the ladder): live
-    /// sessions' arrivals, whether served, shed, or fatal.
+    /// sessions' arrivals, whether served, shed, or fatal. The frames
+    /// shed are [`DrainReport::shed`][crate::DrainReport::shed].
     pub frames_per_rung: Vec<u64>,
-    /// Frames shed at shedding rungs (accounted separately from served
-    /// and dropped: `frames == served + dropped + shed`).
-    pub shed: u64,
     /// Live EW re-configurations applied to sessions on rung changes.
     pub reconfigs: u64,
     /// Pressure epochs observed.
@@ -387,24 +385,18 @@ pub struct DegradationReport {
 }
 
 impl DegradationReport {
-    /// Number of transitions taken.
-    pub fn transitions(&self) -> usize {
-        self.timeline.len()
-    }
-
     /// Adds `other`'s counters into this report. `epochs` takes the
-    /// larger count: workers and incarnations share one planned walk.
-    /// Counts at rungs past this report's ladder (a thaw carry from a
-    /// longer ladder) land on its last rung, so `frames_per_rung`
-    /// indexes the settling server's ladder. The timeline and final
-    /// rung are left alone: [`OverloadRuntime::settle`] reads them off
-    /// the server's controller at shutdown.
+    /// larger count and the timelines concatenate: only a thaw carry
+    /// has either, since a worker's report leaves the walk to
+    /// [`OverloadRuntime::settle`]. Counts at rungs past this report's
+    /// ladder (a thaw carry from a longer ladder) land on its last rung,
+    /// so `frames_per_rung` indexes the settling server's ladder.
     pub(crate) fn merge(&mut self, other: &DegradationReport) {
         let last = self.frames_per_rung.len() - 1;
         for (rung, n) in other.frames_per_rung.iter().enumerate() {
             self.frames_per_rung[rung.min(last)] += n;
         }
-        self.shed += other.shed;
+        self.timeline.extend_from_slice(&other.timeline);
         self.reconfigs += other.reconfigs;
         self.epochs = self.epochs.max(other.epochs);
     }
@@ -451,7 +443,6 @@ impl OverloadRuntime {
         DegradationReport {
             timeline: Vec::new(),
             frames_per_rung: vec![0; self.slo.ladder.len()],
-            shed: 0,
             reconfigs: 0,
             epochs: 0,
             final_rung: 0,
@@ -523,19 +514,30 @@ impl OverloadRuntime {
         Duration::from_nanos((nominal.as_nanos() as u64) >> shift)
     }
 
-    /// Settles the merged report at shutdown. Under a plan the walk is
-    /// first extended to the merged `epochs`, which covers a thaw
-    /// carry; then the timeline, epoch count and final rung are the
-    /// controller's, and `shed` is the drain's total.
-    pub(crate) fn settle(&self, report: &mut DegradationReport, shed: u64) {
+    /// Settles the merged report at shutdown; the final rung is the
+    /// controller's. Under a plan the walk is first extended to the
+    /// merged `epochs`, which covers a thaw carry, and the timeline and
+    /// epoch count are the controller's. Measured, the controller walked
+    /// only this incarnation: its epochs follow the carry's, so they are
+    /// offset by the carry's epoch count and appended to its timeline.
+    pub(crate) fn settle(&self, report: &mut DegradationReport) {
         let mut walk = self.walk();
-        if let Some(plan) = &self.plan {
-            extend(&mut walk, plan, report.epochs);
-        }
-        report.timeline = walk.timeline().to_vec();
-        report.epochs = walk.epochs();
+        let carried = match &self.plan {
+            Some(plan) => {
+                extend(&mut walk, plan, report.epochs);
+                report.timeline.clear();
+                0
+            }
+            None => report.epochs,
+        };
+        report
+            .timeline
+            .extend(walk.timeline().iter().map(|t| RungTransition {
+                epoch: carried + t.epoch,
+                ..*t
+            }));
+        report.epochs = carried + walk.epochs();
         report.final_rung = walk.rung();
-        report.shed = shed;
     }
 }
 

@@ -27,8 +27,8 @@
 //!   submit→dequeue queue wait are recorded into per-worker
 //!   [`LatencyHistogram`]s (O(1) record, ~6% quantile error), merged at
 //!   drain; [`DrainReport::per_worker`] additionally carries each
-//!   shard's occupancy and parking counters so the batching window can
-//!   be tuned from data.
+//!   shard's occupancy, and [`DrainReport::ingress`] the lanes' parking
+//!   counters, so the batching window can be tuned from data.
 //! * **Isolation** — a panicking task step kills *its* session (the
 //!   drain report carries the error), never the worker: the other
 //!   sessions sharded onto the same lane keep streaming.
@@ -89,8 +89,8 @@
 //! shrink the NN batching window, and — last resort — shed frames that
 //! have already blown their budget. Every transition lands in the
 //! [`DegradationReport`] merged into [`DrainReport::degradation`], and
-//! shed frames get their own counter: `frames == served + dropped +
-//! shed`, exactly.
+//! shed frames get their own counter, [`DrainReport::shed`]: `frames ==
+//! served + dropped + shed`, exactly.
 //!
 //! A server runs **one** degradation walk, owned by [`degrade`]: no
 //! session slot or checkpoint carries a copy, and the report's timeline,
@@ -114,8 +114,8 @@
 //! ([`FeedPolicy::backoff`], pure in `(seed, session, frame, attempt)`),
 //! then either parks (frame never lost) or sheds client-side; repeated
 //! rejections can trip a circuit breaker that tombstones the session
-//! with a typed reason ([`FailureKind::CircuitBroken`] in
-//! [`DrainReport::failure_breakdown`]). With a non-zero
+//! with a typed reason ([`FailureKind::CircuitBroken`], counted by
+//! [`DrainReport::failures`]). With a non-zero
 //! [`FeedPolicy::breaker_cooldown`] the breaker is *half-open* instead
 //! of terminal: after a deterministic cooldown it admits one probe
 //! frame and either re-closes or re-trips
@@ -142,7 +142,9 @@
 //! Then it processes the faulting message. Supervised or not, a server
 //! runs exactly `workers` threads. Kill draws key on the same logical
 //! counters as every other fault, so the kill timeline in
-//! [`DrainReport::recovery`] is identical at any worker count.
+//! [`DrainReport::recovery`] is identical at any worker count. Its
+//! `incidents` are the one count of worker faults, told apart by
+//! [`IncidentKind`].
 //!
 //! **Checkpoint cadence vs replay memory.** A ledger holds up to
 //! `checkpoint_every + replay_budget` `Arc`-shared frames per session:
@@ -198,7 +200,7 @@
 //! let report = server.drain();
 //! println!("p99 = {} ns over {} frames", report.latency.quantile(0.99), report.served);
 //! if let Some(nn) = &report.nn {
-//!     println!("amortization = {:.3} over {} batches", nn.amortization(), nn.batches);
+//!     println!("amortization = {:.3} over {} batches", nn.amortization(), nn.batch_sizes.count());
 //! }
 //! ```
 
@@ -357,7 +359,7 @@ impl Submit {
 /// One message on a worker's lane.
 enum Msg {
     /// Open session `id` under scheme index `scheme` (re-opening an
-    /// existing id flushes the old session into the report first).
+    /// existing id replaces its session: the drain keeps the last life).
     Open {
         id: SessionId,
         scheme: usize,
@@ -426,7 +428,7 @@ struct Shared<T> {
 }
 
 /// Why a session failed — the typed classification behind
-/// [`DrainReport::failure_breakdown`].
+/// [`DrainReport::failures`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FailureKind {
     /// The session poisoned itself (invalid frame, task error) through
@@ -447,35 +449,6 @@ pub enum FailureKind {
     /// carries the exact budget arithmetic. Only reachable with
     /// supervision armed.
     Unrecovered,
-}
-
-/// Session failures counted by [`FailureKind`].
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct FailureBreakdown {
-    /// Self-poisoned sessions.
-    pub poisoned: usize,
-    /// Panic-killed sessions.
-    pub panicked: usize,
-    /// Circuit-broken sessions.
-    pub circuit_broken: usize,
-    /// Chaos casualties.
-    pub chaos_injected: usize,
-    /// Protocol misuse.
-    pub protocol: usize,
-    /// Sessions lost past the supervision replay budget.
-    pub unrecovered: usize,
-}
-
-impl FailureBreakdown {
-    /// Total failed sessions.
-    pub fn total(&self) -> usize {
-        self.poisoned
-            + self.panicked
-            + self.circuit_broken
-            + self.chaos_injected
-            + self.protocol
-            + self.unrecovered
-    }
 }
 
 /// A live session plus the serving-side state that rides along: its
@@ -512,8 +485,6 @@ pub struct WorkerStats {
     pub busy_ns: u64,
     /// Nanoseconds from worker start to drain completion.
     pub wall_ns: u64,
-    /// Producers that parked on this shard's lane.
-    pub parked: u64,
 }
 
 impl WorkerStats {
@@ -532,8 +503,6 @@ impl WorkerStats {
 pub struct NnServeReport {
     /// I-frame inference jobs charged through batches.
     pub jobs: u64,
-    /// Fused batches flushed.
-    pub batches: u64,
     /// Array cycles actually charged (batched walk).
     pub batched_cycles: u64,
     /// Array cycles the same jobs would cost solo (`jobs ×` the
@@ -543,8 +512,8 @@ pub struct NnServeReport {
     pub energy_mj: f64,
     /// DRAM traffic charged, bytes.
     pub dram_bytes: u64,
-    /// Realized batch sizes (p50/p99 of this histogram tune
-    /// `max_batch`/`max_wait`).
+    /// Realized batch sizes, one sample per fused batch flushed (p50/p99
+    /// of this histogram tune `max_batch`/`max_wait`).
     pub batch_sizes: LatencyHistogram,
 }
 
@@ -561,16 +530,14 @@ impl NnServeReport {
 
     /// Mean realized batch size.
     pub fn mean_batch(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.jobs as f64 / self.batches as f64
+        match self.batch_sizes.count() {
+            0 => 0.0,
+            batches => self.jobs as f64 / batches as f64,
         }
     }
 
     fn merge(&mut self, other: &NnServeReport) {
         self.jobs += other.jobs;
-        self.batches += other.batches;
         self.batched_cycles += other.batched_cycles;
         self.solo_cycles += other.solo_cycles;
         self.energy_mj += other.energy_mj;
@@ -612,7 +579,7 @@ impl IngressReport {
 #[derive(Debug)]
 pub struct DrainReport {
     /// Per-session outcomes plus (for failures) the typed kind, one
-    /// entry per opened session.
+    /// entry per opened id: the last life of a re-opened one.
     outcomes: HashMap<SessionId, (Result<TaskOutcome>, Option<FailureKind>)>,
     /// Submit→completion latency over every successfully served frame.
     pub latency: LatencyHistogram,
@@ -670,24 +637,12 @@ impl DrainReport {
             .and_then(|(outcome, kind)| if outcome.is_err() { *kind } else { None })
     }
 
-    /// Failed sessions classified by [`FailureKind`];
-    /// `breakdown.total() == failed_sessions()`.
-    pub fn failure_breakdown(&self) -> FailureBreakdown {
-        let mut b = FailureBreakdown::default();
-        for (outcome, kind) in self.outcomes.values() {
-            if outcome.is_ok() {
-                continue;
-            }
-            match kind.unwrap_or(FailureKind::Protocol) {
-                FailureKind::Poisoned => b.poisoned += 1,
-                FailureKind::Panicked => b.panicked += 1,
-                FailureKind::CircuitBroken => b.circuit_broken += 1,
-                FailureKind::ChaosInjected => b.chaos_injected += 1,
-                FailureKind::Protocol => b.protocol += 1,
-                FailureKind::Unrecovered => b.unrecovered += 1,
-            }
-        }
-        b
+    /// Number of sessions that failed with `kind`.
+    pub fn failures(&self, kind: FailureKind) -> usize {
+        self.outcomes
+            .values()
+            .filter(|(outcome, k)| outcome.is_err() && *k == Some(kind))
+            .count()
     }
 
     /// An empty report with a section for every feature `shared` arms.
@@ -920,9 +875,10 @@ where
 
     /// Opens session `id` under the named scheme at `resolution`,
     /// parking if the lane is momentarily full (control messages are
-    /// rare relative to frames and the lane is guaranteed to drain);
-    /// re-opening a live id flushes the old session into the drain
-    /// report and starts fresh.
+    /// rare relative to frames and the lane is guaranteed to drain).
+    /// Re-opening an id starts a fresh session in its place: the drain
+    /// reports each id's last life, while the frames of every life stay
+    /// counted in `frames`, `served` and `dropped`.
     ///
     /// # Errors
     ///
@@ -1103,7 +1059,6 @@ where
                 .join()
                 .expect("serve workers isolate session panics and never die");
             part.ingress = lane.0.counters();
-            part.per_worker[0].parked = part.ingress.parked;
             report.merge(part);
             frozen.extend(slots);
         }
@@ -1119,7 +1074,7 @@ where
         }
         if let (Some(rt), Some(walk)) = (self.shared.overload.as_ref(), report.degradation.as_mut())
         {
-            rt.settle(walk, report.shed);
+            rt.settle(walk);
         }
         (report, frozen)
     }
@@ -1153,7 +1108,6 @@ where
 fn charge_batch(report: &mut NnServeReport, runtime: &BatchRuntime, jobs: usize) {
     let plan = &runtime.plans[jobs - 1];
     report.jobs += jobs as u64;
-    report.batches += 1;
     report.batched_cycles += plan.compute_cycles();
     report.solo_cycles += jobs as u64 * runtime.solo.stats().total_compute_cycles().0;
     report.energy_mj += plan.energy().0;
@@ -1275,7 +1229,6 @@ where
             std::thread::sleep(chaos.stall);
         }
         if chaos.wedge_at(self.windex, tick) {
-            self.report.chaos.get_or_insert_default().wedges += 1;
             self.recover(IncidentKind::Wedge, msg.session(), tick);
         }
     }
@@ -1329,9 +1282,7 @@ where
                 kind: FailureKind::Protocol,
             },
         };
-        if let Some(old) = self.sessions.insert(id, slot) {
-            self.report.outcomes.insert(id, finish_slot(old));
-        }
+        self.sessions.insert(id, slot);
     }
 
     fn frame(&mut self, id: SessionId, frame: Arc<FrameData>, at: Instant) {
@@ -1348,7 +1299,6 @@ where
                 _ => None,
             });
         if let Some(arrival) = kill {
-            self.report.chaos.get_or_insert_default().kills += 1;
             self.recover(IncidentKind::WorkerKill, id, arrival);
         }
         self.report.frames += 1;
@@ -1544,12 +1494,10 @@ where
             }
             Vec::new()
         };
-        // `parked` is the lane's, filled in at shutdown.
         report.per_worker.push(WorkerStats {
             frames: report.frames,
             busy_ns,
             wall_ns,
-            parked: 0,
         });
         (report, frozen)
     }

@@ -40,7 +40,9 @@
 //! timeline, per-incident replay distance, and the MTTR — is in
 //! *logical ticks* (arrival or dequeue indices), never wall-clock, so
 //! the chaos suite asserts bit-equal recovery timelines at 1 and 4
-//! workers.
+//! workers. Its `incidents` are the one count of worker faults: each
+//! kill or wedge is exactly one [`RecoveryIncident`], told apart by its
+//! [`IncidentKind`].
 
 use crate::SessionId;
 use euphrates_common::error::{Error, Result};

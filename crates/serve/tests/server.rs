@@ -232,8 +232,7 @@ fn serves_256_sessions_bit_identical_to_offline_evaluate() {
             Some(nn) => {
                 assert!(batching);
                 assert_eq!(nn.jobs, inferences);
-                assert!(nn.batches >= 1);
-                assert_eq!(nn.batch_sizes.count(), nn.batches);
+                assert!(nn.batch_sizes.count() >= 1);
                 assert!(nn.amortization() < 1.0, "ratio {}", nn.amortization());
                 assert!(nn.energy_mj > 0.0);
                 assert!(nn.dram_bytes > 0);
@@ -390,11 +389,6 @@ fn saturated_producers_park_without_spinning() {
     assert!(report.ingress.woken > 0, "no parked producer was woken");
     assert_eq!(report.served, FRAMES);
     assert_eq!(report.dropped, 0);
-    // Per-worker stats carry the same parking counters.
-    assert_eq!(
-        report.per_worker.iter().map(|w| w.parked).sum::<u64>(),
-        report.ingress.parked
-    );
 }
 
 /// `submit_deadline` hands the frame back when the lane stays full past
@@ -481,6 +475,36 @@ fn panicking_session_is_isolated_and_reported() {
     let ok = report.outcome(26).unwrap().as_ref().unwrap();
     assert_eq!(ok.frames, 5);
     assert_eq!(report.served, 5 + 2);
+}
+
+/// Re-opening an id starts a fresh session in its place: the drain
+/// reports the id's last life, while every life's frames stay counted.
+#[test]
+fn reopened_id_reports_its_last_life() {
+    let calm = PanicTask {
+        victim_stream: u64::MAX,
+        panic_at: 0,
+    };
+    let server = SessionServer::new(
+        calm,
+        vec![SchemeSpec::new("p", BackendConfig::baseline()).unwrap()],
+        ServeConfig::sized(1, 8),
+    )
+    .unwrap();
+    server.open(1, "p", MINI_RES).unwrap();
+    // A frame at the wrong resolution poisons the first life.
+    server
+        .submit_blocking(1, zeroed_frame(Resolution::new(160, 120)))
+        .unwrap();
+    server.open(1, "p", MINI_RES).unwrap();
+    for _ in 0..3 {
+        server.submit_blocking(1, zeroed_frame(MINI_RES)).unwrap();
+    }
+    let report = server.drain();
+    assert_eq!(report.sessions(), 1);
+    assert!(report.outcome(1).expect("reported").is_ok());
+    assert_eq!(report.failed_sessions(), 0);
+    assert_eq!((report.frames, report.served, report.dropped), (4, 3, 1));
 }
 
 // ---------------------------------------------------------------------------

@@ -132,7 +132,7 @@ fn main() -> euphrates::common::Result<()> {
             "nn batching: {} jobs in {} batches (mean {:.1}/batch), \
              {:.3}x the solo cycle cost, {:.1} mJ charged",
             nn.jobs,
-            nn.batches,
+            nn.batch_sizes.count(),
             nn.mean_batch(),
             nn.amortization(),
             nn.energy_mj,
@@ -141,22 +141,21 @@ fn main() -> euphrates::common::Result<()> {
     // Failed sessions carry a typed kind, not just an error string —
     // an operator can tell tenant bugs (poisoned/panicked) from
     // producer give-ups (circuit-broken) at a glance.
-    let breakdown = report.failure_breakdown();
     println!(
         "failures: {} poisoned, {} panicked, {} circuit-broken, {} chaos, \
          {} protocol, {} unrecovered",
-        breakdown.poisoned,
-        breakdown.panicked,
-        breakdown.circuit_broken,
-        breakdown.chaos_injected,
-        breakdown.protocol,
-        breakdown.unrecovered,
+        report.failures(FailureKind::Poisoned),
+        report.failures(FailureKind::Panicked),
+        report.failures(FailureKind::CircuitBroken),
+        report.failures(FailureKind::ChaosInjected),
+        report.failures(FailureKind::Protocol),
+        report.failures(FailureKind::Unrecovered),
     );
     assert_eq!(
         report.failure_kind(doomed),
         Some(FailureKind::CircuitBroken)
     );
-    assert_eq!(breakdown.total(), 1, "only the doomed stream fails");
+    assert_eq!(report.failed_sessions(), 1, "only the doomed stream fails");
     println!("offline re-runs are bit-identical: OK");
 
     // Act two: the same streams, but workers are killed out from under
