@@ -93,12 +93,13 @@
 //!   on x86-64 baseline), cutting cold construction from ~11.9 to
 //!   ~7 ms. Unrotated object parts rasterize through the same
 //!   row-walker ([`texture::Texture::row_sampler`]).
-//! * **Buffer reuse** — output frames come from an internal
-//!   [`FramePool`][euphrates_common::pool::FramePool]; return them with
-//!   [`scene::Renderer::recycle`] and steady-state rendering performs
-//!   O(1) allocations per frame. Callers that only need pixels should
-//!   use [`scene::Renderer::render_pixels`] (skips the O(objects²)
-//!   ground-truth occlusion pass).
+//! * **Buffer reuse** — [`scene::Renderer::render_into`],
+//!   [`scene::Renderer::render_pixels_into`] and
+//!   [`scene::Renderer::render_luma_into`] write into caller-owned
+//!   frames, so a stream that keeps its buffers allocates no output
+//!   frame per render. Callers that only need pixels should use the
+//!   `*_pixels*` calls (they skip the O(objects²) ground-truth
+//!   occlusion pass).
 //!
 //! `tests/golden.rs` pins every effects combination (blur × noise ×
 //! shake, plus illumination drift) and the sensor's RAW capture to

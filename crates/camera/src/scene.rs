@@ -20,7 +20,6 @@ use crate::trajectory::{Profile, Trajectory};
 use euphrates_common::geom::{Rect, Vec2f};
 use euphrates_common::image::{rgb_to_luma, rgb_to_luma_row, LumaFrame, Resolution, Rgb, RgbFrame};
 use euphrates_common::par::{default_threads, parallel_rows};
-use euphrates_common::pool::FramePool;
 use std::sync::{Arc, OnceLock};
 
 /// The seed-derivation stream id of the renderer's pixel-noise stage
@@ -574,9 +573,8 @@ impl PixelRect {
 ///
 /// Output is bit-identical to the pre-scanline renderer; the golden
 /// tests in `tests/golden.rs` pin that across every effects
-/// combination. Buffers are reused across calls through an internal
-/// [`FramePool`], so steady-state rendering performs O(1) allocations
-/// per frame.
+/// combination. The `*_into` calls render into caller-owned frames;
+/// compose and scratch buffers are reused across calls.
 #[derive(Debug)]
 pub struct Renderer<'a> {
     scene: &'a Scene,
@@ -611,8 +609,6 @@ pub struct Renderer<'a> {
     tap: Option<RgbFrame>,
     /// Motion-blur accumulator: per-channel sums of up to 3 taps.
     acc: Vec<[u16; 3]>,
-    /// Recyclable output buffers.
-    pool: FramePool,
 }
 
 impl<'a> Renderer<'a> {
@@ -631,7 +627,6 @@ impl<'a> Renderer<'a> {
             tap_dirty: Vec::new(),
             tap: None,
             acc: Vec::new(),
-            pool: FramePool::new(),
         }
     }
 
@@ -644,13 +639,12 @@ impl<'a> Renderer<'a> {
         }
     }
 
-    /// Renders frame `index` into a pooled frame, skipping the
+    /// Renders frame `index` into a fresh frame, skipping the
     /// ground-truth pass (which walks an O(objects²) occluder loop) —
-    /// the call for consumers that only need pixels. Return the frame
-    /// with [`recycle`][Renderer::recycle] to keep rendering
-    /// allocation-free.
+    /// the call for consumers that only need pixels.
     pub fn render_pixels(&mut self, index: u32) -> RgbFrame {
-        let mut out = self.pool.acquire_rgb(self.scene.resolution);
+        let res = self.scene.resolution;
+        let mut out = RgbFrame::new(res.width, res.height).expect("positive resolution");
         self.render_pixels_into(index, &mut out);
         out
     }
@@ -703,12 +697,6 @@ impl<'a> Renderer<'a> {
     /// process environment.
     pub fn set_noise_threads(&mut self, threads: usize) {
         self.noise_threads = threads.max(1);
-    }
-
-    /// Returns a frame's storage to the renderer's pool so the next
-    /// [`render_pixels`][Renderer::render_pixels] reuses it.
-    pub fn recycle(&mut self, frame: RgbFrame) {
-        self.pool.recycle_rgb(frame);
     }
 
     // -- compose: background + objects (pre-illumination/noise) ----------

@@ -44,7 +44,6 @@ fn noise_deltas(sigma: f64, frames: u32) -> Vec<[f64; 3]> {
                 f64::from(px.b) - f64::from(MID),
             ]);
         }
-        r.recycle(f);
     }
     out
 }
@@ -153,7 +152,6 @@ fn fast_renders_are_independent_of_render_order() {
         let a = warm.render_pixels(i);
         let b = scene.renderer().render_pixels(i);
         assert_eq!(a, b, "frame {i}");
-        warm.recycle(a);
     }
 }
 

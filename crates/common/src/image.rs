@@ -148,12 +148,6 @@ impl<T: Copy> Plane<T> {
         &mut self.data[y as usize * w..(y as usize + 1) * w]
     }
 
-    /// Consumes the plane and returns its sample storage (used by
-    /// [`pool::FramePool`][crate::pool::FramePool] to recycle buffers).
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
     /// Copies every sample from `src`, which must have the same shape.
     ///
     /// # Panics

@@ -5,8 +5,8 @@
 //! ([`fixed::Q16`], [`fixed::Q32`]), image planes ([`image::LumaFrame`],
 //! [`image::RgbFrame`], [`image::BayerFrame`]), accuracy metrics
 //! ([`metrics`]), descriptive statistics ([`stats`]), physical-unit newtypes
-//! ([`units`]), deterministic parallel-execution plumbing ([`par`]),
-//! recyclable frame buffers ([`pool::FramePool`]), and plain-text table
+//! ([`units`]), deterministic parallel-execution plumbing ([`par`]), the
+//! seeded random source and digests ([`rngx`]), and plain-text table
 //! rendering ([`table`]) used by the experiment harness.
 //!
 //! Every other crate in the workspace depends on this one; it has no
@@ -28,7 +28,6 @@ pub mod geom;
 pub mod image;
 pub mod metrics;
 pub mod par;
-pub mod pool;
 pub mod rngx;
 pub mod stats;
 pub mod table;

@@ -1,36 +1,135 @@
-//! Deterministic randomness helpers shared by the scene generator and the
-//! functional accuracy oracles.
+//! The workspace's one seeded random source, and the deterministic
+//! hashes built on the same mixing functions.
 //!
 //! Everything in the simulator is seeded: the same seed must produce the
 //! same frames, the same oracle noise, and therefore the same report —
 //! regardless of evaluation order or thread count. To that end, per-frame /
-//! per-object RNGs are *derived* from a base seed with [`derive_seed`]
-//! instead of being advanced sequentially.
+//! per-object generators are *derived* from a base seed with
+//! [`derive_seed`] instead of being advanced sequentially.
+//!
+//! [`Rng`] is a xoshiro256++ generator seeded through SplitMix64; the
+//! synthetic suites, the accuracy oracles, the IMU walk and every
+//! property-test case draw from it. Its draws are inherent methods, and
+//! the streams are pinned draw for draw by `tests/rng_streams.rs`.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use std::ops::{Bound, RangeBounds};
 
 /// Mixes a base seed with up to two stream identifiers into an independent
 /// seed (SplitMix64 finalizer; good avalanche behaviour).
 pub fn derive_seed(base: u64, stream: u64, index: u64) -> u64 {
-    let mut z = base
-        .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(stream.wrapping_add(1)))
-        .wrapping_add(0x517C_C1B7_2722_0A95u64.wrapping_mul(index.wrapping_add(1)));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    splitmix_fin(
+        base.wrapping_add(WEYL_GAMMA.wrapping_mul(stream.wrapping_add(1)))
+            .wrapping_add(0x517C_C1B7_2722_0A95u64.wrapping_mul(index.wrapping_add(1))),
+    )
 }
 
-/// Creates a [`StdRng`] for a (base, stream, index) triple.
-pub fn derived_rng(base: u64, stream: u64, index: u64) -> StdRng {
-    StdRng::seed_from_u64(derive_seed(base, stream, index))
+/// Creates an [`Rng`] for a (base, stream, index) triple.
+pub fn derived_rng(base: u64, stream: u64, index: u64) -> Rng {
+    Rng::seed_from_u64(derive_seed(base, stream, index))
+}
+
+/// A seeded xoshiro256++ generator. Its stream is a pure function of the
+/// seed; it is not cryptographic and not upstream `rand`'s `StdRng`.
+#[derive(Debug, Clone)]
+pub struct Rng {
+    s: [u64; 4],
+}
+
+impl Rng {
+    /// A generator whose state is four SplitMix64 outputs of `seed`.
+    pub fn seed_from_u64(seed: u64) -> Self {
+        let mut sm = seed;
+        let mut next = || {
+            sm = sm.wrapping_add(WEYL_GAMMA);
+            splitmix_fin(sm)
+        };
+        Rng {
+            s: [next(), next(), next(), next()],
+        }
+    }
+
+    /// The next 64 uniformly random bits (one xoshiro256++ step).
+    pub fn next_u64(&mut self) -> u64 {
+        let s = &mut self.s;
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
+    }
+
+    /// A uniform `f64` in `[0, 1)` from the top 53 bits of one step.
+    pub fn unit_f64(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// A uniform sample from `lo..hi` or `lo..=hi`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is empty or has an unbounded end.
+    pub fn gen_range<T: SampleUniform>(&mut self, range: impl RangeBounds<T>) -> T {
+        let lo = match range.start_bound() {
+            Bound::Included(&lo) => lo,
+            _ => panic!("gen_range needs a range with an inclusive start"),
+        };
+        match range.end_bound() {
+            Bound::Excluded(&hi) => T::sample_uniform(lo, hi, false, self),
+            Bound::Included(&hi) => T::sample_uniform(lo, hi, true, self),
+            Bound::Unbounded => panic!("gen_range needs a bounded range"),
+        }
+    }
+
+    /// `true` with probability `p`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is outside `[0, 1]`.
+    pub fn gen_bool(&mut self, p: f64) -> bool {
+        assert!((0.0..=1.0).contains(&p), "p={p} out of range");
+        self.unit_f64() < p
+    }
+}
+
+/// Element types [`Rng::gen_range`] draws: the integers and `f64`.
+pub trait SampleUniform: Copy {
+    /// A uniform sample from `[lo, hi)` (`inclusive = false`) or
+    /// `[lo, hi]` (`inclusive = true`). Panics if the range is empty.
+    fn sample_uniform(lo: Self, hi: Self, inclusive: bool, rng: &mut Rng) -> Self;
+}
+
+macro_rules! impl_uniform_int {
+    ($($t:ty),*) => {$(
+        impl SampleUniform for $t {
+            /// `lo + (u64 × span) >> 64`, over `i128`.
+            fn sample_uniform(lo: Self, hi: Self, inclusive: bool, rng: &mut Rng) -> Self {
+                let span = hi as i128 - lo as i128 + i128::from(inclusive);
+                assert!(span > 0, "cannot sample empty range");
+                let off = (u128::from(rng.next_u64()) * span as u128) >> 64;
+                (lo as i128 + off as i128) as $t
+            }
+        }
+    )*};
+}
+impl_uniform_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+
+impl SampleUniform for f64 {
+    /// `lo + (hi − lo) · unit`.
+    fn sample_uniform(lo: Self, hi: Self, inclusive: bool, rng: &mut Rng) -> Self {
+        assert!(
+            if inclusive { lo <= hi } else { lo < hi },
+            "cannot sample empty range"
+        );
+        lo + (hi - lo) * rng.unit_f64()
+    }
 }
 
 /// Samples a Gaussian via the Box–Muller transform.
-///
-/// `rand` 0.8 ships only uniform distributions; this keeps us off the
-/// `rand_distr` dependency.
-pub fn gaussian<R: Rng + ?Sized>(rng: &mut R, mean: f64, sigma: f64) -> f64 {
+pub fn gaussian(rng: &mut Rng, mean: f64, sigma: f64) -> f64 {
     // Avoid ln(0) by sampling the half-open interval away from zero.
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
@@ -39,7 +138,8 @@ pub fn gaussian<R: Rng + ?Sized>(rng: &mut R, mean: f64, sigma: f64) -> f64 {
 }
 
 /// The SplitMix64 output function: two multiply–xorshift rounds over an
-/// already-advanced Weyl state. Split out of [`counter_hash`] so the
+/// already-advanced Weyl state, shared by [`derive_seed`], the
+/// [`Rng`] seeding and [`counter_hash`]. Split out so the
 /// windowed noise batch can advance several counters with plain adds
 /// (`state + j · γ`) and pay only the two finalizer multiplies per
 /// hash instead of three.
@@ -346,12 +446,56 @@ mod tests {
 
     #[test]
     fn derived_rng_streams_are_independent() {
-        use rand::Rng;
-        let a: u64 = derived_rng(42, 0, 0).gen();
-        let b: u64 = derived_rng(42, 0, 1).gen();
-        let a2: u64 = derived_rng(42, 0, 0).gen();
+        let a = derived_rng(42, 0, 0).next_u64();
+        let b = derived_rng(42, 0, 1).next_u64();
+        let a2 = derived_rng(42, 0, 0).next_u64();
         assert_eq!(a, a2);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn deterministic_per_seed() {
+        let mut a = Rng::seed_from_u64(7);
+        let mut b = Rng::seed_from_u64(7);
+        let mut c = Rng::seed_from_u64(8);
+        let (xa, xb, xc) = (a.next_u64(), b.next_u64(), c.next_u64());
+        assert_eq!(xa, xb);
+        assert_ne!(xa, xc);
+    }
+
+    #[test]
+    fn ranges_stay_in_bounds() {
+        let mut rng = Rng::seed_from_u64(42);
+        for _ in 0..10_000 {
+            let f = rng.gen_range(0.25..0.75);
+            assert!((0.25..0.75).contains(&f));
+            let i = rng.gen_range(-4i64..=4);
+            assert!((-4..=4).contains(&i));
+            let u = rng.gen_range(0u32..8);
+            assert!(u < 8);
+        }
+    }
+
+    #[test]
+    fn unit_samples_cover_the_interval() {
+        let mut rng = Rng::seed_from_u64(1);
+        let mut mean = 0.0;
+        const N: u32 = 100_000;
+        for _ in 0..N {
+            let v = rng.unit_f64();
+            assert!((0.0..1.0).contains(&v));
+            mean += v;
+        }
+        mean /= f64::from(N);
+        assert!((mean - 0.5).abs() < 0.01, "mean {mean}");
+    }
+
+    #[test]
+    fn gen_bool_tracks_probability() {
+        let mut rng = Rng::seed_from_u64(3);
+        let hits = (0..100_000).filter(|_| rng.gen_bool(0.3)).count();
+        let rate = hits as f64 / 100_000.0;
+        assert!((rate - 0.3).abs() < 0.01, "rate {rate}");
     }
 
     #[test]

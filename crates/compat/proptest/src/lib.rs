@@ -1,15 +1,15 @@
-//! A self-contained, offline drop-in for the subset of the `proptest` 1.x
-//! API this workspace's property tests use: the `proptest!` macro, range
-//! and tuple strategies, `prop_map`, `any::<T>()`, `collection::vec`, the
+//! An offline drop-in for the subset of the `proptest` 1.x API this
+//! workspace's property tests use: the `proptest!` macro, range and tuple
+//! strategies, `prop_map`, `any::<T>()`, `collection::vec`, the
 //! `prop_assert*` macros, and `ProptestConfig::with_cases`.
 //!
-//! Cases are sampled deterministically (the RNG is seeded from the test
-//! name), so failures reproduce exactly. There is no shrinking: a failing
-//! case panics with the standard assertion message, which for these tests
-//! already prints the offending values.
+//! Cases are drawn from the workspace's one seeded generator,
+//! [`euphrates_common::rngx::Rng`], seeded from the test name, so failures
+//! reproduce exactly. There is no shrinking: a failing case panics with
+//! the standard assertion message, which for these tests already prints
+//! the offending values.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use euphrates_common::rngx::{Fnv1a, Rng, SampleUniform};
 use std::ops::{Range, RangeInclusive};
 
 /// Per-test configuration (only the case count is honored).
@@ -32,14 +32,11 @@ impl Default for ProptestConfig {
     }
 }
 
-/// Deterministic per-test RNG (FNV-1a over the test name).
-pub fn test_rng(name: &str) -> StdRng {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    StdRng::seed_from_u64(h)
+/// Deterministic per-test RNG (seeded with FNV-1a over the test name).
+pub fn test_rng(name: &str) -> Rng {
+    let mut h = Fnv1a::new();
+    h.write(name.as_bytes());
+    Rng::seed_from_u64(h.finish())
 }
 
 /// A generator of random values of one type.
@@ -48,7 +45,7 @@ pub trait Strategy {
     type Value;
 
     /// Draws one value.
-    fn sample(&self, rng: &mut StdRng) -> Self::Value;
+    fn sample(&self, rng: &mut Rng) -> Self::Value;
 
     /// Maps generated values through `f`.
     fn prop_map<U, F: Fn(Self::Value) -> U>(self, f: F) -> Map<Self, F>
@@ -67,35 +64,31 @@ pub struct Map<S, F> {
 
 impl<S: Strategy, U, F: Fn(S::Value) -> U> Strategy for Map<S, F> {
     type Value = U;
-    fn sample(&self, rng: &mut StdRng) -> U {
+    fn sample(&self, rng: &mut Rng) -> U {
         (self.f)(self.inner.sample(rng))
     }
 }
 
-macro_rules! impl_range_strategy {
-    ($($t:ty),*) => {$(
-        impl Strategy for Range<$t> {
-            type Value = $t;
-            fn sample(&self, rng: &mut StdRng) -> $t {
-                rng.gen_range(self.clone())
-            }
-        }
-        impl Strategy for RangeInclusive<$t> {
-            type Value = $t;
-            fn sample(&self, rng: &mut StdRng) -> $t {
-                rng.gen_range(self.clone())
-            }
-        }
-    )*};
+impl<T: SampleUniform> Strategy for Range<T> {
+    type Value = T;
+    fn sample(&self, rng: &mut Rng) -> T {
+        rng.gen_range(self.clone())
+    }
 }
-impl_range_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64);
+
+impl<T: SampleUniform> Strategy for RangeInclusive<T> {
+    type Value = T;
+    fn sample(&self, rng: &mut Rng) -> T {
+        rng.gen_range(self.clone())
+    }
+}
 
 macro_rules! impl_tuple_strategy {
     ($($name:ident),+) => {
         impl<$($name: Strategy),+> Strategy for ($($name,)+) {
             type Value = ($($name::Value,)+);
             #[allow(non_snake_case)]
-            fn sample(&self, rng: &mut StdRng) -> Self::Value {
+            fn sample(&self, rng: &mut Rng) -> Self::Value {
                 let ($($name,)+) = self;
                 ($($name.sample(rng),)+)
             }
@@ -112,26 +105,34 @@ impl_tuple_strategy!(A, B, C, D, E, F);
 /// Types with a canonical full-domain strategy (`any::<T>()`).
 pub trait Arbitrary: Sized {
     /// Draws one value over the full domain.
-    fn arbitrary(rng: &mut StdRng) -> Self;
+    fn arbitrary(rng: &mut Rng) -> Self;
 }
 
 macro_rules! impl_arbitrary_int {
     ($($t:ty),*) => {$(
         impl Arbitrary for $t {
-            fn arbitrary(rng: &mut StdRng) -> Self {
-                rng.gen()
+            /// The low bits of one 64-bit draw.
+            fn arbitrary(rng: &mut Rng) -> Self {
+                rng.next_u64() as $t
             }
         }
     )*};
 }
-impl_arbitrary_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, bool);
+impl_arbitrary_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+
+impl Arbitrary for bool {
+    /// The lowest bit of one 64-bit draw.
+    fn arbitrary(rng: &mut Rng) -> Self {
+        rng.next_u64() & 1 == 1
+    }
+}
 
 /// Strategy over a type's full domain.
 pub struct AnyStrategy<T>(std::marker::PhantomData<T>);
 
 impl<T: Arbitrary> Strategy for AnyStrategy<T> {
     type Value = T;
-    fn sample(&self, rng: &mut StdRng) -> T {
+    fn sample(&self, rng: &mut Rng) -> T {
         T::arbitrary(rng)
     }
 }
@@ -144,8 +145,7 @@ pub fn any<T: Arbitrary>() -> AnyStrategy<T> {
 /// Collection strategies, mirroring `proptest::collection`.
 pub mod collection {
     use super::Strategy;
-    use rand::rngs::StdRng;
-    use rand::Rng;
+    use euphrates_common::rngx::Rng;
     use std::ops::Range;
 
     /// Vectors of `element` with a length drawn from `len`.
@@ -161,7 +161,7 @@ pub mod collection {
 
     impl<S: Strategy> Strategy for VecStrategy<S> {
         type Value = Vec<S::Value>;
-        fn sample(&self, rng: &mut StdRng) -> Self::Value {
+        fn sample(&self, rng: &mut Rng) -> Self::Value {
             let n = rng.gen_range(self.len.clone());
             (0..n).map(|_| self.element.sample(rng)).collect()
         }

@@ -18,8 +18,7 @@ use euphrates_camera::texture::Texture;
 use euphrates_camera::trajectory::{Profile, Trajectory};
 use euphrates_common::geom::Vec2f;
 use euphrates_common::image::Resolution;
-use euphrates_common::rngx;
-use rand::Rng;
+use euphrates_common::rngx::{self, Rng};
 
 /// Evaluation resolution (the paper's Fig. 1 operating point; the
 /// performance/power models run at 1080p per Table 1).
@@ -31,7 +30,7 @@ fn frame_center(res: Resolution) -> Vec2f {
 
 /// Base moderate-motion orbit used by most sequences: peak speed ~2–4
 /// px/frame, comfortably inside the ±7 search window.
-fn base_trajectory(res: Resolution, rng: &mut impl Rng) -> Trajectory {
+fn base_trajectory(res: Resolution, rng: &mut Rng) -> Trajectory {
     let c = frame_center(res);
     let amp = Vec2f::new(
         f64::from(res.width) * rng.gen_range(0.16..0.26),
@@ -46,7 +45,7 @@ fn base_trajectory(res: Resolution, rng: &mut impl Rng) -> Trajectory {
     }
 }
 
-fn base_target(res: Resolution, seed: u64, rng: &mut impl Rng) -> SceneObject {
+fn base_target(res: Resolution, seed: u64, rng: &mut Rng) -> SceneObject {
     let w = f64::from(res.width) * rng.gen_range(0.10..0.17);
     let h = f64::from(res.height) * rng.gen_range(0.14..0.24);
     let shape = if rng.gen_bool(0.5) {

@@ -1580,7 +1580,6 @@ fn sad_block(
 mod tests {
     use super::*;
     use euphrates_common::rngx;
-    use rand::Rng;
 
     /// A textured frame that block matching can lock onto.
     fn textured(width: u32, height: u32, seed: u64) -> LumaFrame {

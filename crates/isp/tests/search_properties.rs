@@ -13,7 +13,6 @@ use euphrates_common::rngx;
 use euphrates_isp::motion::{BlockMatcher, CachedPlanes, RowPrefix, SearchStrategy};
 use euphrates_isp::predictive::PredictiveBlockMatcher;
 use proptest::prelude::*;
-use rand::Rng;
 
 /// A textured frame that block matching can lock onto.
 fn textured(width: u32, height: u32, seed: u64) -> LumaFrame {

@@ -15,8 +15,7 @@
 //! evaluation order and thread count.
 
 use euphrates_common::geom::Rect;
-use euphrates_common::rngx;
-use rand::Rng;
+use euphrates_common::rngx::{self, Rng};
 
 /// Ground-truth view handed to an oracle (decoupled from the camera crate's
 /// richer scene types).
@@ -210,7 +209,7 @@ impl DetectorOracle {
             }
             // Degraded visibility raises the miss probability smoothly.
             let miss_p = p.miss_rate + (1.0 - t.visibility) * 0.6;
-            if rng.gen::<f64>() < miss_p {
+            if rng.unit_f64() < miss_p {
                 continue;
             }
             let rect = jitter_box(
@@ -222,7 +221,7 @@ impl DetectorOracle {
             out.push(Detection {
                 rect,
                 label: t.label,
-                score: (0.55 + 0.45 * rng.gen::<f64>()) * t.visibility.max(0.3),
+                score: (0.55 + 0.45 * rng.unit_f64()) * t.visibility.max(0.3),
                 source_id: Some(t.id),
             });
         }
@@ -232,7 +231,7 @@ impl DetectorOracle {
         let mut budget = p.fp_per_frame;
         while budget > 0.0 {
             let prob = budget.min(1.0);
-            if rng.gen::<f64>() < prob {
+            if rng.unit_f64() < prob {
                 out.push(random_fp(&mut rng, frame_bounds));
             }
             budget -= 1.0;
@@ -310,7 +309,7 @@ impl TrackerOracle {
 }
 
 /// Applies center + log-size jitter to a box.
-fn jitter_box<R: Rng + ?Sized>(rng: &mut R, rect: &Rect, sigma_frac: f64, size_sigma: f64) -> Rect {
+fn jitter_box(rng: &mut Rng, rect: &Rect, sigma_frac: f64, size_sigma: f64) -> Rect {
     let cx = rect.x + rect.w / 2.0 + rngx::gaussian(rng, 0.0, sigma_frac * rect.w);
     let cy = rect.y + rect.h / 2.0 + rngx::gaussian(rng, 0.0, sigma_frac * rect.h);
     let kw = rngx::gaussian(rng, 0.0, size_sigma).exp();
@@ -319,7 +318,7 @@ fn jitter_box<R: Rng + ?Sized>(rng: &mut R, rect: &Rect, sigma_frac: f64, size_s
 }
 
 /// Generates a random false-positive box within the frame.
-fn random_fp<R: Rng + ?Sized>(rng: &mut R, bounds: &Rect) -> Detection {
+fn random_fp(rng: &mut Rng, bounds: &Rect) -> Detection {
     let w = bounds.w * rng.gen_range(0.05..0.25);
     let h = bounds.h * rng.gen_range(0.05..0.25);
     let x = bounds.x + rng.gen_range(0.0..(bounds.w - w).max(1.0));
@@ -327,7 +326,7 @@ fn random_fp<R: Rng + ?Sized>(rng: &mut R, bounds: &Rect) -> Detection {
     Detection {
         rect: Rect::new(x, y, w, h),
         label: rng.gen_range(0..8),
-        score: 0.3 + 0.4 * rng.gen::<f64>(),
+        score: 0.3 + 0.4 * rng.unit_f64(),
         source_id: None,
     }
 }

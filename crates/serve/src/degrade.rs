@@ -235,16 +235,21 @@ impl SloConfig {
     }
 }
 
-/// One recorded ladder transition.
+/// One recorded ladder transition. A settled timeline is one connected
+/// walk: each `from` is the previous `to` (rung 0 before the first),
+/// and the last `to` is the report's `final_rung`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RungTransition {
-    /// The epoch whose observation triggered the step.
+    /// The epoch whose observation triggered the step; for a thaw
+    /// reset, the thawed walk's first epoch.
     pub epoch: u64,
     /// Rung before.
     pub from: usize,
-    /// Rung after (`from ± 1`).
+    /// Rung after: `from ± 1`, or 0 for a thaw reset — a measured walk
+    /// restarts at nominal when its server is thawed.
     pub to: usize,
-    /// The over-budget fraction observed that epoch.
+    /// The over-budget fraction observed that epoch (0 for a thaw
+    /// reset, which observes nothing).
     pub over_frac: f64,
 }
 
@@ -518,8 +523,9 @@ impl OverloadRuntime {
     /// controller's. Under a plan the walk is first extended to the
     /// merged `epochs`, which covers a thaw carry, and the timeline and
     /// epoch count are the controller's. Measured, the controller walked
-    /// only this incarnation: its epochs follow the carry's, so they are
-    /// offset by the carry's epoch count and appended to its timeline.
+    /// only this incarnation, from rung 0: its epochs follow the carry's,
+    /// so they are offset by the carry's epoch count and appended to its
+    /// timeline, after a reset from the carry's last rung to 0.
     pub(crate) fn settle(&self, report: &mut DegradationReport) {
         let mut walk = self.walk();
         let carried = match &self.plan {
@@ -528,7 +534,18 @@ impl OverloadRuntime {
                 report.timeline.clear();
                 0
             }
-            None => report.epochs,
+            None => {
+                let carried_rung = report.timeline.last().map_or(0, |t| t.to);
+                if carried_rung != 0 {
+                    report.timeline.push(RungTransition {
+                        epoch: report.epochs,
+                        from: carried_rung,
+                        to: 0,
+                        over_frac: 0.0,
+                    });
+                }
+                report.epochs
+            }
         };
         report
             .timeline

@@ -177,8 +177,7 @@
 //! client side of the ingress queue, e.g. via [`feed_sequence`], which
 //! streams a synthetic [`Sequence`] through the O(1)-memory
 //! `frame_source` pipeline with parked-producer backpressure. Each
-//! feeder owns its renderer (and thus its `FramePool`) — the
-//! per-worker-pool pattern documented in `euphrates_common::pool`.
+//! feeder owns its renderer and frame buffers.
 //!
 //! ```no_run
 //! use euphrates_core::prelude::*;
@@ -1859,7 +1858,7 @@ impl CircuitBreaker {
 /// Streams one synthetic sequence into the server under session `id`
 /// with an explicit [`FeedPolicy`]: opens, renders frames lazily
 /// through the O(1)-memory `frame_source` pipeline (client-side, with
-/// the renderer's own frame pool), submits each frame under the
+/// the feeder's own renderer and buffers), submits each frame under the
 /// policy's retry/backoff/breaker rules, and closes (the close still
 /// runs after a breaker trip — it is what surfaces the typed
 /// [`FailureKind::CircuitBroken`] outcome at drain).

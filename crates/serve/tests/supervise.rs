@@ -983,14 +983,25 @@ fn measured_walk_carries_across_freeze_and_thaw() {
     assert_eq!(counts(&report), (16, 16, 0, 0));
     let walk = report.degradation.as_ref().expect("slo armed");
     assert_eq!(walk.epochs, 4, "both incarnations' epochs");
-    // The carried walk, then the thawed server's, which starts at
-    // nominal, with its epochs following the carry's.
+    // The carried walk, the reset to nominal the thawed server starts
+    // at, then the thawed server's walk, its epochs following the carry's.
     let timeline: Vec<(u64, usize, usize)> = walk
         .timeline
         .iter()
         .map(|t| (t.epoch, t.from, t.to))
         .collect();
-    assert_eq!(timeline, vec![(0, 0, 1), (1, 1, 2), (2, 0, 1), (3, 1, 2)]);
+    assert_eq!(
+        timeline,
+        vec![(0, 0, 1), (1, 1, 2), (2, 2, 0), (2, 0, 1), (3, 1, 2)]
+    );
+    // One connected walk: each step starts where the last one ended,
+    // and the last ends on the final rung.
+    let mut rung = 0;
+    for t in &walk.timeline {
+        assert_eq!(t.from, rung, "gap before epoch {}", t.epoch);
+        rung = t.to;
+    }
+    assert_eq!(rung, walk.final_rung);
     assert_eq!(walk.frames_per_rung, vec![6, 8, 2, 0]);
     assert_eq!((walk.reconfigs, walk.final_rung), (5, 2));
 }

@@ -14,7 +14,6 @@ use euphrates::mc::datapath::SimdDatapath;
 use euphrates::mc::fusion::compensate_global;
 use euphrates_common::fixed::Q16;
 use euphrates_common::rngx;
-use rand::Rng;
 
 /// A field filled with random garbage vectors and random SADs.
 fn garbage_field(seed: u64) -> MotionField {
