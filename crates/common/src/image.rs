@@ -262,23 +262,29 @@ pub type RgbFrame = Plane<Rgb>;
 /// constants in the power/bandwidth model).
 pub type BayerFrame = Plane<u8>;
 
-/// Converts a run of RGB pixels to luma, bit-identical to per-pixel
-/// [`Rgb::luma`] but cheaper: one magic multiply yields both the exact
-/// `(s+500)/1000` quotient and the exact-half tie predicate.
-/// `s·⌈2²⁸/1000⌉ >> 28` equals `s/1000` for every `s ≤ 255 500`, and
-/// because `1000·268436 − 2²⁸ = 544`, the low 28 bits of the product
-/// fall below `268 436` iff `1000 | s` — proven exhaustively over the
-/// whole BT.601 dot range by the `luma_magic_divide_is_exact_*` test.
-/// Ties (≈ 1/1000 pixels) defer to [`Rgb::luma`]'s f64 resolution.
+/// One pixel's luma, bit-identical to [`Rgb::luma`] but cheaper: one
+/// magic multiply yields both the exact `(s+500)/1000` quotient and the
+/// exact-half tie predicate. `s·⌈2²⁸/1000⌉ >> 28` equals `s/1000` for
+/// every `s ≤ 255 500`, and because `1000·268436 − 2²⁸ = 544`, the low
+/// 28 bits of the product fall below `268 436` iff `1000 | s` — proven
+/// exhaustively over the whole BT.601 dot range by the
+/// `luma_magic_divide_is_exact_*` test. Ties (≈ 1/1000 pixels) defer to
+/// [`Rgb::luma`]'s f64 resolution.
+#[inline]
+pub fn rgb_to_luma_pixel(px: Rgb) -> u8 {
+    let sum = 299 * u32::from(px.r) + 587 * u32::from(px.g) + 114 * u32::from(px.b) + 500;
+    let p = u64::from(sum) * 268_436;
+    if (p & 0x0FFF_FFFF) < 268_436 {
+        px.luma()
+    } else {
+        (p >> 28) as u8
+    }
+}
+
+/// Converts a run of RGB pixels to luma through [`rgb_to_luma_pixel`].
 pub fn rgb_to_luma_row(src: &[Rgb], dst: &mut [u8]) {
-    for (d, s) in dst.iter_mut().zip(src) {
-        let sum = 299 * u32::from(s.r) + 587 * u32::from(s.g) + 114 * u32::from(s.b) + 500;
-        let p = u64::from(sum) * 268_436;
-        *d = if (p & 0x0FFF_FFFF) < 268_436 {
-            s.luma()
-        } else {
-            (p >> 28) as u8
-        };
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d = rgb_to_luma_pixel(s);
     }
 }
 
@@ -472,7 +478,7 @@ mod tests {
 
     #[test]
     fn luma_magic_divide_is_exact_over_the_whole_dot_range() {
-        // `rgb_to_luma_row` computes (s+500)/1000 and the s+500 ≡ 0
+        // `rgb_to_luma_pixel` computes (s+500)/1000 and the s+500 ≡ 0
         // (mod 1000) tie predicate from one multiply by ⌈2²⁸/1000⌉.
         // The BT.601 dot is bounded by 255 000, so checking every s in
         // the range is a complete proof of both identities.

@@ -14,20 +14,19 @@
 //! Two configurations produce identical *kinds* of data:
 //!
 //! * [`MotionConfig::full_isp`] = `false` (default for large evaluations):
-//!   the rendered RGB frames are converted to luma and block-matched
-//!   directly. This skips the Bayer mosaic/demosaic round trip, which
-//!   perturbs the motion field only marginally (the
-//!   `frontend_paths_agree` test quantifies it) but costs time. perfbench
-//!   medians on a 2-vCPU VM (seed 42, 30 s runs) put `detect_full_isp`
-//!   at ~8.6× `otb_sweep`'s `ms_per_frame` (14.97 vs 1.74 ms) with the
-//!   per-pixel clamped ISP stage kernels, and at ~2.7× (4.42 vs
-//!   1.65 ms) with the row-slice kernels. The two workloads also differ
-//!   in their backends, so the ratio bounds the frontend's share.
+//!   the frames are rendered straight to luma and block-matched
+//!   directly. This skips the sensor and the Bayer mosaic/demosaic round
+//!   trip, which perturbs the motion field only marginally (the
+//!   `frontend_paths_agree` test quantifies it) but costs time.
 //! * `full_isp = true`: frames pass through the image sensor model (RGGB
-//!   mosaic + read noise) and the full ISP pipeline (dead-pixel
-//!   correction → demosaic → white balance → temporal denoise), with the
-//!   motion field taken from the temporal-denoise stage exactly as in
-//!   Fig. 7.
+//!   mosaic + read noise) and the ISP's motion step
+//!   ([`IspPipeline::motion_step`]: dead-pixel correction → demosaic →
+//!   gray-world gains → luma of the white-balanced pixels → block search
+//!   → temporal denoise), with the motion field taken from the
+//!   temporal-denoise stage exactly as in Fig. 7. Nothing downstream
+//!   reads the finished RGB frame, so the source skips the ISP's
+//!   finishing tail (white balance applied, color correction, gamma);
+//!   [`IspPipeline::process`] exports the same motion field.
 
 use euphrates_camera::scene::{GtObject, Renderer};
 use euphrates_camera::sensor::{ImageSensor, SensorConfig};
@@ -179,9 +178,12 @@ impl PreparedSequence {
 /// ([`Renderer::render_luma_into`], which fuses illumination/noise and
 /// the RGB→luma conversion, so no intermediate RGB frame is ever
 /// materialized) and double-buffers the current/previous planes; the
-/// full-ISP path reuses one RGB and one RAW frame across the whole
-/// stream. Steady-state iteration therefore performs O(1) allocations
-/// per frame.
+/// full-ISP path reuses one RGB render target and one RAW capture, and
+/// the ISP's motion step runs in the pipeline's own buffers. Once warm,
+/// the fast path at its defaults and the full-ISP path under TSS make no
+/// allocation of 64 KiB or more per frame (`tests/frame_allocations.rs`
+/// pins both). A pyramid strategy on the full-ISP path still builds its
+/// two coarse planes inside the matcher each frame.
 ///
 /// Created by [`frame_source`]; consumed by
 /// [`run_stream`][crate::api::run_stream], a
@@ -222,7 +224,7 @@ enum SourceState {
         coarse_prefix: Option<Box<(RowPrefix, RowPrefix)>>,
         have_prev: bool,
     },
-    /// Full path: sensor capture + complete ISP per frame.
+    /// Full path: sensor capture + the ISP's motion step per frame.
     FullIsp {
         sensor: ImageSensor,
         isp: Box<IspPipeline>,
@@ -310,8 +312,8 @@ impl Iterator for FrameSource<'_> {
                 } => {
                     let truth = renderer.render_into(index, rgb);
                     sensor.capture_into(rgb, index, raw)?;
-                    let out = isp.process(raw)?;
-                    Ok(FrameData::new(truth, out.motion))
+                    let step = isp.motion_step(raw)?;
+                    Ok(FrameData::new(truth, step.motion))
                 }
             }
         };

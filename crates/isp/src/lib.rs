@@ -12,7 +12,9 @@
 //!   vector, SAD, and confidence (Equ. 2) per macroblock, computed by a
 //!   real [`motion::BlockMatcher`] driving one of four
 //!   [`motion::SearchStrategy`] walks (exhaustive, three-step, diamond,
-//!   or two-level hierarchical).
+//!   or two-level hierarchical). Its motion step
+//!   ([`pipeline::IspPipeline::motion_step`]) produces the field alone;
+//!   [`pipeline::IspPipeline::process`] also finishes the RGB frame.
 //! * **Architectural** — [`linebuffer::TdSramModel`] models the
 //!   temporal-denoise SRAM with single vs. double buffering (the §4.2
 //!   design choice that keeps MV write-back off the ISP critical path).
@@ -66,8 +68,19 @@
 //!   stage's output digest, recorded from the old code, at sizes from
 //!   1×1 to VGA. `color.rs` checks the rounding at every half-integer
 //!   and its neighbours, and the default matrix over all 2²⁴ inputs.
-//!   On perfbench's `detect_full_isp` (`--trace 1`, seed 42, 2-vCPU
-//!   VM) the five stages fell from 12.0 to 2.1 ms/frame.
+//!   Demosaic, dead-pixel correction and denoise also have `_into`
+//!   forms that write caller-owned buffers; the allocating forms wrap
+//!   them, so each stage has one kernel.
+//! * **Motion step** — the pipeline's motion step runs the stages into
+//!   buffers it owns and swaps the current and previous denoised planes
+//!   rather than copying them. It never writes the white-balanced frame:
+//!   its luma pass reads the demosaiced pixels through the two
+//!   white-balance tables and takes each balanced pixel's luma with the
+//!   same magic divide as `rgb_to_luma_row`
+//!   ([`rgb_to_luma_pixel`][euphrates_common::image::rgb_to_luma_pixel]),
+//!   so the luma, and every field searched on it, is bit-equal to the
+//!   full pipeline's. Only `process` applies white balance, color
+//!   correction and gamma to a copy of the demosaiced frame.
 //!
 //! ## Example
 //!
@@ -98,6 +111,6 @@ pub mod stages;
 pub use motion::{
     BlockMatcher, CachedPlanes, MotionField, MotionVector, RowPrefix, SearchStats, SearchStrategy,
 };
-pub use pipeline::{IspOutput, IspPipeline};
+pub use pipeline::{IspMotion, IspOutput, IspPipeline};
 pub use predictive::PredictiveBlockMatcher;
 pub use raw_motion::RawBlockMatcher;

@@ -1,16 +1,26 @@
 //! The end-to-end ISP pipeline (Fig. 2 / Fig. 7).
 //!
 //! [`IspPipeline`] is stateful: it keeps the previous frame's denoised luma
-//! so the temporal-denoise stage can estimate motion against it. Per frame
-//! it produces an [`IspOutput`] containing the processed RGB frame, the
-//! denoised luma plane, and — the Euphrates augmentation — the
-//! [`MotionField`] that a stock ISP would have discarded (§2.2).
+//! so the temporal-denoise stage can estimate motion against it. Each
+//! frame runs in two parts:
+//!
+//! * the **motion step** ([`IspPipeline::motion_step`]): dead-pixel
+//!   correction → demosaic → gray-world gains → the noisy luma of the
+//!   white-balanced pixels → block search → temporal denoise. It exports
+//!   the [`MotionField`] a stock ISP would have discarded (§2.2), runs
+//!   into buffers the pipeline owns, and never writes the white-balanced
+//!   RGB frame.
+//! * the **finishing tail**: white balance applied to the RGB frame,
+//!   color correction and gamma. Only [`IspPipeline::process`] runs it; it
+//!   returns the finished frame, the denoised luma and the motion field
+//!   as an [`IspOutput`]. A caller that reads only the motion (the
+//!   full-ISP frame source in `euphrates-core`) calls the motion step.
 
 use crate::color::{ColorCorrection, Gamma};
 use crate::motion::{BlockMatcher, MotionField, SearchStrategy};
-use crate::stages::{DeadPixelCorrection, Demosaic, TemporalDenoise, WhiteBalance};
+use crate::stages::{DeadPixelCorrection, Demosaic, TemporalDenoise, WbTables, WhiteBalance};
 use euphrates_common::error::{Error, Result};
-use euphrates_common::image::{rgb_to_luma, BayerFrame, LumaFrame, Resolution, RgbFrame};
+use euphrates_common::image::{rgb_to_luma_row, BayerFrame, LumaFrame, Resolution, RgbFrame};
 
 /// Static ISP configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,7 +52,8 @@ impl IspConfig {
 pub struct IspOutput {
     /// Frame index within the stream (0-based).
     pub frame_index: u64,
-    /// Processed RGB frame (what gets written to the frame buffer).
+    /// The finished RGB frame: white-balanced, color-corrected and
+    /// gamma-encoded by [`IspPipeline::process`]'s finishing tail.
     pub rgb: RgbFrame,
     /// Denoised luma plane (input to next frame's motion estimation).
     pub luma: LumaFrame,
@@ -53,7 +64,19 @@ pub struct IspOutput {
     pub dead_pixels_corrected: u32,
 }
 
-/// The stateful ISP pipeline.
+/// What one frame's motion step exports.
+#[derive(Debug, Clone)]
+pub struct IspMotion {
+    /// Frame index within the stream (0-based).
+    pub frame_index: u64,
+    /// The temporal-denoise stage's motion field (zero for frame 0).
+    pub motion: MotionField,
+    /// Number of dead pixels corrected this frame.
+    pub dead_pixels_corrected: u32,
+}
+
+/// The stateful ISP pipeline: a motion step plus a finishing tail (see
+/// the module docs).
 #[derive(Debug, Clone)]
 pub struct IspPipeline {
     config: IspConfig,
@@ -64,19 +87,34 @@ pub struct IspPipeline {
     ccm: ColorCorrection,
     gamma: Gamma,
     matcher: BlockMatcher,
-    prev_luma: Option<LumaFrame>,
+    /// Dead-pixel correction's edge-replicated scratch.
+    padded: Vec<u8>,
+    /// Dead-pixel-corrected RAW frame.
+    raw: BayerFrame,
+    /// Demosaiced frame, not white-balanced.
+    rgb: RgbFrame,
+    /// Noisy luma of the white-balanced pixels.
+    noisy: LumaFrame,
+    /// Denoise target, swapped with `prev` each frame.
+    denoised: LumaFrame,
+    /// The last frame's denoised luma (valid when `have_prev`).
+    prev: LumaFrame,
+    have_prev: bool,
     frame_count: u64,
 }
 
 impl IspPipeline {
-    /// Creates a pipeline for the given configuration.
+    /// Creates a pipeline for the given configuration, with its frame
+    /// buffers allocated at the configured resolution.
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] for invalid block-matching
-    /// parameters.
+    /// parameters or a zero-sized resolution.
     pub fn new(config: IspConfig) -> Result<Self> {
         let matcher = BlockMatcher::new(config.mb_size, config.search_range, config.strategy)?;
+        let Resolution { width, height } = config.resolution;
+        let luma = LumaFrame::new(width, height)?;
         Ok(IspPipeline {
             config,
             dpc: DeadPixelCorrection::default(),
@@ -86,7 +124,13 @@ impl IspPipeline {
             ccm: ColorCorrection::default(),
             gamma: Gamma::default(),
             matcher,
-            prev_luma: None,
+            padded: Vec::new(),
+            raw: luma.clone(),
+            rgb: RgbFrame::new(width, height)?,
+            noisy: luma.clone(),
+            denoised: luma.clone(),
+            prev: luma,
+            have_prev: false,
             frame_count: 0,
         })
     }
@@ -94,17 +138,25 @@ impl IspPipeline {
     /// Drops temporal state (previous frame); the next frame becomes frame
     /// 0 of a new stream.
     pub fn reset(&mut self) {
-        self.prev_luma = None;
+        self.have_prev = false;
         self.frame_count = 0;
     }
 
-    /// Processes one RAW frame through the full pipeline.
+    /// Runs one RAW frame through the motion step: dead-pixel correction,
+    /// demosaic, gray-world gains, the noisy luma of the white-balanced
+    /// pixels, block search against the previous denoised luma, and
+    /// temporal denoise. The white-balanced RGB frame is never written;
+    /// the finishing tail of [`process`][IspPipeline::process] is skipped.
+    /// Every frame buffer is the pipeline's own. Under a single-level
+    /// search a stream allocates only the returned motion field per
+    /// frame; a pyramid strategy also builds its coarse planes inside
+    /// the matcher.
     ///
     /// # Errors
     ///
     /// Returns [`Error::ShapeMismatch`] if `raw` does not match the
     /// configured resolution.
-    pub fn process(&mut self, raw: &BayerFrame) -> Result<IspOutput> {
+    pub fn motion_step(&mut self, raw: &BayerFrame) -> Result<IspMotion> {
         if raw.width() != self.config.resolution.width
             || raw.height() != self.config.resolution.height
         {
@@ -117,46 +169,68 @@ impl IspPipeline {
         }
 
         // Bayer domain.
-        let mut raw = raw.clone();
-        let dead_pixels_corrected = self.dpc.process(&mut raw);
+        let dead_pixels_corrected = self
+            .dpc
+            .process_into(raw, &mut self.raw, &mut self.padded)?;
 
-        // Conversion + RGB domain.
-        let mut rgb = self.demosaic.process(&raw)?; // stays mutable through finishing
-        self.wb.process(&mut rgb);
-        let noisy_luma = rgb_to_luma(&rgb);
+        // Conversion + RGB domain: the luma is taken through the white-
+        // balance tables (linear-domain data, as ME wants).
+        self.demosaic.process_into(&self.raw, &mut self.rgb)?;
+        let (rgb, noisy) = (self.rgb.samples(), self.noisy.samples_mut());
+        match WbTables::for_gains(self.wb.gains(&self.rgb)) {
+            Some(tables) => tables.luma_row(rgb, noisy),
+            None => rgb_to_luma_row(rgb, noisy),
+        }
 
         // Temporal-denoise stage: motion estimation against the previous
-        // denoised frame, then motion compensation (Fig. 7).
-        let (motion, luma) = match &self.prev_luma {
-            Some(prev) => {
-                let field = self.matcher.estimate(&noisy_luma, prev)?;
-                let denoised = self.td.process(&noisy_luma, prev, &field)?;
-                (field, denoised)
-            }
-            None => (
-                MotionField::zeroed(
-                    self.config.resolution,
-                    self.config.mb_size,
-                    self.config.search_range,
-                )?,
-                noisy_luma,
-            ),
+        // denoised frame, then motion compensation (Fig. 7). Frame 0's
+        // noisy luma is its denoised luma.
+        let motion = if self.have_prev {
+            let field = self.matcher.estimate(&self.noisy, &self.prev)?;
+            self.td
+                .process_into(&self.noisy, &self.prev, &field, &mut self.denoised)?;
+            std::mem::swap(&mut self.denoised, &mut self.prev);
+            field
+        } else {
+            let field = MotionField::zeroed(
+                self.config.resolution,
+                self.config.mb_size,
+                self.config.search_range,
+            )?;
+            std::mem::swap(&mut self.noisy, &mut self.prev);
+            field
         };
-
-        // RGB-domain finishing on the output frame (linear-domain data —
-        // including the luma used for ME — is already captured above).
-        self.ccm.process(&mut rgb);
-        self.gamma.process(&mut rgb);
-
-        self.prev_luma = Some(luma.clone());
+        self.have_prev = true;
         let frame_index = self.frame_count;
         self.frame_count += 1;
-        Ok(IspOutput {
+        Ok(IspMotion {
             frame_index,
-            rgb,
-            luma,
             motion,
             dead_pixels_corrected,
+        })
+    }
+
+    /// Processes one RAW frame through the full pipeline: the
+    /// [`motion_step`][IspPipeline::motion_step], then the finishing tail
+    /// (white balance applied, color correction, gamma) on a copy of the
+    /// demosaiced frame.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::ShapeMismatch`] if `raw` does not match the
+    /// configured resolution.
+    pub fn process(&mut self, raw: &BayerFrame) -> Result<IspOutput> {
+        let step = self.motion_step(raw)?;
+        let mut rgb = self.rgb.clone();
+        self.wb.process(&mut rgb);
+        self.ccm.process(&mut rgb);
+        self.gamma.process(&mut rgb);
+        Ok(IspOutput {
+            frame_index: step.frame_index,
+            rgb,
+            luma: self.prev.clone(),
+            motion: step.motion,
+            dead_pixels_corrected: step.dead_pixels_corrected,
         })
     }
 

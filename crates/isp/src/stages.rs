@@ -4,15 +4,23 @@
 //!
 //! Each stage is a small struct with a `process` method and an
 //! operations-per-pixel estimate that feeds the ISP compute model. The
+//! stages the pipeline's motion step runs into its own buffers also have
+//! a `process_into` form, which `process` wraps. The
 //! stages are deliberately simple, standard algorithms — the paper's
 //! contribution is not the ISP internals but *exporting* the temporal-
 //! denoise stage's motion vectors (§4.2), which [`crate::pipeline`] wires
 //! up.
 
 use crate::motion::MotionField;
-use euphrates_common::error::Result;
+use euphrates_common::error::{Error, Result};
 use euphrates_common::fixed::round_to_u8;
-use euphrates_common::image::{rggb_color, BayerFrame, CfaColor, LumaFrame, Rgb, RgbFrame};
+use euphrates_common::image::{
+    rgb_to_luma_pixel, rggb_color, BayerFrame, CfaColor, LumaFrame, Rgb, RgbFrame,
+};
+
+/// The border dead-pixel correction reads: same-color neighbors in the
+/// Bayer mosaic are 2 apart.
+const PAD: usize = 2;
 
 /// Dead-pixel correction: replaces samples that deviate strongly from the
 /// median of their same-color neighbors (stuck/hot photosites).
@@ -31,27 +39,62 @@ impl Default for DeadPixelCorrection {
 impl DeadPixelCorrection {
     /// Corrects dead pixels in place, returning the number of corrections.
     pub fn process(&self, raw: &mut BayerFrame) -> u32 {
-        // Same-color neighbors in the Bayer mosaic are 2 apart. Clamp-to-
-        // edge is edge replication, so a 2-sample replicated border gives
-        // every pixel the exact neighbors `at_clamped` would read and
-        // leaves no separate border loop.
-        const PAD: usize = 2;
+        let mut padded = Vec::new();
+        Self::pad(raw, &mut padded);
+        self.correct(&padded, raw)
+    }
+
+    /// Writes `raw` with its dead pixels corrected into `out`, returning
+    /// the number of corrections. `padded` is scratch, reused across calls
+    /// so a stream makes no per-frame allocation.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::ShapeMismatch`] if `out` differs from `raw` in
+    /// size.
+    pub fn process_into(
+        &self,
+        raw: &BayerFrame,
+        out: &mut BayerFrame,
+        padded: &mut Vec<u8>,
+    ) -> Result<u32> {
+        if !out.same_shape(raw) {
+            return Err(Error::shape(
+                "dead-pixel output differs from the RAW frame in size",
+            ));
+        }
+        Self::pad(raw, padded);
+        Ok(self.correct(padded, out))
+    }
+
+    /// Writes `raw` with a `PAD`-sample replicated border into `padded`.
+    /// Clamp-to-edge is edge replication, so the border gives every pixel
+    /// the exact neighbors `at_clamped` would read and leaves no separate
+    /// border loop.
+    fn pad(raw: &BayerFrame, padded: &mut Vec<u8>) {
         let (w, h) = (raw.width() as usize, raw.height() as usize);
         let pw = w + 2 * PAD;
-        let mut padded = vec![0u8; pw * (h + 2 * PAD)];
+        padded.resize(pw * (h + 2 * PAD), 0);
         for (py, prow) in padded.chunks_exact_mut(pw).enumerate() {
             let src = raw.row(py.saturating_sub(PAD).min(h - 1) as u32);
             prow[..PAD].fill(src[0]);
             prow[PAD..PAD + w].copy_from_slice(src);
             prow[PAD + w..].fill(src[w - 1]);
         }
+    }
+
+    /// The correction kernel: reads the padded frame, writes `out` (of the
+    /// unpadded shape).
+    fn correct(&self, padded: &[u8], out: &mut BayerFrame) -> u32 {
+        let (w, h) = (out.width() as usize, out.height() as usize);
+        let pw = w + 2 * PAD;
         let mut corrected = 0u32;
         for y in 0..h {
             let above = &padded[y * pw + PAD..][..w];
             let mid = &padded[(y + PAD) * pw..][..pw];
             let below = &padded[(y + 2 * PAD) * pw + PAD..][..w];
             let (left, centre, right) = (&mid[..w], &mid[PAD..PAD + w], &mid[2 * PAD..]);
-            let out = raw.row_mut(y as u32);
+            let out = out.row_mut(y as u32);
             for (((o, &v), (&l, &r)), (&a, &b)) in out
                 .iter_mut()
                 .zip(centre)
@@ -90,8 +133,24 @@ impl Demosaic {
     /// Propagates plane-construction failures (zero-sized frames cannot be
     /// constructed, so in practice this does not fail).
     pub fn process(&self, raw: &BayerFrame) -> Result<RgbFrame> {
+        let mut rgb = RgbFrame::new(raw.width(), raw.height())?;
+        self.process_into(raw, &mut rgb)?;
+        Ok(rgb)
+    }
+
+    /// Reconstructs the Bayer mosaic into `rgb`, overwriting every pixel.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::ShapeMismatch`] if `rgb` differs from `raw` in
+    /// size.
+    pub fn process_into(&self, raw: &BayerFrame, rgb: &mut RgbFrame) -> Result<()> {
+        if !rgb.same_shape(raw) {
+            return Err(Error::shape(
+                "demosaic output differs from the RAW frame in size",
+            ));
+        }
         let (w, h) = (raw.width(), raw.height());
-        let mut rgb = RgbFrame::new(w, h)?;
         // Interior: the whole 3×3 stencil is in frame, so every neighbor
         // the RGGB pattern names is present and the averages divide by a
         // fixed 4 (cross, diagonal) or 2 (horizontal, vertical).
@@ -133,7 +192,7 @@ impl Demosaic {
                 rgb.set(x, y, Self::border_pixel(raw, x, y));
             }
         }
-        Ok(rgb)
+        Ok(())
     }
 
     /// One output pixel from the clamp-to-edge stencil: each missing
@@ -197,8 +256,20 @@ impl Default for WhiteBalance {
 }
 
 impl WhiteBalance {
-    /// Balances the frame in place and returns the applied `(r, b)` gains.
+    /// Returns the gray-world `(r, b)` gains and balances the frame in
+    /// place with them. When both gains are within 1e-3 of 1 they are
+    /// still returned, but the frame is left as it is.
     pub fn process(&self, rgb: &mut RgbFrame) -> (f64, f64) {
+        let gains = self.gains(rgb);
+        if let Some(tables) = WbTables::for_gains(gains) {
+            tables.apply(rgb);
+        }
+        gains
+    }
+
+    /// The gray-world `(r, b)` gains of a frame: the green channel sum
+    /// over each other channel's, clamped to `[1/max_gain, max_gain]`.
+    pub(crate) fn gains(&self, rgb: &RgbFrame) -> (f64, f64) {
         // Exact integer channel sums. Every partial sum stays below 2⁵³,
         // so their f64 values equal a running f64 accumulation's.
         let mut sums = [0u64; 3];
@@ -215,25 +286,57 @@ impl WhiteBalance {
                 (target / actual).clamp(1.0 / self.max_gain, self.max_gain)
             }
         };
-        let rg = gain(sums[1], sums[0]);
-        let bg = gain(sums[1], sums[2]);
-        if (rg - 1.0).abs() > 1e-3 || (bg - 1.0).abs() > 1e-3 {
-            // Each channel has one gain: tabulate its 256 scaled values.
-            let lut = |g: f64| -> [u8; 256] {
-                std::array::from_fn(|v| (f64::from(v as u8) * g).round().clamp(0.0, 255.0) as u8)
-            };
-            let (r_lut, b_lut) = (lut(rg), lut(bg));
-            for p in rgb.samples_mut() {
-                p.r = r_lut[usize::from(p.r)];
-                p.b = b_lut[usize::from(p.b)];
-            }
-        }
-        (rg, bg)
+        (gain(sums[1], sums[0]), gain(sums[1], sums[2]))
     }
 
     /// Arithmetic operations per pixel.
     pub fn ops_per_pixel(&self) -> u64 {
         5
+    }
+}
+
+/// The two tables one frame's white-balance gains apply through: red and
+/// blue each map through their gain's 256 rounded values, and green
+/// passes through.
+pub(crate) struct WbTables {
+    r: [u8; 256],
+    b: [u8; 256],
+}
+
+impl WbTables {
+    /// The tables for `(r, b)` gains, or `None` when both are within 1e-3
+    /// of 1, where white balance leaves the frame as it is.
+    pub(crate) fn for_gains((rg, bg): (f64, f64)) -> Option<Self> {
+        let applied = (rg - 1.0).abs() > 1e-3 || (bg - 1.0).abs() > 1e-3;
+        let lut = |g: f64| -> [u8; 256] {
+            std::array::from_fn(|v| (f64::from(v as u8) * g).round().clamp(0.0, 255.0) as u8)
+        };
+        applied.then(|| WbTables {
+            r: lut(rg),
+            b: lut(bg),
+        })
+    }
+
+    /// One pixel, balanced.
+    #[inline]
+    fn balance(&self, p: Rgb) -> Rgb {
+        Rgb::new(self.r[usize::from(p.r)], p.g, self.b[usize::from(p.b)])
+    }
+
+    /// Balances a frame in place.
+    fn apply(&self, rgb: &mut RgbFrame) {
+        for p in rgb.samples_mut() {
+            *p = self.balance(*p);
+        }
+    }
+
+    /// The luma of `src`'s balanced pixels: bit-equal to
+    /// [`rgb_to_luma_row`][euphrates_common::image::rgb_to_luma_row] over
+    /// the row [`apply`][WbTables::apply] would leave, without writing it.
+    pub(crate) fn luma_row(&self, src: &[Rgb], dst: &mut [u8]) {
+        for (d, &s) in dst.iter_mut().zip(src) {
+            *d = rgb_to_luma_pixel(self.balance(s));
+        }
     }
 }
 
@@ -270,18 +373,37 @@ impl TemporalDenoise {
         prev_denoised: &LumaFrame,
         field: &MotionField,
     ) -> Result<LumaFrame> {
+        let mut out = LumaFrame::new(cur.width(), cur.height())?;
+        self.process_into(cur, prev_denoised, field, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`process`][TemporalDenoise::process] into `out`, overwriting every
+    /// pixel.
+    ///
+    /// # Errors
+    ///
+    /// Returns a shape error if the previous frame, the field's
+    /// resolution or `out` differs from `cur` in size.
+    pub fn process_into(
+        &self,
+        cur: &LumaFrame,
+        prev_denoised: &LumaFrame,
+        field: &MotionField,
+        out: &mut LumaFrame,
+    ) -> Result<()> {
         if !cur.same_shape(prev_denoised) {
-            return Err(euphrates_common::Error::shape(
-                "current and previous frames differ in size",
-            ));
+            return Err(Error::shape("current and previous frames differ in size"));
         }
         if field.resolution().width != cur.width() || field.resolution().height != cur.height() {
-            return Err(euphrates_common::Error::shape(
-                "motion field resolution differs from frame",
+            return Err(Error::shape("motion field resolution differs from frame"));
+        }
+        if !out.same_shape(cur) {
+            return Err(Error::shape(
+                "denoise output differs from the frame in size",
             ));
         }
         let (w, h) = (i64::from(cur.width()), i64::from(cur.height()));
-        let mut out = LumaFrame::new(cur.width(), cur.height())?;
         for by in 0..field.blocks_y() {
             for bx in 0..field.blocks_x() {
                 let mv = field.at_block(bx, by);
@@ -315,7 +437,7 @@ impl TemporalDenoise {
                 }
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Arithmetic operations per pixel (blend only; motion estimation is
@@ -478,6 +600,19 @@ mod tests {
         assert!(TemporalDenoise::default()
             .process(&a, &a, &field32)
             .is_err());
+    }
+
+    #[test]
+    fn into_forms_reject_wrong_size_outputs() {
+        let raw = BayerFrame::new(16, 16).unwrap();
+        let mut small = BayerFrame::new(16, 8).unwrap();
+        let dpc = DeadPixelCorrection::default();
+        assert!(dpc.process_into(&raw, &mut small, &mut Vec::new()).is_err());
+        let mut rgb = RgbFrame::new(8, 16).unwrap();
+        assert!(Demosaic.process_into(&raw, &mut rgb).is_err());
+        let field = MotionField::zeroed(Resolution::new(16, 16), 16, 7).unwrap();
+        let td = TemporalDenoise::default();
+        assert!(td.process_into(&raw, &raw, &field, &mut small).is_err());
     }
 
     #[test]

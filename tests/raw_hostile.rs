@@ -2,13 +2,15 @@
 //! (ROADMAP item 5: validation against malformed input).
 //!
 //! Every test drives deliberately broken or extreme input through
-//! [`ImageSensor::capture_into`] and [`IspPipeline::process`] and
-//! requires a clean `Ok`/`Err` — never a panic, never an abort. The
+//! [`ImageSensor::capture_into`], [`IspPipeline::process`] and the
+//! motion step alone ([`IspPipeline::motion_step`]) and requires a clean
+//! `Ok`/`Err` — never a panic, never an abort. The
 //! seeded sweep at the bottom walks a hash-derived grid of degenerate
 //! resolutions, extreme noise sigmas, and mismatched buffer shapes so
 //! the suite covers combinations no hand-written case enumerates.
 
 use euphrates::camera::sensor::{ImageSensor, SensorConfig};
+use euphrates::common::error::Error;
 use euphrates::common::image::{BayerFrame, Resolution, Rgb, RgbFrame};
 use euphrates::common::rngx;
 use euphrates::isp::motion::SearchStrategy;
@@ -77,10 +79,13 @@ fn degenerate_resolutions_error_or_process_cleanly() {
                 Ok(isp) => isp,
                 Err(_) => return,
             };
+            let mut step = isp.clone();
             // Two frames so the temporal (motion-estimation) stage runs.
             for frame in 0..2u32 {
                 sensor.capture_into(&rgb, frame, &mut raw).unwrap();
-                if isp.process(&raw).is_err() {
+                let full = isp.process(&raw);
+                let motion = step.motion_step(&raw);
+                if full.is_err() || motion.is_err() {
                     return;
                 }
             }
@@ -115,21 +120,30 @@ fn mismatched_buffers_are_rejected_not_indexed() {
     sensor.capture_into(&rgb, 0, &mut out).unwrap();
     assert_eq!((out.width(), out.height()), (32, 24));
 
-    // Wrong-resolution RAW into a configured ISP: shape error, and the
-    // pipeline stays usable afterwards.
+    // Wrong-resolution RAW into a configured ISP: shape error, the same
+    // from the motion step as from the full pipeline, and the pipeline
+    // stays usable afterwards.
     let mut isp = IspPipeline::new(IspConfig::standard(res)).unwrap();
     for (w, h) in [(16, 24), (32, 25), (1, 1), (64, 48)] {
         let raw = BayerFrame::new(w, h).unwrap();
-        let r = must_not_panic(&format!("raw {w}x{h} into 32x24 isp"), || isp.process(&raw));
+        let label = format!("raw {w}x{h} into 32x24 isp");
+        let full = must_not_panic(&label, || isp.process(&raw)).unwrap();
+        let step = must_not_panic(&label, || isp.motion_step(&raw)).unwrap();
+        let err = full.expect_err("mismatched raw must be rejected");
         assert!(
-            r.unwrap().is_err(),
-            "mismatched raw {w}x{h} must be rejected"
+            matches!(err, Error::ShapeMismatch(_)),
+            "{label}: {err} is not a shape mismatch"
         );
+        assert_eq!(step.err(), Some(err), "{label}: motion step error differs");
     }
     let good = sensor.capture(&rgb, 1).unwrap();
     assert!(
         isp.process(&good).is_ok(),
         "ISP must survive rejected frames"
+    );
+    assert!(
+        isp.motion_step(&good).is_ok(),
+        "the motion step must survive rejected frames"
     );
 }
 
@@ -196,9 +210,12 @@ fn degenerate_isp_configs_error_or_run_cleanly() {
                 Ok(isp) => isp,
                 Err(_) => return, // clean rejection
             };
+            let mut step = isp.clone();
             let raw = BayerFrame::new(32, 32).unwrap();
             isp.process(&raw).unwrap();
             isp.process(&raw).unwrap();
+            step.motion_step(&raw).unwrap();
+            step.motion_step(&raw).unwrap();
         });
     }
 }
